@@ -6,6 +6,14 @@
 
 use std::path::Path;
 
+/// The 64-bit FNV-1a digest of `bytes`: a short, stable stand-in for a
+/// long text (printed IL, a remark stream) in a golden row.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |digest, &b| {
+        (digest ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 /// Asserts that `actual` equals the golden file at `path`, naming the
 /// first row that differs; or rewrites the file when blessing.
 ///
