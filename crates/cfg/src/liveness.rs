@@ -70,6 +70,15 @@ impl RegSet {
         grew
     }
 
+    /// In-place difference: removes every member of `other`, a word at a
+    /// time. When `other` tracks fewer registers than `self` (a summary
+    /// scanned before `next_reg` grew), only the overlapping words change.
+    pub fn difference_with(&mut self, other: &RegSet) {
+        for (a, b) in self.bits.iter_mut().zip(&other.bits) {
+            *a &= !*b;
+        }
+    }
+
     /// Empties the set without changing its capacity.
     pub fn clear(&mut self) {
         self.bits.fill(0);
@@ -81,15 +90,18 @@ impl RegSet {
         self.bits.extend_from_slice(&other.bits);
     }
 
-    /// Iterates members.
+    /// Iterates members in ascending order, visiting only the set bits of
+    /// each word.
     pub fn iter(&self) -> impl Iterator<Item = Reg> + '_ {
-        self.bits.iter().enumerate().flat_map(|(w, &bits)| {
-            (0..64).filter_map(move |i| {
-                if bits & (1u64 << i) != 0 {
-                    Some(Reg((w * 64 + i) as u32))
-                } else {
-                    None
+        self.bits.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
                 }
+                let i = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                Some(Reg((w * 64 + i) as u32))
             })
         })
     }
@@ -129,7 +141,8 @@ pub struct Liveness {
 /// A summary scanned before `next_reg` grew is shorter than the current
 /// register space; that is fine, because a block that was not touched
 /// cannot mention a register that did not exist when it was scanned, and
-/// [`RegSet::union_with`] merges only the overlapping words.
+/// [`RegSet::union_with`] and [`RegSet::difference_with`] touch only the
+/// overlapping words.
 #[derive(Debug, Clone, Default)]
 pub struct LiveSummaries {
     use_s: Vec<RegSet>,
@@ -273,9 +286,7 @@ pub fn liveness_sparse_into(
         }
         // in = use ∪ (out − def)
         inn.copy_from(out);
-        for r in summaries.def_s[bi].iter() {
-            inn.remove(r);
-        }
+        inn.difference_with(&summaries.def_s[bi]);
         inn.union_with(&summaries.use_s[bi]);
         if *inn != live_in[bi] {
             std::mem::swap(inn, &mut live_in[bi]);
@@ -317,9 +328,7 @@ pub fn liveness_dense_stats(func: &Function, cfg: &Cfg, stats: &mut DataflowStat
             }
             // in = use ∪ (out − def)
             let mut inn = live_out[bi].clone();
-            for r in summaries.def_s[bi].iter() {
-                inn.remove(r);
-            }
+            inn.difference_with(&summaries.def_s[bi]);
             inn.union_with(&summaries.use_s[bi]);
             if inn != live_in[bi] {
                 live_in[bi] = inn;
@@ -379,6 +388,76 @@ mod tests {
         assert_eq!(s.len(), 2);
         s.remove(Reg(0));
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![Reg(129)]);
+    }
+
+    /// A set over `n` registers holding each one with probability ~1/4,
+    /// from a xorshift64 stream.
+    fn random_set(state: &mut u64, n: usize) -> RegSet {
+        let mut s = RegSet::new(n);
+        for r in 0..n {
+            *state ^= *state << 13;
+            *state ^= *state >> 7;
+            *state ^= *state << 17;
+            if state.is_multiple_of(4) {
+                s.insert(Reg(r as u32));
+            }
+        }
+        s
+    }
+
+    /// The bit-probe model: every register below `64 × words`, tested
+    /// one at a time.
+    fn probed(s: &RegSet) -> Vec<Reg> {
+        (0..s.words().len() * 64)
+            .map(|r| Reg(r as u32))
+            .filter(|&r| s.contains(r))
+            .collect()
+    }
+
+    #[test]
+    fn regset_iter_matches_a_bit_probe_in_ascending_order() {
+        let mut state = 0x9E37_79B9_7F4A_7C15;
+        for n in [0, 1, 63, 64, 65, 127, 128, 129, 300] {
+            for _ in 0..20 {
+                let s = random_set(&mut state, n);
+                let got: Vec<Reg> = s.iter().collect();
+                assert_eq!(got, probed(&s), "n={n}");
+                assert!(got.windows(2).all(|w| w[0] < w[1]), "n={n}: ascending");
+                assert_eq!(got.len(), s.len());
+            }
+        }
+        let mut edges = RegSet::new(192);
+        for r in [0, 63, 64, 127, 128, 191] {
+            edges.insert(Reg(r));
+        }
+        let want: Vec<Reg> = [0, 63, 64, 127, 128, 191].map(Reg).into();
+        assert_eq!(edges.iter().collect::<Vec<_>>(), want);
+    }
+
+    #[test]
+    fn regset_difference_matches_member_removal_at_any_lengths() {
+        let mut state = 0xD1FF_0000_0000_00D5;
+        for (na, nb) in [
+            (130, 130),
+            (300, 70),
+            (70, 300),
+            (64, 0),
+            (0, 64),
+            (200, 129),
+        ] {
+            for _ in 0..20 {
+                let a = random_set(&mut state, na);
+                let b = random_set(&mut state, nb);
+                let mut want = a.clone();
+                for r in b.iter().filter(|r| r.index() < na) {
+                    want.remove(r);
+                }
+                let mut got = a.clone();
+                got.difference_with(&b);
+                assert_eq!(got, want, "|a|={na} |b|={nb}");
+                assert_eq!(got.words().len(), a.words().len(), "length is kept");
+            }
+        }
     }
 
     #[test]

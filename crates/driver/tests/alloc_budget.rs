@@ -19,7 +19,18 @@
 static ALLOC: trace::CountingAlloc = trace::CountingAlloc;
 
 use driver::Session;
+use std::sync::{Mutex, MutexGuard};
 use trace::AllocStats;
+
+/// The allocator counters are process-wide and the test harness runs
+/// tests on parallel threads, so each test holds this lock while it
+/// counts; otherwise one test's allocations land in the other's total.
+static COUNTING: Mutex<()> = Mutex::new(());
+
+fn counting_alone() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the counters it guards stay valid.
+    COUNTING.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Upper bound on allocator calls for one steady-state compile of the
 /// whole suite. Measured at ~1.5k after the scratch-arena work (vs ~10k
@@ -36,6 +47,7 @@ const FRONTEND_ALLOC_BUDGET: u64 = 2_500;
 
 #[test]
 fn steady_state_suite_compile_stays_within_alloc_budget() {
+    let _alone = counting_alone();
     let session = Session::builder()
         .threads(Some(1))
         .reuse_scratch(true)
@@ -81,6 +93,7 @@ fn steady_state_suite_compile_stays_within_alloc_budget() {
 
 #[test]
 fn steady_state_frontend_compile_stays_within_alloc_budget() {
+    let _alone = counting_alone();
     let mut fe = minic::Frontend::new();
     // Warm the interner, token buffer, and AST pools on a first compile
     // of every program.

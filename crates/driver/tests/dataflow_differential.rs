@@ -14,7 +14,9 @@
 //! blocks, redefinitions) and demand exact agreement where the problems
 //! are precision-equal (liveness, DCE, load elimination, points-to) and
 //! lattice-ordered agreement where sparse is deliberately stronger
-//! (conditional constant propagation).
+//! (conditional constant propagation). SCCP, which keeps block-entry
+//! state only for registers read before being defined in some block, must
+//! also fold exactly what a full-width reference model folds.
 //!
 //! Random inputs come from an in-tree xorshift64* generator: every case
 //! is reproducible from the fixed seed and no external crates are needed
@@ -263,6 +265,169 @@ fn sccp_lattice_dominates_dense_on_executable_blocks() {
             }
         }
     }
+}
+
+/// Adds φ-nodes to the head of random reachable blocks, one argument per
+/// predecessor. An argument may name a register with no reaching
+/// definition, and the φ may define a fresh register or redefine an old
+/// one.
+fn with_phis(rng: &mut Rng, mut func: Function) -> Function {
+    let cfg = Cfg::build(&func);
+    for &b in &cfg.rpo {
+        let preds = &cfg.preds[b.index()];
+        if preds.is_empty() || rng.below(2) == 0 {
+            continue;
+        }
+        let dst = if rng.below(2) == 0 {
+            func.next_reg += 1;
+            Reg(func.next_reg - 1)
+        } else {
+            Reg(rng.below(func.next_reg as usize) as u32)
+        };
+        let args = preds
+            .iter()
+            .map(|&p| (p, Reg(rng.below(func.next_reg as usize) as u32)))
+            .collect();
+        func.blocks[b.index()]
+            .instrs
+            .insert(0, Instr::Phi { dst, args });
+    }
+    func
+}
+
+/// The lattice value `instr` assigns under `state`, for the instructions
+/// `random_function` and `with_phis` emit.
+fn model_eval(instr: &Instr, state: &[Lat]) -> Lat {
+    let get = |r: &Reg| state[r.index()];
+    match instr {
+        Instr::IConst { value, .. } => Lat::Int(*value),
+        Instr::Copy { src, .. } => get(src),
+        Instr::Binary { op, lhs, rhs, .. } => match (get(lhs), get(rhs)) {
+            (Lat::Int(a), Lat::Int(b)) => Lat::Int(match op {
+                BinOp::Add => a.wrapping_add(b),
+                BinOp::Mul => a.wrapping_mul(b),
+                _ => unreachable!("random functions only add and multiply"),
+            }),
+            (Lat::Top, _) | (_, Lat::Top) => Lat::Top,
+            _ => Lat::Bottom,
+        },
+        Instr::Phi { args, .. } => args.iter().fold(Lat::Top, |v, (_, r)| v.meet(get(r))),
+        _ => Lat::Bottom,
+    }
+}
+
+fn model_step(instr: &Instr, state: &mut [Lat]) {
+    let v = model_eval(instr, state);
+    if let Some(d) = instr.def() {
+        state[d.index()] = v;
+    }
+}
+
+/// The reference model of `opt::constprop_function`: SCCP with a
+/// full-width state, a slot for every register at every block entry,
+/// copied at each visit and met along each executable edge. Blocks pop in
+/// reverse postorder, as from `cfg::BlockWorklist`: a branch on a ⊤
+/// condition marks both edges, so the visit order is part of the answer.
+/// Folds as the pass does and returns the number of rewrites.
+fn model_constprop(func: &mut Function) -> usize {
+    let cfg = Cfg::build(func);
+    let (n, nregs) = (func.blocks.len(), func.next_reg as usize);
+    let mut input = vec![vec![Lat::Top; nregs]; n];
+    let mut executable = vec![false; n];
+    let entry = func.entry.index();
+    input[entry][..func.arity].fill(Lat::Bottom);
+    executable[entry] = true;
+    let mut queue = std::collections::BTreeSet::from([(cfg.rpo_index[entry], entry)]);
+    while let Some((_, bi)) = queue.pop_first() {
+        let mut state = input[bi].clone();
+        for instr in &func.blocks[bi].instrs {
+            model_step(instr, &mut state);
+        }
+        let taken = match func.blocks[bi].instrs.last() {
+            Some(Instr::Branch {
+                cond,
+                then_bb,
+                else_bb,
+            }) => match state[cond.index()] {
+                Lat::Int(c) => Some(if c != 0 { *then_bb } else { *else_bb }),
+                _ => None,
+            },
+            _ => None,
+        };
+        for &s in &cfg.succs[bi] {
+            if taken.is_some_and(|t| t != s) {
+                continue;
+            }
+            let si = s.index();
+            let mut changed = !executable[si];
+            executable[si] = true;
+            for (slot, v) in input[si].iter_mut().zip(&state) {
+                let m = slot.meet(*v);
+                changed |= m != *slot;
+                *slot = m;
+            }
+            if changed {
+                queue.insert((cfg.rpo_index[si], si));
+            }
+        }
+    }
+    let mut rewrites = 0;
+    for &b in &cfg.rpo {
+        let bi = b.index();
+        if !executable[bi] {
+            continue;
+        }
+        let mut state = input[bi].clone();
+        for instr in &mut func.blocks[bi].instrs {
+            let folded = match *instr {
+                Instr::Binary { dst, .. } => match model_eval(instr, &state) {
+                    Lat::Int(value) => Some(Instr::IConst { dst, value }),
+                    _ => None,
+                },
+                Instr::Branch {
+                    cond,
+                    then_bb,
+                    else_bb,
+                } => match state[cond.index()] {
+                    Lat::Int(c) => Some(Instr::Jump {
+                        target: if c != 0 { then_bb } else { else_bb },
+                    }),
+                    _ => None,
+                },
+                _ => None,
+            };
+            model_step(instr, &mut state);
+            if let Some(new) = folded.filter(|new| new != instr) {
+                *instr = new;
+                rewrites += 1;
+            }
+        }
+    }
+    rewrites
+}
+
+/// SCCP keeps block-entry state only for registers some block reads
+/// before defining them. No other register's entry value is ever read, so
+/// the pass must fold exactly what the full-width model folds: on random
+/// functions with φ-nodes, parameters and uses with no reaching
+/// definition, the rewritten functions and the rewrite counts agree.
+#[test]
+fn constprop_folds_exactly_what_the_full_width_model_folds() {
+    let (_, tag_ids) = test_tags();
+    let mut rng = Rng::new(0xD1FF_0000_0000_0005);
+    let mut total = 0;
+    for case in 0..500 {
+        let func = random_function(&mut rng, &tag_ids);
+        let func = with_phis(&mut rng, func);
+        let mut got = func.clone();
+        let n = opt::constprop_function(&mut got, &mut sparse_cache());
+        let mut want = func.clone();
+        let m = model_constprop(&mut want);
+        assert_eq!(n, m, "case {case}: rewrite counts diverged\n{func:?}");
+        assert_eq!(got, want, "case {case}: folds diverged\n{func:?}");
+        total += n;
+    }
+    assert!(total > 200, "the random functions fold too little: {total}");
 }
 
 /// The SCCP payoff the dense solver cannot deliver: a branch on a known

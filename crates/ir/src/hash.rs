@@ -29,7 +29,8 @@
 use crate::function::{Function, Module};
 use crate::instr::{Callee, FuncId, Instr};
 use crate::tag::{TagId, TagKind, TagSet};
-use std::hash::Hasher;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// The multiplier from the Fx (Firefox) hash: a cheap, deterministic,
 /// non-cryptographic mix that the rustc ecosystem uses for exactly this
@@ -99,6 +100,16 @@ impl Hasher for FxHasher {
         self.add(v as u64);
     }
 }
+
+/// A `HashMap` keyed through [`FxHasher`]: deterministic, and cheaper than
+/// std's SipHash on the small integer and enum keys of the passes'
+/// per-block tables. Unlike `RandomState` it has no defence against keys
+/// crafted to collide, so a table whose keys the source controls (LVN's
+/// constants) can take time quadratic in its size on hostile input.
+pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
+/// A `HashSet` keyed through [`FxHasher`].
+pub type FxHashSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
 
 /// Hashes a byte string with the deterministic Fx mixer.
 pub fn fx_hash_bytes(bytes: &[u8]) -> u64 {

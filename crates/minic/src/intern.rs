@@ -10,12 +10,10 @@
 //! equal iff their symbols are equal, so scope tables, signature maps,
 //! and the addressed-variable set all key on a `u32`.
 //!
-//! Hashing is the same FxHash-style multiply-rotate scheme the rest of
-//! the repo uses (std-only, no external crates): fast on short ASCII
-//! keys and good enough for open addressing at 3/4 load.
-
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+//! The interner's own table hashes names with the same FxHash-style
+//! multiply-rotate scheme as [`ir::hash::FxHasher`] (std-only, no external
+//! crates): fast on short ASCII keys and good enough for open addressing
+//! at 3/4 load. Maps keyed by [`Symbol`] use [`ir::hash::FxHashMap`].
 
 /// An interned identifier: an index into its [`Interner`]'s span table.
 ///
@@ -50,41 +48,6 @@ fn hash_bytes(bytes: &[u8]) -> u64 {
     // Finalize with the length so prefixes of each other differ.
     (state.rotate_left(5) ^ bytes.len() as u64).wrapping_mul(FX_SEED)
 }
-
-/// The FxHash-style [`Hasher`] behind [`FxHashMap`]: one multiply-rotate
-/// round per `write`, a `u64` mix for the common fixed-width keys.
-#[derive(Debug, Default, Clone)]
-pub struct FxHasher {
-    state: u64,
-}
-
-impl Hasher for FxHasher {
-    fn finish(&self) -> u64 {
-        self.state
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        self.state = (self.state.rotate_left(5) ^ hash_bytes(bytes)).wrapping_mul(FX_SEED);
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(v as u64);
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.state = (self.state.rotate_left(5) ^ v).wrapping_mul(FX_SEED);
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-}
-
-/// A `HashMap` using the repo's FxHash-style hasher.
-pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-
-/// A `HashSet` using the repo's FxHash-style hasher.
-pub type FxHashSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
 
 /// An append-only string interner: one concatenated text arena, a span
 /// per symbol, and an open-addressing table from name to symbol.

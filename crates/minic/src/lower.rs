@@ -19,8 +19,9 @@
 
 use crate::ast::*;
 use crate::error::{FrontError, Phase};
-use crate::intern::{FxHashMap, FxHashSet, Interner, Symbol};
+use crate::intern::{Interner, Symbol};
 use crate::token::Pos;
+use ir::hash::{FxHashMap, FxHashSet};
 use ir::{
     BinOp, CmpOp, FuncId, FunctionBuilder, GlobalInit, Instr, Intrinsic, Module, Reg, TagId,
     TagKind, TagSet, UnaryOp as IrUnary,

@@ -14,8 +14,15 @@
 //! every CFG edge as live) — a join reached constantly from only one arm
 //! of a constant branch keeps its constant. The dense sweep survives as
 //! the measured baseline ([`analyze_constants`] with `dense = true`).
+//!
+//! Both solvers keep block-entry values only for the function's *global
+//! names*, the registers some block reads before defining them, found by
+//! one linear pre-scan. Every other register is written before it is
+//! read in each block that reads it, so its entry value is never read.
+//! Dropping those slots changes no fixpoint and no fold; it makes a block
+//! visit or an edge meet cost O(globals) instead of O(registers).
 
-use cfg::{BlockWorklist, Cfg, DataflowStats, Direction, FunctionAnalyses};
+use cfg::{BlockWorklist, Cfg, DataflowStats, Direction, FunctionAnalyses, RegSet};
 use ir::{BinOp, CmpOp, Function, Instr, Module, Reg, UnaryOp};
 
 /// One register's abstract value: unknown-as-yet (⊤), a proven constant,
@@ -147,25 +154,92 @@ pub struct ConstLattice {
     /// solver marks every CFG-reachable block; the sparse solver can prove
     /// fewer blocks executable.
     pub executable: Vec<bool>,
-    /// Lattice value per register at each block's entry.
+    /// Lattice value per register at each block's entry. A register that
+    /// no block reads before defining it reports ⊤ everywhere: its entry
+    /// value is never observed, so the solver keeps no slot for it.
     pub input: Vec<Vec<Lat>>,
 }
 
-/// Reusable solver state for [`constprop_function_in`]: the per-block
-/// lattice inputs flattened into one `blocks × nregs` vector, the
-/// executable-block bitmap, the walking state, and the worklist. Length-
-/// reset per call; capacity survives across functions.
+/// Reusable solver state for [`constprop_function_in`]: the global names
+/// (see the module docs) and the pre-scan that finds them, their entry
+/// values per block, the executable-block bitmap, the walking state, and
+/// the worklist. Length-reset per call; capacity survives across
+/// functions.
 #[derive(Default)]
 pub struct ConstScratch {
+    /// The global names, ascending: the registers some block reads
+    /// before defining them (as in semi-pruned SSA).
+    globals: Vec<Reg>,
+    /// Pre-scan state: the global names as a set, and the block that last
+    /// defined each register.
+    read_first: RegSet,
+    defined_in: Vec<u32>,
+    /// Entry values per block, flattened: `globals.len()` per block, in
+    /// `globals` order.
     input: Vec<Lat>,
     executable: Vec<bool>,
+    /// The walking state, one value per register.
     state: Vec<Lat>,
     wl: BlockWorklist,
 }
 
+impl ConstScratch {
+    /// One linear scan of `func` that collects its global names into
+    /// `globals`. Liveness's upward-exposed-use summaries name the same
+    /// registers per block, but they are private to the analysis cache
+    /// and refreshed only when liveness is rebuilt.
+    fn find_globals(&mut self, func: &Function) {
+        let nregs = func.next_reg as usize;
+        self.read_first.reset(nregs);
+        self.defined_in.clear();
+        self.defined_in.resize(nregs, u32::MAX);
+        for (bi, block) in func.blocks.iter().enumerate() {
+            let bi = bi as u32;
+            for instr in &block.instrs {
+                instr.visit_uses(|r| {
+                    if self.defined_in[r.index()] != bi {
+                        self.read_first.insert(r);
+                    }
+                });
+                if let Some(d) = instr.def() {
+                    self.defined_in[d.index()] = bi;
+                }
+            }
+        }
+        self.globals.clear();
+        self.globals.extend(self.read_first.iter());
+    }
+}
+
+/// Block `bi`'s row of a flat per-block table `width` values wide.
+fn row(table: &[Lat], bi: usize, width: usize) -> &[Lat] {
+    &table[bi * width..(bi + 1) * width]
+}
+
+/// Loads a block's entry values into the walking state.
+fn enter(state: &mut [Lat], globals: &[Reg], input: &[Lat]) {
+    for (r, &v) in globals.iter().zip(input) {
+        state[r.index()] = v;
+    }
+}
+
+/// Meets the walking state into a successor's entry values; returns true
+/// if any of them changed.
+fn meet_into(input: &mut [Lat], globals: &[Reg], state: &[Lat]) -> bool {
+    let mut changed = false;
+    for (slot, r) in input.iter_mut().zip(globals) {
+        let m = slot.meet(state[r.index()]);
+        if m != *slot {
+            *slot = m;
+            changed = true;
+        }
+    }
+    changed
+}
+
 /// [`analyze_constants`] into caller-owned scratch buffers. On return
-/// `scratch.executable` and `scratch.input` (flat, `nregs` per block) hold
-/// the solution.
+/// `scratch.executable` and `scratch.input` (flat, `scratch.globals.len()`
+/// per block) hold the solution.
 fn analyze_constants_in(
     func: &Function,
     cfg: &Cfg,
@@ -173,19 +247,28 @@ fn analyze_constants_in(
     stats: &mut DataflowStats,
     scratch: &mut ConstScratch,
 ) {
-    let nregs = func.next_reg as usize;
+    scratch.find_globals(func);
+    let ConstScratch {
+        globals,
+        input,
+        executable,
+        state,
+        wl,
+        ..
+    } = scratch;
+    let width = globals.len();
     let n = func.blocks.len();
-    scratch.input.clear();
-    scratch.input.resize(n * nregs, Lat::Top);
-    scratch.executable.clear();
-    scratch.executable.resize(n, false);
-    // Parameters are unknown.
-    for p in 0..func.arity {
-        scratch.input[func.entry.index() * nregs + p] = Lat::Bottom;
-    }
-    let executable = &mut scratch.executable;
-    let input = &mut scratch.input;
-    let state = &mut scratch.state;
+    input.clear();
+    input.resize(n * width, Lat::Top);
+    executable.clear();
+    executable.resize(n, false);
+    state.clear();
+    state.resize(func.next_reg as usize, Lat::Top);
+    // Parameters are unknown. They are the lowest registers, so the ones
+    // that are global names lead `globals`.
+    let params = globals.partition_point(|r| r.index() < func.arity);
+    let entry = func.entry.index() * width;
+    input[entry..entry + params].fill(Lat::Bottom);
     if dense {
         for &b in &cfg.rpo {
             executable[b.index()] = true;
@@ -196,22 +279,14 @@ fn analyze_constants_in(
             for &b in &cfg.rpo {
                 stats.blocks_visited += 1;
                 let bi = b.index();
-                state.clear();
-                state.extend_from_slice(&input[bi * nregs..(bi + 1) * nregs]);
+                enter(state, globals, row(input, bi, width));
                 for instr in &func.block(b).instrs {
                     stats.transfer_evals += 1;
                     transfer(instr, state);
                 }
                 for s in cfg.succs[bi].iter() {
                     let si = s.index();
-                    let succ_in = &mut input[si * nregs..(si + 1) * nregs];
-                    for (i, v) in state.iter().enumerate() {
-                        let m = succ_in[i].meet(*v);
-                        if m != succ_in[i] {
-                            succ_in[i] = m;
-                            changed = true;
-                        }
-                    }
+                    changed |= meet_into(&mut input[si * width..(si + 1) * width], globals, state);
                 }
             }
         }
@@ -221,13 +296,11 @@ fn analyze_constants_in(
     // per-block inputs both grow monotonically, so the worklist terminates
     // at the least fixpoint over executable edges.
     executable[func.entry.index()] = true;
-    let wl = &mut scratch.wl;
     wl.reset(cfg, Direction::Forward);
     wl.push(func.entry, stats);
     while let Some(b) = wl.pop(stats) {
         let bi = b.index();
-        state.clear();
-        state.extend_from_slice(&input[bi * nregs..(bi + 1) * nregs]);
+        enter(state, globals, row(input, bi, width));
         for instr in &func.block(b).instrs {
             stats.transfer_evals += 1;
             transfer(instr, state);
@@ -254,14 +327,7 @@ fn analyze_constants_in(
             let si = s.index();
             let mut changed = !executable[si];
             executable[si] = true;
-            let succ_in = &mut input[si * nregs..(si + 1) * nregs];
-            for (i, v) in state.iter().enumerate() {
-                let m = succ_in[i].meet(*v);
-                if m != succ_in[i] {
-                    succ_in[i] = m;
-                    changed = true;
-                }
-            }
+            changed |= meet_into(&mut input[si * width..(si + 1) * width], globals, state);
             if changed {
                 wl.push(s, stats);
             }
@@ -283,13 +349,17 @@ pub fn analyze_constants(
 ) -> ConstLattice {
     let mut scratch = ConstScratch::default();
     analyze_constants_in(func, cfg, dense, stats, &mut scratch);
-    let nregs = func.next_reg as usize;
-    let n = func.blocks.len();
+    let width = scratch.globals.len();
+    let input = (0..func.blocks.len())
+        .map(|bi| {
+            let mut regs = vec![Lat::Top; func.next_reg as usize];
+            enter(&mut regs, &scratch.globals, row(&scratch.input, bi, width));
+            regs
+        })
+        .collect();
     ConstLattice {
         executable: scratch.executable,
-        input: (0..n)
-            .map(|b| scratch.input[b * nregs..(b + 1) * nregs].to_vec())
-            .collect(),
+        input,
     }
 }
 
@@ -308,7 +378,6 @@ pub fn constprop_function_in(
     analyses: &mut FunctionAnalyses,
     scratch: &mut ConstScratch,
 ) -> usize {
-    let nregs = func.next_reg as usize;
     let dense = analyses.dense_dataflow();
     let mut stats = DataflowStats::default();
     let cfg = analyses.cfg(func);
@@ -318,14 +387,14 @@ pub fn constprop_function_in(
     // branches fold to jumps, `clean` removes them outright.
     let mut rewrites = 0;
     let mut branch_folds = 0;
+    let width = scratch.globals.len();
     let state = &mut scratch.state;
     for &b in &cfg.rpo {
-        if !scratch.executable[b.index()] {
+        let bi = b.index();
+        if !scratch.executable[bi] {
             continue;
         }
-        let bi = b.index();
-        state.clear();
-        state.extend_from_slice(&scratch.input[bi * nregs..(bi + 1) * nregs]);
+        enter(state, &scratch.globals, row(&scratch.input, bi, width));
         for instr in &mut func.block_mut(b).instrs {
             let folded: Option<Instr> = match instr {
                 Instr::Binary { dst, .. } | Instr::Cmp { dst, .. } | Instr::Unary { dst, .. } => {

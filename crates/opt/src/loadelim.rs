@@ -9,12 +9,12 @@
 //! later `sload` of an available tag becomes a register copy.
 
 use cfg::{BlockWorklist, DataflowStats, Direction, FunctionAnalyses};
+use ir::hash::FxHashMap;
 use ir::{Function, Instr, Module, Reg, TagId, TagSet};
-use std::collections::HashMap;
 
 /// The per-point fact: tag -> register holding its value. `None` is ⊤
 /// (unvisited).
-type Avail = Option<HashMap<TagId, Reg>>;
+type Avail = Option<FxHashMap<TagId, Reg>>;
 
 /// Reusable solver state for [`loadelim_function_in`]: the per-block input
 /// facts, a free pool of cleared fact maps the inputs are recycled
@@ -24,8 +24,8 @@ type Avail = Option<HashMap<TagId, Reg>>;
 #[derive(Default)]
 pub struct LoadelimScratch {
     input: Vec<Avail>,
-    pool: Vec<HashMap<TagId, Reg>>,
-    facts: HashMap<TagId, Reg>,
+    pool: Vec<FxHashMap<TagId, Reg>>,
+    facts: FxHashMap<TagId, Reg>,
     wl: BlockWorklist,
 }
 
@@ -50,8 +50,8 @@ impl LoadelimScratch {
 /// agreeing entries suffices.
 fn meet_into(
     input: &mut Avail,
-    out: &HashMap<TagId, Reg>,
-    pool: &mut Vec<HashMap<TagId, Reg>>,
+    out: &FxHashMap<TagId, Reg>,
+    pool: &mut Vec<FxHashMap<TagId, Reg>>,
 ) -> bool {
     match input {
         None => {
@@ -70,7 +70,7 @@ fn meet_into(
 
 /// Applies one instruction to the fact map. When `rewrite` is true,
 /// redundant loads are rewritten; returns 1 for a rewrite.
-fn transfer(instr: &mut Instr, facts: &mut HashMap<TagId, Reg>, rewrite: bool) -> usize {
+fn transfer(instr: &mut Instr, facts: &mut FxHashMap<TagId, Reg>, rewrite: bool) -> usize {
     let mut changed = 0;
     // A definition of register r invalidates any fact r was holding.
     if let Some(d) = instr.def() {

@@ -7,8 +7,8 @@
 //! register instead of touching memory).
 
 use cfg::FunctionAnalyses;
+use ir::hash::FxHashMap;
 use ir::{BinOp, CmpOp, DenseMap, Function, Instr, Module, Reg, TagId, TagSet, UnaryOp};
-use std::collections::HashMap;
 
 type Vn = u32;
 
@@ -30,17 +30,18 @@ enum ExprKey {
 /// The register- and value-number-keyed tables are epoch-cleared
 /// [`DenseMap`]s; the expression and scalar-memory tables stay hashed
 /// (their keys — structured expressions and tag ids, which may be huge
-/// provisional-spill values — are not dense) but keep their capacity
-/// across blocks and functions via `clear`.
+/// provisional-spill values — are not dense) with the deterministic Fx
+/// hasher, and keep their capacity across blocks and functions via
+/// `clear`.
 #[derive(Default)]
 pub struct LvnScratch {
     next_vn: Vn,
     reg_vn: DenseMap<Vn>,
-    expr_vn: HashMap<ExprKey, Vn>,
+    expr_vn: FxHashMap<ExprKey, Vn>,
     vn_const: DenseMap<i64>,
     vn_home: DenseMap<u32>,
     /// Scalar memory state: tag -> value number currently in the cell.
-    mem: HashMap<TagId, Vn>,
+    mem: FxHashMap<TagId, Vn>,
 }
 
 impl LvnScratch {

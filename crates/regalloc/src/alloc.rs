@@ -728,14 +728,6 @@ pub fn allocate_function_core_traced(
                 analyses.note_body_changed_blocks(dirty.drain(..));
             }
         }
-        if std::env::var("REGALLOC_DEBUG").is_ok() {
-            eprintln!(
-                "round {}: instrs={} next_reg={}",
-                report.rounds,
-                func.instr_count(),
-                func.next_reg
-            );
-        }
         assert!(
             report.rounds <= opts.max_rounds,
             "@{}: register allocation did not converge",
@@ -848,9 +840,6 @@ pub fn allocate_function_core_traced(
                     spilled.insert(r);
                 }
             }
-        }
-        if std::env::var("REGALLOC_DEBUG").is_ok() {
-            eprintln!("  spilled this round: {spilled:?}");
         }
         if spilled.is_empty() {
             // Rewrite to physical registers.

@@ -2,8 +2,10 @@
 //!
 //! The allocator's interference graph used to be a `Vec<BTreeSet<u32>>` —
 //! pointer-chasing and a node allocation per edge, in the hottest pass of
-//! the whole pipeline (regalloc is ~50% of per-pass wall clock on every
-//! benchmark program). [`BitMatrix`] replaces it with one flat `Vec<u64>`
+//! the whole pipeline (regalloc is the largest pass of the per-function
+//! chain: about a third of it on the suite at 32 registers, in a
+//! `promo-benchmark --workload suite --trace 1` run, and more when
+//! registers are scarce). [`BitMatrix`] replaces it with one flat `Vec<u64>`
 //! of `n` rows (`n` = virtual-register count): membership is a bit test,
 //! "union a live set into a row" is a word-wise OR (the same kernel style
 //! as `ir::DenseTagSet`), and Briggs/George coalescing tests walk words
