@@ -155,19 +155,7 @@ pub fn analyze(module: &mut Module, level: AnalysisLevel) -> AnalysisOutcome {
 pub fn analyze_traced(
     module: &mut Module,
     level: AnalysisLevel,
-    traces: Option<&mut [trace::FuncTrace]>,
-) -> AnalysisOutcome {
-    analyze_traced_with(module, level, traces, false)
-}
-
-/// [`analyze_traced`] with solver selection: `dense_dataflow` runs the
-/// points-to fixpoint as the round-robin baseline sweep instead of the
-/// demand-driven worklist (the benchmark measures both).
-pub fn analyze_traced_with(
-    module: &mut Module,
-    level: AnalysisLevel,
     mut traces: Option<&mut [trace::FuncTrace]>,
-    dense_dataflow: bool,
 ) -> AnalysisOutcome {
     let mut dataflow = cfg::DataflowStats::default();
     let graph = CallGraph::build(module, None);
@@ -207,7 +195,7 @@ pub fn analyze_traced_with(
             (graph, modref)
         }
         AnalysisLevel::PointsTo => {
-            let pt = points_to_analyze_with(module, dense_dataflow, &mut dataflow);
+            let pt = points_to_analyze_with(module, &mut dataflow);
             points_to_apply(module, &pt);
             // Sharper call graph from resolved function pointers, then the
             // paper's "MOD/REF analysis is then repeated" — with per-site
@@ -241,7 +229,7 @@ pub fn analyze_traced_with(
                     }
                 }
             }
-            let pt = points_to_analyze_with(module, dense_dataflow, &mut dataflow);
+            let pt = points_to_analyze_with(module, &mut dataflow);
             points_to_apply(module, &pt);
             let targets = pt.indirect_targets(module);
             let sites = pt.site_targets(module);

@@ -104,50 +104,32 @@ impl PointsTo {
 
 /// Runs the analysis to a fixpoint with the demand-driven solver.
 pub fn analyze(module: &Module) -> PointsTo {
-    analyze_with(module, false, &mut DataflowStats::default())
+    analyze_with(module, &mut DataflowStats::default())
 }
 
-/// Runs the analysis to a fixpoint, counting work into `stats`.
-///
-/// With `dense = false` the solver is demand-driven: a function-level
-/// worklist with *dynamic subscriptions*. Each sweep of a function records
-/// which tag cells and which callees' return values its transfer functions
-/// read; when one of those sets later grows, only the subscribed functions
-/// are re-swept. A function also re-sweeps itself while its own register
-/// sets are still growing (intra-function chains and loops). With
-/// `dense = true` it is the old round-robin sweep of every instruction in
-/// the module until nothing changes — the benchmark's measured baseline.
-pub fn analyze_with(module: &Module, dense: bool, stats: &mut DataflowStats) -> PointsTo {
-    let nf = module.funcs.len();
-    let nt = module.tags.len();
-    let mut pt = PointsTo {
+/// Empty points-to sets for every register and tag of `module`.
+fn empty_sets(module: &Module) -> PointsTo {
+    PointsTo {
         reg_pts: module
             .funcs
             .iter()
             .map(|f| vec![BTreeSet::new(); f.next_reg as usize])
             .collect(),
-        tag_pts: vec![BTreeSet::new(); nt],
-    };
-    if dense {
-        let mut deps = Deps::disabled(nf);
-        let mut changed = true;
-        let mut guard = 0usize;
-        while changed {
-            changed = false;
-            guard += 1;
-            assert!(guard <= 10_000, "points-to failed to converge");
-            for fi in 0..nf {
-                stats.blocks_visited += 1;
-                for block in &module.funcs[fi].blocks {
-                    for instr in &block.instrs {
-                        stats.transfer_evals += 1;
-                        changed |= flow(module, &mut pt, &mut deps, fi, instr);
-                    }
-                }
-            }
-        }
-        return pt;
+        tag_pts: vec![BTreeSet::new(); module.tags.len()],
     }
+}
+
+/// Runs the analysis to a fixpoint, counting work into `stats`.
+///
+/// The solver is demand-driven: a function-level worklist with *dynamic
+/// subscriptions*. Each sweep of a function records which tag cells and
+/// which callees' return values its transfer functions read; when one of
+/// those sets later grows, only the subscribed functions are re-swept. A
+/// function also re-sweeps itself while its own register sets are still
+/// growing (intra-function chains and loops).
+pub fn analyze_with(module: &Module, stats: &mut DataflowStats) -> PointsTo {
+    let nf = module.funcs.len();
+    let mut pt = empty_sets(module);
     let mut deps = Deps::new(module);
     // Seed every function once, in index order (deterministic).
     for fi in 0..nf {
@@ -185,8 +167,6 @@ struct Deps {
     /// The function currently being swept (subscriptions attach to it).
     current: usize,
     pushes: u64,
-    /// False in dense mode: every hook is a no-op.
-    enabled: bool,
 }
 
 impl Deps {
@@ -208,25 +188,11 @@ impl Deps {
             queued: vec![false; nf],
             current: 0,
             pushes: 0,
-            enabled: true,
-        }
-    }
-
-    fn disabled(nf: usize) -> Deps {
-        Deps {
-            tag_readers: Vec::new(),
-            ret_readers: Vec::new(),
-            ret_regs: Vec::new(),
-            queue: VecDeque::new(),
-            queued: vec![false; nf],
-            current: 0,
-            pushes: 0,
-            enabled: false,
         }
     }
 
     fn enqueue(&mut self, f: usize) {
-        if !self.enabled || self.queued[f] {
+        if self.queued[f] {
             return;
         }
         self.queued[f] = true;
@@ -236,38 +202,28 @@ impl Deps {
 
     /// The current sweep read `tag_pts[t]`.
     fn note_tag_read(&mut self, t: usize) {
-        if self.enabled {
-            let cur = self.current;
-            self.tag_readers[t].insert(cur);
-        }
+        self.tag_readers[t].insert(self.current);
     }
 
     /// The current sweep read `g`'s return-value sets.
     fn note_ret_read(&mut self, g: usize) {
-        if self.enabled {
-            let cur = self.current;
-            self.ret_readers[g].insert(cur);
-        }
+        self.ret_readers[g].insert(self.current);
     }
 
     /// `tag_pts[t]` grew: re-run everyone who ever read it.
     fn tag_grew(&mut self, t: usize) {
-        if self.enabled {
-            for f in self.tag_readers[t].clone() {
-                self.enqueue(f);
-            }
+        for f in self.tag_readers[t].clone() {
+            self.enqueue(f);
         }
     }
 
     /// `reg_pts[g][r]` grew: `g`'s own transfers may read it, and if it is
     /// a return register, so may every caller of `g`.
     fn reg_grew(&mut self, g: usize, r: usize) {
-        if self.enabled {
-            self.enqueue(g);
-            if self.ret_regs[g].contains(&r) {
-                for f in self.ret_readers[g].clone() {
-                    self.enqueue(f);
-                }
+        self.enqueue(g);
+        if self.ret_regs[g].contains(&r) {
+            for f in self.ret_readers[g].clone() {
+                self.enqueue(f);
             }
         }
     }
@@ -476,6 +432,28 @@ mod tests {
         minic::compile(src).expect("compile")
     }
 
+    /// The round-robin solver the demand-driven one replaced: sweep every
+    /// instruction in the module until nothing grows. Its subscriptions
+    /// are recorded but never consulted.
+    fn analyze_dense(module: &Module, stats: &mut DataflowStats) -> PointsTo {
+        let mut pt = empty_sets(module);
+        let mut deps = Deps::new(module);
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for fi in 0..module.funcs.len() {
+                stats.blocks_visited += 1;
+                for block in &module.funcs[fi].blocks {
+                    for instr in &block.instrs {
+                        stats.transfer_evals += 1;
+                        changed |= flow(module, &mut pt, &mut deps, fi, instr);
+                    }
+                }
+            }
+        }
+        pt
+    }
+
     fn tag(m: &Module, name: &str) -> TagId {
         m.tags.lookup(name).unwrap_or_else(|| panic!("tag {name}"))
     }
@@ -667,9 +645,9 @@ int main() {
 "#,
         );
         let mut sparse_stats = DataflowStats::default();
-        let sparse = analyze_with(&m, false, &mut sparse_stats);
+        let sparse = analyze_with(&m, &mut sparse_stats);
         let mut dense_stats = DataflowStats::default();
-        let dense = analyze_with(&m, true, &mut dense_stats);
+        let dense = analyze_dense(&m, &mut dense_stats);
         assert_eq!(sparse.reg_pts, dense.reg_pts);
         assert_eq!(sparse.tag_pts, dense.tag_pts);
         assert!(
@@ -697,5 +675,54 @@ int main() {
         apply(&mut m, &pt);
         let s = first_store_tags(&m, "main");
         assert_eq!(s.as_singleton(), Some(tag(&m, "g:slot")));
+    }
+
+    /// The demand-driven solver must reach exactly the dense round-robin
+    /// fixpoint on whole programs, including function pointers flowing
+    /// through globals and return values crossing function boundaries.
+    #[test]
+    fn demand_driven_points_to_matches_dense_on_minic_programs() {
+        let programs = [
+            r#"
+int g;
+int *p;
+int pick;
+int deref() { return *p; }
+void setup() { p = &g; }
+int main() {
+    setup();
+    g = 41;
+    if (pick) { g = g + 1; }
+    print_int(deref());
+    return 0;
+}
+"#,
+            r#"
+int a;
+int b;
+int apply(int x) { return x + a; }
+int twice(int x) { return apply(apply(x)); }
+int main() {
+    a = 3;
+    b = twice(4);
+    print_int(b);
+    return 0;
+}
+"#,
+        ];
+        for (i, src) in programs.iter().enumerate() {
+            let module = compile(src);
+            let mut stats = DataflowStats::default();
+            let sparse = analyze_with(&module, &mut stats);
+            let dense = analyze_dense(&module, &mut stats);
+            assert_eq!(
+                sparse.reg_pts, dense.reg_pts,
+                "program {i}: register points-to sets diverged"
+            );
+            assert_eq!(
+                sparse.tag_pts, dense.tag_pts,
+                "program {i}: tag points-to sets diverged"
+            );
+        }
     }
 }

@@ -21,7 +21,11 @@
 //!         [--max-trace-overhead X] [--max-transfer-visits N]
 //!         [--max-allocs N] [--max-frontend-allocs N]
 //!         [--max-recompiled-funcs N] [--min-cache-hit-rate X]
-//!         [--no-scratch] [--fresh-frontend] [--force-sweep]`
+//!         [--force-sweep]`
+//!
+//! An unknown flag, a second output path, or a missing or unparsable
+//! value prints this usage and exits with status 2, so a misspelled gate
+//! can never be dropped silently.
 //!
 //! With `--max-2t-slowdown X` the process exits nonzero if the 2-worker
 //! total is more than `X` times the sequential total — the CI regression
@@ -33,34 +37,26 @@
 //! With `--max-analysis-builds N` the process exits nonzero if the suite
 //! total of analysis builds (CFG + dominators + loop forest + loop
 //! geometry + liveness constructions, from `PipelineReport`) exceeds `N`
-//! — the CI gate against silently regressing to rebuild-per-pass. The
-//! JSON records both the cached count and an uncached baseline measured
-//! with `share_analyses: false`, so the cache's effect is an auditable
-//! ratio rather than an anecdote.
+//! — the CI gate against silently regressing to rebuild-per-pass.
 //!
 //! With `--max-transfer-visits N` the process exits nonzero if the suite
 //! total of dataflow transfer evaluations (from
 //! `PipelineReport::dataflow_stats`, summed over liveness, constprop,
 //! loadelim, DCE marking, and points-to) exceeds `N` — the CI gate
 //! against a solver silently regressing from its sparse worklist back to
-//! dense resweeps. The JSON records the sparse counters next to a dense
-//! baseline measured with `sparse_dataflow: false`.
+//! dense resweeps.
 //!
 //! This binary installs [`trace::CountingAlloc`] as its global allocator,
 //! so every `PassTiming` row carries real allocator-traffic numbers and
-//! the JSON gains two suite-level columns: `alloc_stats` — allocator
+//! the JSON gains a suite-level `alloc_stats` column: allocator
 //! calls/bytes of a steady-state sequential compile (second compile of
-//! each program on a warm pool, scratch arenas reused) — and
-//! `alloc_stats_fresh` — the same compile with `reuse_scratch: false`,
-//! i.e. a cold arena per function, the allocation behaviour the arenas
-//! replaced. With `--max-allocs N` the process exits nonzero if the
-//! steady-state suite total exceeds `N` allocator calls — the CI gate
-//! that keeps the hot loop allocation-free. `--no-scratch` flips every
-//! *timed* run to `reuse_scratch: false` for A/B timing experiments (the
-//! two alloc columns are always measured in their own modes regardless).
+//! each program on a warm pool, scratch arenas reused). With
+//! `--max-allocs N` the process exits nonzero if the steady-state suite
+//! total exceeds `N` allocator calls — the CI gate that keeps the hot
+//! loop allocation-free.
 //!
 //! The suite is also run sequentially with structured tracing enabled
-//! (`PipelineConfig::trace`). With `--max-trace-overhead X` the process
+//! (`SessionBuilder::trace`). With `--max-trace-overhead X` the process
 //! exits nonzero if the traced total exceeds `X` times the untraced total
 //! — the gate that keeps the telemetry layer honest about its "near-free
 //! when on, free when off" contract. The collected remark streams are
@@ -72,20 +68,14 @@
 //! The front end is measured the same way the middle end is. One warm
 //! [`minic::Frontend`] — interner, token buffer, AST pools — is fed the
 //! whole suite in order, and each program gets per-phase timings (`lex`,
-//! `parse`, `lower`) plus two allocator columns: `frontend.alloc_stats`,
-//! a steady-state compile on the warm buffers, and
-//! `frontend.alloc_stats_fresh`, the same program through the preserved
-//! baseline front end (`minic::classic`) which allocates strings, boxes,
-//! and vectors per compile — the honest "before" number. The unoptimized
-//! IL of both front ends is asserted byte-identical per program. Each
-//! program also gets `e2e_ms`: source text through the warm front end
-//! and the sequential pipeline to optimized IL, the number a user of
-//! `Session::compile` experiences. With `--max-frontend-allocs N` the
-//! process exits nonzero if the suite total of warm front-end allocator
-//! calls exceeds `N` — the CI gate that keeps front-end buffer recycling
-//! from silently regressing. `--fresh-frontend` flips the *timed* e2e
-//! runs to the classic front end for A/B experiments (the two front-end
-//! alloc columns are always measured in their own modes regardless).
+//! `parse`, `lower`) plus `frontend.alloc_stats`, the allocator traffic
+//! of a steady-state compile on the warm buffers. Each program also gets
+//! `e2e_ms`: source text through the warm front end and the sequential
+//! pipeline to optimized IL, the number a user of `Session::compile`
+//! experiences. With `--max-frontend-allocs N` the process exits nonzero
+//! if the suite total of warm front-end allocator calls exceeds `N` — the
+//! CI gate that keeps front-end buffer recycling from silently
+//! regressing.
 //!
 //! The **warm-edit** scenario measures incremental recompilation the way
 //! a developer experiences it: an incremental [`driver::Session`]
@@ -107,7 +97,7 @@
 //! here long before anyone noticed slow rebuilds).
 
 use bench_harness::timing::measure;
-use driver::{run_pipeline_in, run_pipeline_traced, PipelineConfig, WorkerPool};
+use driver::{run_pipeline_in, Session, WorkerPool};
 use std::fmt::Write as _;
 use trace::AllocStats;
 
@@ -145,30 +135,18 @@ struct ProgramResult {
     /// is the pass's allocator traffic from the same (sequential,
     /// steady-state) reference run.
     passes: Vec<(&'static str, f64, bool, AllocStats)>,
-    /// Analysis builds with the shared cache (the shipping configuration).
-    builds_cached: cfg::BuildCounts,
-    /// Analysis builds with `share_analyses: false` — every stage gets a
-    /// throwaway cache, i.e. the rebuild-per-pass behaviour this cache
-    /// replaced. The honest "before" number.
-    builds_uncached: cfg::BuildCounts,
+    /// Analysis builds through the shared per-function cache.
+    builds: cfg::BuildCounts,
     /// Sequential run time with tracing off, measured back-to-back with
-    /// `trace_on_ms` so the pair differs only in `PipelineConfig::trace`.
+    /// `trace_on_ms` so the pair differs only in tracing.
     trace_off_ms: f64,
     /// Sequential run time with structured tracing enabled.
     trace_on_ms: f64,
     /// Allocator traffic of a steady-state sequential compile: the second
     /// compile of this program on a warm pool, scratch arenas reused.
     alloc_stats: AllocStats,
-    /// The same compile with `reuse_scratch: false` — a cold arena per
-    /// function. The honest "before" number for the arenas.
-    alloc_stats_fresh: AllocStats,
-    /// Dataflow solver work with the sparse worklist solvers (the
-    /// shipping configuration).
+    /// Dataflow solver work of the sparse worklist solvers.
     dataflow: cfg::DataflowStats,
-    /// The same counters with `sparse_dataflow: false` — dense
-    /// full-resweep fixpoints, the behaviour the worklists replaced. The
-    /// honest "before" number.
-    dataflow_dense: cfg::DataflowStats,
     /// Front-end phase timings and allocator columns.
     frontend: FrontendResult,
     /// Source text to optimized IL through the warm front end and the
@@ -186,26 +164,22 @@ struct FrontendResult {
     /// Allocator traffic of a steady-state compile on the warm front end
     /// (interner populated, token/AST pools at high-water capacity).
     alloc_stats: AllocStats,
-    /// The same program through the preserved baseline front end
-    /// (`minic::classic`): fresh strings, boxes, and vectors every
-    /// compile. The honest "before" number.
-    alloc_stats_fresh: AllocStats,
 }
 
 fn ms(d: std::time::Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// `reuse_scratch` is threaded from `--no-scratch` so the *timed* sweep
-/// can be A/B'd; the alloc-stats measurements below always pin their own
-/// mode.
-fn config(threads: usize, reuse_scratch: bool) -> PipelineConfig {
-    PipelineConfig {
-        threads: Some(threads),
-        validate_each_pass: false,
-        reuse_scratch,
-        ..Default::default()
-    }
+/// A one-worker session with barrier validation off, so a timed run
+/// measures the pipeline alone. Its configuration also drives the
+/// sweep's pools: a pool's size, not the configuration, sets the worker
+/// count of [`run_pipeline_in`].
+fn session(trace: bool) -> Session {
+    Session::builder()
+        .threads(Some(1))
+        .validate_each_pass(false)
+        .trace(trace)
+        .build()
 }
 
 fn alloc_json(a: &AllocStats) -> String {
@@ -236,55 +210,83 @@ fn builds_json(c: &cfg::BuildCounts) -> String {
     )
 }
 
-fn main() {
-    let mut out_path = "BENCH_pipeline.json".to_string();
-    let mut max_2t_slowdown: Option<f64> = None;
-    let mut max_analysis_builds: Option<u64> = None;
-    let mut max_trace_overhead: Option<f64> = None;
-    let mut max_transfer_visits: Option<u64> = None;
-    let mut max_allocs: Option<u64> = None;
-    let mut max_frontend_allocs: Option<u64> = None;
-    let mut max_recompiled_funcs: Option<usize> = None;
-    let mut min_cache_hit_rate: Option<f64> = None;
-    let mut reuse_scratch = true;
-    let mut fresh_frontend = false;
-    let mut force_sweep = false;
-    let mut args = std::env::args().skip(1);
+const USAGE: &str = "usage: bench_pipeline [output-path] [--max-2t-slowdown X] \
+     [--max-analysis-builds N] [--max-trace-overhead X] [--max-transfer-visits N] \
+     [--max-allocs N] [--max-frontend-allocs N] [--max-recompiled-funcs N] \
+     [--min-cache-hit-rate X] [--force-sweep]";
+
+/// The command line: where to write the JSON, the CI gates, and whether
+/// to force the full worker sweep.
+#[derive(Debug, Default)]
+struct Args {
+    out_path: String,
+    max_2t_slowdown: Option<f64>,
+    max_analysis_builds: Option<u64>,
+    max_trace_overhead: Option<f64>,
+    max_transfer_visits: Option<u64>,
+    max_allocs: Option<u64>,
+    max_frontend_allocs: Option<u64>,
+    max_recompiled_funcs: Option<usize>,
+    min_cache_hit_rate: Option<f64>,
+    force_sweep: bool,
+}
+
+/// The value following `flag`, parsed.
+fn value<T: std::str::FromStr>(flag: &str, v: Option<String>) -> Result<Option<T>, String> {
+    let v = v.ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse()
+        .map(Some)
+        .map_err(|_| format!("{flag}: cannot parse `{v}`"))
+}
+
+/// Parses the arguments after the program name. Every flag must be known
+/// and every value must parse; at most one bare argument, the output
+/// path, is allowed.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut out = Args {
+        out_path: "BENCH_pipeline.json".to_string(),
+        ..Args::default()
+    };
+    let mut path_given = false;
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
-        if a == "--max-2t-slowdown" {
-            let v = args.next().expect("--max-2t-slowdown needs a value");
-            max_2t_slowdown = Some(v.parse().expect("--max-2t-slowdown value"));
-        } else if a == "--max-analysis-builds" {
-            let v = args.next().expect("--max-analysis-builds needs a value");
-            max_analysis_builds = Some(v.parse().expect("--max-analysis-builds value"));
-        } else if a == "--max-trace-overhead" {
-            let v = args.next().expect("--max-trace-overhead needs a value");
-            max_trace_overhead = Some(v.parse().expect("--max-trace-overhead value"));
-        } else if a == "--max-transfer-visits" {
-            let v = args.next().expect("--max-transfer-visits needs a value");
-            max_transfer_visits = Some(v.parse().expect("--max-transfer-visits value"));
-        } else if a == "--max-allocs" {
-            let v = args.next().expect("--max-allocs needs a value");
-            max_allocs = Some(v.parse().expect("--max-allocs value"));
-        } else if a == "--max-frontend-allocs" {
-            let v = args.next().expect("--max-frontend-allocs needs a value");
-            max_frontend_allocs = Some(v.parse().expect("--max-frontend-allocs value"));
-        } else if a == "--max-recompiled-funcs" {
-            let v = args.next().expect("--max-recompiled-funcs needs a value");
-            max_recompiled_funcs = Some(v.parse().expect("--max-recompiled-funcs value"));
-        } else if a == "--min-cache-hit-rate" {
-            let v = args.next().expect("--min-cache-hit-rate needs a value");
-            min_cache_hit_rate = Some(v.parse().expect("--min-cache-hit-rate value"));
-        } else if a == "--no-scratch" {
-            reuse_scratch = false;
-        } else if a == "--fresh-frontend" {
-            fresh_frontend = true;
-        } else if a == "--force-sweep" {
-            force_sweep = true;
-        } else {
-            out_path = a;
+        match a.as_str() {
+            "--max-2t-slowdown" => out.max_2t_slowdown = value(&a, args.next())?,
+            "--max-analysis-builds" => out.max_analysis_builds = value(&a, args.next())?,
+            "--max-trace-overhead" => out.max_trace_overhead = value(&a, args.next())?,
+            "--max-transfer-visits" => out.max_transfer_visits = value(&a, args.next())?,
+            "--max-allocs" => out.max_allocs = value(&a, args.next())?,
+            "--max-frontend-allocs" => out.max_frontend_allocs = value(&a, args.next())?,
+            "--max-recompiled-funcs" => out.max_recompiled_funcs = value(&a, args.next())?,
+            "--min-cache-hit-rate" => out.min_cache_hit_rate = value(&a, args.next())?,
+            "--force-sweep" => out.force_sweep = true,
+            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
+            _ if path_given => return Err(format!("unexpected argument `{a}`")),
+            _ => {
+                out.out_path = a;
+                path_given = true;
+            }
         }
     }
+    Ok(out)
+}
+
+fn main() {
+    let Args {
+        out_path,
+        max_2t_slowdown,
+        max_analysis_builds,
+        max_trace_overhead,
+        max_transfer_visits,
+        max_allocs,
+        max_frontend_allocs,
+        max_recompiled_funcs,
+        min_cache_hit_rate,
+        force_sweep,
+    } = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("bench_pipeline: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
 
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -302,6 +304,8 @@ fn main() {
             .collect()
     };
     let pools: Vec<WorkerPool> = sweep.iter().map(|&t| WorkerPool::new(t)).collect();
+    let plain = session(false);
+    let traced = session(true);
 
     let mut results = Vec::new();
     let mut remarks_jsonl = String::new();
@@ -332,41 +336,25 @@ fn main() {
             warm_fe.compile(b.source).expect("suite program compiles");
             AllocStats::now().since(&before)
         };
-        // The fresh baseline: the preserved classic front end, which
-        // allocates identifier strings, boxed AST nodes, and vectors
-        // per compile. Its output must be byte-identical.
-        let (front_alloc_stats_fresh, classic_module) = {
-            let before = AllocStats::now();
-            let m = minic::classic::compile(b.source).expect("suite program compiles");
-            (AllocStats::now().since(&before), m)
-        };
-        assert_eq!(
-            ir::module_to_string(&module),
-            ir::module_to_string(&classic_module),
-            "{}: interned and classic front ends disagree on unoptimized IL",
-            b.name
-        );
-        drop(classic_module);
         let mut runs = Vec::new();
         let mut reference_il: Option<String> = None;
         let mut passes = Vec::new();
-        let mut builds_cached = cfg::BuildCounts::default();
+        let mut builds = cfg::BuildCounts::default();
         let mut dataflow = cfg::DataflowStats::default();
         for (&threads, pool) in sweep.iter().zip(&pools) {
-            let cfg = config(threads, reuse_scratch);
             let timing = measure(ITERS, || {
                 let mut m = module.clone();
-                run_pipeline_in(&mut m, &cfg, pool);
+                run_pipeline_in(&mut m, plain.config(), pool);
             });
             // Determinism spot-check while we are here: every worker
             // count must produce byte-identical IL.
             let mut m = module.clone();
-            let report = run_pipeline_in(&mut m, &cfg, pool);
+            let report = run_pipeline_in(&mut m, plain.config(), pool);
             let il = m.to_string();
             match &reference_il {
                 None => {
                     reference_il = Some(il);
-                    builds_cached = report.analysis_builds;
+                    builds = report.analysis_builds;
                     dataflow = report.dataflow_stats;
                     passes = report
                         .timings
@@ -387,89 +375,34 @@ fn main() {
                 ms: ms(timing.min),
             });
         }
-        // Uncached baseline: same pipeline, throwaway cache per stage.
-        // Output must not depend on the caching mode.
-        let builds_uncached = {
-            let mut m = module.clone();
-            let cfg = PipelineConfig {
-                share_analyses: false,
-                ..config(1, reuse_scratch)
-            };
-            let report = run_pipeline_in(&mut m, &cfg, &pools[0]);
-            assert_eq!(
-                reference_il.as_deref(),
-                Some(m.to_string().as_str()),
-                "{}: share_analyses=false changed the output",
-                b.name
-            );
-            report.analysis_builds
-        };
         // Steady-state allocator traffic: warm this program's arenas (and
         // every other per-run buffer) with one untimed compile, then count
         // a second compile. The snapshots bracket only the pipeline run —
         // the input module clone is built before the first read.
         let alloc_stats = {
-            let cfg = config(1, true);
             let mut m = module.clone();
-            run_pipeline_in(&mut m, &cfg, &pools[0]);
+            run_pipeline_in(&mut m, plain.config(), &pools[0]);
             let mut m = module.clone();
             let before = AllocStats::now();
-            run_pipeline_in(&mut m, &cfg, &pools[0]);
+            run_pipeline_in(&mut m, plain.config(), &pools[0]);
             AllocStats::now().since(&before)
-        };
-        // The fresh-arena baseline: identical steady-state protocol, but
-        // every function pays the cold-arena allocation cost. Output must
-        // not depend on the scratch mode.
-        let alloc_stats_fresh = {
-            let cfg = config(1, false);
-            let mut m = module.clone();
-            run_pipeline_in(&mut m, &cfg, &pools[0]);
-            let mut m = module.clone();
-            let before = AllocStats::now();
-            run_pipeline_in(&mut m, &cfg, &pools[0]);
-            let stats = AllocStats::now().since(&before);
-            assert_eq!(
-                reference_il.as_deref(),
-                Some(m.to_string().as_str()),
-                "{}: reuse_scratch=false changed the output",
-                b.name
-            );
-            stats
-        };
-        // Dense-solver baseline: the same pipeline with the full-resweep
-        // fixpoints the worklists replaced. Only the work counters are
-        // harvested — the IL may legitimately differ, because sparse
-        // constprop is *stronger* (executable-edge pruning folds through
-        // branches the dense join cannot); the differential tests pin
-        // down exactly where the two modes are required to agree.
-        let dataflow_dense = {
-            let mut m = module.clone();
-            let cfg = PipelineConfig {
-                sparse_dataflow: false,
-                ..config(1, reuse_scratch)
-            };
-            run_pipeline_in(&mut m, &cfg, &pools[0]).dataflow_stats
         };
         // Tracing overhead: the same sequential pipeline with remark and
         // delta collection off vs on, measured back-to-back so the pair
-        // differs only in `trace`.
-        let trace_cfg = PipelineConfig {
-            trace: true,
-            ..config(1, reuse_scratch)
-        };
+        // differs only in tracing.
         let trace_off_timing = measure(TRACE_ITERS, || {
             let mut m = module.clone();
-            run_pipeline_in(&mut m, &config(1, reuse_scratch), &pools[0]);
+            run_pipeline_in(&mut m, plain.config(), &pools[0]);
         });
         let trace_timing = measure(TRACE_ITERS, || {
             let mut m = module.clone();
-            run_pipeline_in(&mut m, &trace_cfg, &pools[0]);
+            run_pipeline_in(&mut m, traced.config(), &pools[0]);
         });
         // Collect the remark stream once (untimed) for the artifact, and
         // assert tracing is observation-only: same IL out.
         {
             let mut m = module.clone();
-            let (_, mut log) = run_pipeline_traced(&mut m, &trace_cfg, &pools[0]);
+            let (_, mut log) = traced.optimize(&mut m).expect("suite program optimizes");
             assert_eq!(
                 reference_il.as_deref(),
                 Some(m.to_string().as_str()),
@@ -481,35 +414,25 @@ fn main() {
         }
         // End-to-end: source text to optimized IL. The warm front end and
         // the warm sequential pool are both reused across iterations —
-        // the steady state a `Session` delivers. `--fresh-frontend` swaps
-        // in the classic front end for the A/B comparison.
-        let e2e_cfg = config(1, reuse_scratch);
+        // the steady state a `Session` delivers.
         let e2e_timing = measure(FRONT_ITERS, || {
-            let mut m = if fresh_frontend {
-                minic::classic::compile(b.source).expect("suite program compiles")
-            } else {
-                warm_fe.compile(b.source).expect("suite program compiles")
-            };
-            run_pipeline_in(&mut m, &e2e_cfg, &pools[0]);
+            let mut m = warm_fe.compile(b.source).expect("suite program compiles");
+            run_pipeline_in(&mut m, plain.config(), &pools[0]);
         });
         results.push(ProgramResult {
             name: b.name.to_string(),
             runs,
             passes,
-            builds_cached,
-            builds_uncached,
+            builds,
             trace_off_ms: ms(trace_off_timing.min),
             trace_on_ms: ms(trace_timing.min),
             alloc_stats,
-            alloc_stats_fresh,
             dataflow,
-            dataflow_dense,
             frontend: FrontendResult {
                 lex_ms: ms(lex_timing.min),
                 parse_ms: ms(parse_timing.min),
                 lower_ms: ms(lower_timing.min),
                 alloc_stats: front_alloc_stats,
-                alloc_stats_fresh: front_alloc_stats_fresh,
             },
             e2e_ms: ms(e2e_timing.min),
         });
@@ -522,11 +445,11 @@ fn main() {
     // the same one-function miss rather than an all-hit splice.
     eprintln!("benchmarking warm-edit ...");
     let pair = benchsuite::warm_edit_pair();
-    let warm_session = driver::Session::builder()
+    let warm_session = Session::builder()
         .threads(Some(1))
         .incremental(true)
         .build();
-    let cold_session = driver::Session::builder().threads(Some(1)).build();
+    let cold_session = Session::builder().threads(Some(1)).build();
     warm_session.compile(pair.base).expect("base compiles warm");
     let cold_edited = cold_session.compile(&pair.edited).expect("edited compiles");
     let warm_edited = warm_session
@@ -573,24 +496,16 @@ fn main() {
     let total_trace_off: f64 = results.iter().map(|r| r.trace_off_ms).sum();
     let total_trace_on: f64 = results.iter().map(|r| r.trace_on_ms).sum();
     let trace_overhead = total_trace_on / total_trace_off.max(1e-9);
-    let mut total_builds_cached = cfg::BuildCounts::default();
-    let mut total_builds_uncached = cfg::BuildCounts::default();
+    let mut total_builds = cfg::BuildCounts::default();
     let mut total_dataflow = cfg::DataflowStats::default();
-    let mut total_dataflow_dense = cfg::DataflowStats::default();
     let mut total_allocs = AllocStats::default();
-    let mut total_allocs_fresh = AllocStats::default();
     let mut total_front_allocs = AllocStats::default();
-    let mut total_front_allocs_fresh = AllocStats::default();
     let total_e2e: f64 = results.iter().map(|r| r.e2e_ms).sum();
     for r in &results {
-        total_builds_cached.add(&r.builds_cached);
-        total_builds_uncached.add(&r.builds_uncached);
+        total_builds.add(&r.builds);
         total_dataflow.add(&r.dataflow);
-        total_dataflow_dense.add(&r.dataflow_dense);
         total_allocs.merge(&r.alloc_stats);
-        total_allocs_fresh.merge(&r.alloc_stats_fresh);
         total_front_allocs.merge(&r.frontend.alloc_stats);
-        total_front_allocs_fresh.merge(&r.frontend.alloc_stats_fresh);
     }
 
     // Hand-rolled JSON: names are suite identifiers and pass labels, none
@@ -618,44 +533,19 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"analysis_builds\": {},",
-        builds_json(&total_builds_cached)
-    );
-    let _ = writeln!(
-        json,
-        "  \"analysis_builds_uncached\": {},",
-        builds_json(&total_builds_uncached)
+        builds_json(&total_builds)
     );
     let _ = writeln!(
         json,
         "  \"dataflow_stats\": {},",
         dataflow_json(&total_dataflow)
     );
-    let _ = writeln!(
-        json,
-        "  \"dataflow_stats_dense\": {},",
-        dataflow_json(&total_dataflow_dense)
-    );
     let _ = writeln!(json, "  \"alloc_stats\": {},", alloc_json(&total_allocs));
-    let _ = writeln!(
-        json,
-        "  \"alloc_stats_fresh\": {},",
-        alloc_json(&total_allocs_fresh)
-    );
     let _ = writeln!(json, "  \"total_e2e_ms\": {total_e2e:.3},");
-    let _ = writeln!(
-        json,
-        "  \"e2e_frontend\": \"{}\",",
-        if fresh_frontend { "fresh" } else { "warm" }
-    );
     let _ = writeln!(
         json,
         "  \"frontend_alloc_stats\": {},",
         alloc_json(&total_front_allocs)
-    );
-    let _ = writeln!(
-        json,
-        "  \"frontend_alloc_stats_fresh\": {},",
-        alloc_json(&total_front_allocs_fresh)
     );
     let _ = writeln!(
         json,
@@ -692,12 +582,7 @@ fn main() {
         let _ = writeln!(
             json,
             "      \"analysis_builds\": {},",
-            builds_json(&r.builds_cached)
-        );
-        let _ = writeln!(
-            json,
-            "      \"analysis_builds_uncached\": {},",
-            builds_json(&r.builds_uncached)
+            builds_json(&r.builds)
         );
         let _ = writeln!(
             json,
@@ -706,28 +591,17 @@ fn main() {
         );
         let _ = writeln!(
             json,
-            "      \"dataflow_stats_dense\": {},",
-            dataflow_json(&r.dataflow_dense)
-        );
-        let _ = writeln!(
-            json,
             "      \"alloc_stats\": {},",
             alloc_json(&r.alloc_stats)
         );
         let _ = writeln!(
             json,
-            "      \"alloc_stats_fresh\": {},",
-            alloc_json(&r.alloc_stats_fresh)
-        );
-        let _ = writeln!(
-            json,
             "      \"frontend\": {{ \"lex_ms\": {:.4}, \"parse_ms\": {:.4}, \
-             \"lower_ms\": {:.4}, \"alloc_stats\": {}, \"alloc_stats_fresh\": {} }},",
+             \"lower_ms\": {:.4}, \"alloc_stats\": {} }},",
             r.frontend.lex_ms,
             r.frontend.parse_ms,
             r.frontend.lower_ms,
-            alloc_json(&r.frontend.alloc_stats),
-            alloc_json(&r.frontend.alloc_stats_fresh)
+            alloc_json(&r.frontend.alloc_stats)
         );
         let _ = writeln!(json, "      \"e2e_ms\": {:.3},", r.e2e_ms);
         json.push_str("      \"runs\": [\n");
@@ -773,25 +647,12 @@ fn main() {
             total_seq / total.max(1e-9)
         );
     }
+    println!("  analysis builds: {}", total_builds.total());
+    println!("  dataflow transfers: {}", total_dataflow.transfer_evals);
     println!(
-        "  analysis builds: {} cached vs {} uncached ({:.2}x fewer)",
-        total_builds_cached.total(),
-        total_builds_uncached.total(),
-        total_builds_uncached.total() as f64 / total_builds_cached.total().max(1) as f64
-    );
-    println!(
-        "  dataflow transfers: {} sparse vs {} dense ({:.2}x fewer)",
-        total_dataflow.transfer_evals,
-        total_dataflow_dense.transfer_evals,
-        total_dataflow_dense.transfer_evals as f64 / total_dataflow.transfer_evals.max(1) as f64
-    );
-    println!(
-        "  steady-state allocs: {} reused-scratch vs {} fresh ({:.2}x fewer), {} KiB vs {} KiB",
+        "  steady-state allocs: {} ({} KiB)",
         total_allocs.count,
-        total_allocs_fresh.count,
-        total_allocs_fresh.count as f64 / total_allocs.count.max(1) as f64,
-        total_allocs.bytes / 1024,
-        total_allocs_fresh.bytes / 1024
+        total_allocs.bytes / 1024
     );
     println!(
         "  tracing: {total_trace_off:.1} ms off vs {total_trace_on:.1} ms on \
@@ -800,17 +661,11 @@ fn main() {
         remarks_path.display()
     );
     println!(
-        "  front-end allocs: {} warm vs {} classic ({:.2}x fewer), {} KiB vs {} KiB",
+        "  front-end allocs: {} ({} KiB)",
         total_front_allocs.count,
-        total_front_allocs_fresh.count,
-        total_front_allocs_fresh.count as f64 / total_front_allocs.count.max(1) as f64,
-        total_front_allocs.bytes / 1024,
-        total_front_allocs_fresh.bytes / 1024
+        total_front_allocs.bytes / 1024
     );
-    println!(
-        "  end-to-end (source -> optimized IL, {} front end): {total_e2e:.1} ms",
-        if fresh_frontend { "classic" } else { "warm" }
-    );
+    println!("  end-to-end (source -> optimized IL): {total_e2e:.1} ms");
     println!(
         "  warm edit ({}): {}/{} funcs recompiled (hit rate {:.3}), \
          {warm_edit_ms:.3} ms warm vs {cold_edit_ms:.3} ms cold ({:.2}x)",
@@ -836,7 +691,7 @@ fn main() {
         }
     }
     if let Some(limit) = max_analysis_builds {
-        let got = total_builds_cached.total();
+        let got = total_builds.total();
         if got > limit {
             eprintln!(
                 "FAIL: {got} analysis builds across the suite (limit {limit}) \
@@ -921,5 +776,33 @@ fn main() {
     }
     if failed {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_not_taken_as_the_output_path() {
+        let err = parse(&["BENCH_pipeline.json", "--max-alocs", "2600"]).unwrap_err();
+        assert!(err.contains("--max-alocs"), "{err}");
+        assert!(parse(&["--no-scratch"]).is_err());
+        assert!(parse(&["--fresh-frontend"]).is_err());
+    }
+
+    #[test]
+    fn gate_values_must_be_present_and_parse() {
+        assert!(parse(&["--max-allocs"]).is_err());
+        assert!(parse(&["--max-allocs", "many"]).is_err());
+        assert!(parse(&["a.json", "b.json"]).is_err());
+        let args = parse(&["out.json", "--max-allocs", "2600", "--force-sweep"]).unwrap();
+        assert_eq!(args.out_path, "out.json");
+        assert_eq!(args.max_allocs, Some(2600));
+        assert!(args.force_sweep);
     }
 }

@@ -14,15 +14,15 @@ use analysis::AnalysisLevel;
 use driver::prelude::*;
 
 fn run(src: &str, k: usize, promote: bool, cap: Option<usize>) -> u64 {
-    let config = PipelineConfig {
-        regalloc: Some(AllocOptions {
+    let out = Session::builder()
+        .analysis(AnalysisLevel::ModRef)
+        .promote(promote)
+        .regalloc(Some(AllocOptions {
             num_regs: k,
             ..Default::default()
-        }),
-        promotion_cap: cap,
-        ..PipelineConfig::paper_variant(AnalysisLevel::ModRef, promote)
-    };
-    let out = Session::from_config(config)
+        }))
+        .promotion_cap(cap)
+        .build()
         .compile_and_run(src)
         .unwrap_or_else(|e| panic!("K={k} cap={cap:?}: {e}"))
         .outcome

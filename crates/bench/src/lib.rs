@@ -27,8 +27,9 @@ use driver::{measure_program, MeasurementRow, Metric};
 /// # Panics
 ///
 /// Panics with `context` if the program fails to compile or run.
-fn run_config(src: &str, config: PipelineConfig, context: &str) -> Outcome {
-    Session::from_config(config)
+fn run_config(src: &str, builder: SessionBuilder, context: &str) -> Outcome {
+    builder
+        .build()
         .compile_and_run(src)
         .unwrap_or_else(|e| panic!("{context}: {e}"))
         .outcome
@@ -81,11 +82,8 @@ pub fn measure_pointer_promotion(only: Option<&str>) -> Vec<PointerPromotionRow>
             }
         }
         eprintln!("measuring {} ...", b.name);
-        let scalar_cfg = PipelineConfig::paper_variant(AnalysisLevel::PointsTo, true);
-        let both_cfg = PipelineConfig {
-            pointer_promote: true,
-            ..PipelineConfig::paper_variant(AnalysisLevel::PointsTo, true)
-        };
+        let scalar_cfg = Session::builder().analysis(AnalysisLevel::PointsTo);
+        let both_cfg = scalar_cfg.clone().pointer_promote(true);
         let scalar = run_config(b.source, scalar_cfg, b.name);
         let both = run_config(b.source, both_cfg, b.name);
         assert_eq!(scalar.output, both.output, "{}: outputs diverged", b.name);
@@ -145,13 +143,13 @@ pub fn pressure_sweep(source: &str, ks: &[usize]) -> Vec<PressurePoint> {
     for &k in ks {
         let mut counts = Vec::new();
         for promote in [false, true] {
-            let config = PipelineConfig {
-                regalloc: Some(AllocOptions {
+            let config = Session::builder()
+                .analysis(AnalysisLevel::ModRef)
+                .promote(promote)
+                .regalloc(Some(AllocOptions {
                     num_regs: k,
                     ..Default::default()
-                }),
-                ..PipelineConfig::paper_variant(AnalysisLevel::ModRef, promote)
-            };
+                }));
             let out = run_config(source, config, &format!("K={k} promote={promote}"));
             counts.push(out.counts);
         }
@@ -213,7 +211,7 @@ pub fn analysis_ablation(only: Option<&str>) -> String {
         ] {
             let mut counts = Vec::new();
             for promote in [false, true] {
-                let config = PipelineConfig::paper_variant(level, promote);
+                let config = Session::builder().analysis(level).promote(promote);
                 let out = run_config(b.source, config, &format!("{} {level}", b.name));
                 counts.push(out.counts.stores);
             }

@@ -25,9 +25,7 @@
 use crate::dataflow::DataflowStats;
 use crate::dom::{DomScratch, DomTree};
 use crate::graph::Cfg;
-use crate::liveness::{
-    liveness_dense_stats, liveness_sparse_into, LiveScratch, LiveSummaries, Liveness,
-};
+use crate::liveness::{liveness_sparse_into, LiveScratch, LiveSummaries, Liveness};
 use crate::loops::{LoopForest, LoopId};
 use ir::{BlockId, Function};
 use std::collections::BTreeSet;
@@ -168,9 +166,6 @@ pub struct FunctionAnalyses {
     dom_scratch: DomScratch,
     /// Reusable worklist + candidate-set memory for liveness solves.
     live_scratch: LiveScratch,
-    /// When true, liveness uses the dense sweep solver (the benchmark's
-    /// baseline mode) instead of the sparse worklist.
-    dense_dataflow: bool,
     /// Ledger of artifact constructions performed through this cache.
     pub builds: BuildCounts,
     /// Ledger of solver work performed through this cache. Passes that run
@@ -241,18 +236,6 @@ impl FunctionAnalyses {
         self.note_shape_changed();
         self.builds = BuildCounts::default();
         self.dataflow = DataflowStats::default();
-    }
-
-    /// Selects the dense sweep solvers instead of the sparse worklists.
-    /// The pipeline's baseline mode uses this so the benchmark can report
-    /// both work counts from the same binary.
-    pub fn set_dense_dataflow(&mut self, dense: bool) {
-        self.dense_dataflow = dense;
-    }
-
-    /// True when the dense baseline solvers are selected.
-    pub fn dense_dataflow(&self) -> bool {
-        self.dense_dataflow
     }
 
     // The ensure_* methods rebuild stale artifacts *in place* (through the
@@ -328,11 +311,6 @@ impl FunctionAnalyses {
         }
         self.builds.liveness += 1;
         let cfg = &self.cfg.as_ref().expect("ensured").1;
-        if self.dense_dataflow {
-            let live = liveness_dense_stats(func, cfg, &mut self.dataflow);
-            self.live = Some((self.body_version, live));
-            return;
-        }
         match &self.dirty {
             DirtyBlocks::Blocks(blocks) if self.live_summaries.len() == func.blocks.len() => {
                 self.live_summaries.rescan_blocks(func, blocks);
@@ -450,14 +428,6 @@ impl FunctionAnalyses {
             &self.live.as_ref().expect("ensured").1,
         )
     }
-
-    /// Folds another cache's build and solver-work ledgers into this one
-    /// (used by the pipeline's uncached baseline mode, which runs each
-    /// pass against a throwaway cache but still reports total work).
-    pub fn absorb_builds(&mut self, other: &FunctionAnalyses) {
-        self.builds.add(&other.builds);
-        self.dataflow.add(&other.dataflow);
-    }
 }
 
 #[cfg(test)]
@@ -521,28 +491,6 @@ mod tests {
         assert_eq!(fa.builds.cfg, 2);
         assert_eq!(fa.builds.dom, 2);
         assert_eq!(fa.builds.forest, 2);
-        assert_eq!(fa.builds.liveness, 2);
-    }
-
-    #[test]
-    fn block_scoped_invalidation_matches_full_rebuild() {
-        use crate::liveness::liveness_dense;
-        use ir::Instr;
-        let mut f = diamond();
-        let mut fa = FunctionAnalyses::new();
-        fa.liveness(&f);
-        // Edit block 1 only: define a fresh register and keep it live into
-        // the join by storing it in the return slot... there is no return
-        // slot here, so use a self-visible copy chain instead.
-        let new = ir::Reg(f.next_reg);
-        f.next_reg += 1;
-        f.blocks[1]
-            .instrs
-            .insert(0, Instr::IConst { dst: new, value: 9 });
-        fa.note_body_changed_blocks([ir::BlockId(1)]);
-        let got = fa.liveness(&f).clone();
-        let fresh = liveness_dense(&f, &Cfg::build(&f));
-        assert_eq!(got, fresh);
         assert_eq!(fa.builds.liveness, 2);
     }
 

@@ -44,9 +44,8 @@ pub use dataflow::{BlockWorklist, DataflowStats, Direction};
 pub use dom::{DomScratch, DomTree};
 pub use graph::Cfg;
 pub use liveness::{
-    for_each_instr_backwards, for_each_instr_backwards_in, liveness, liveness_dense,
-    liveness_dense_stats, liveness_sparse, liveness_sparse_into, LiveScratch, LiveSummaries,
-    Liveness, RegSet,
+    for_each_instr_backwards, for_each_instr_backwards_in, liveness, liveness_sparse,
+    liveness_sparse_into, LiveScratch, LiveSummaries, Liveness, RegSet,
 };
 pub use loops::{Loop, LoopForest, LoopId};
 pub use normalize::{

@@ -7,9 +7,7 @@
 //! across regalloc's spill rounds and rescan only the blocks a round
 //! actually touched; the boundary in/out sets are always re-solved from
 //! empty, which keeps the result the exact least fixpoint (a warm-started
-//! boundary set could carry stale bits around a loop forever). The old
-//! dense iterate-to-fixpoint sweep survives as [`liveness_dense`] — the
-//! benchmark's baseline and the differential tests' oracle.
+//! boundary set could carry stale bits around a loop forever).
 
 use crate::dataflow::{BlockWorklist, DataflowStats, Direction};
 use crate::graph::Cfg;
@@ -297,48 +295,6 @@ pub fn liveness_sparse_into(
     }
 }
 
-/// The dense iterate-to-fixpoint solver, kept as the measured baseline and
-/// differential-test oracle for the sparse solver.
-pub fn liveness_dense(func: &Function, cfg: &Cfg) -> Liveness {
-    liveness_dense_stats(func, cfg, &mut DataflowStats::default())
-}
-
-/// [`liveness_dense`] with work counters.
-pub fn liveness_dense_stats(func: &Function, cfg: &Cfg, stats: &mut DataflowStats) -> Liveness {
-    let n = func.blocks.len();
-    let nregs = func.next_reg as usize;
-    let mut summaries = LiveSummaries::default();
-    summaries.rescan_all(func);
-    let mut live_in = vec![RegSet::new(nregs); n];
-    let mut live_out = vec![RegSet::new(nregs); n];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        // Reverse postorder backwards approximates postorder.
-        for &b in cfg.rpo.iter().rev() {
-            let bi = b.index();
-            stats.blocks_visited += 1;
-            stats.transfer_evals += 1;
-            let mut out = RegSet::new(nregs);
-            for s in &cfg.succs[bi] {
-                out.union_with(&live_in[s.index()]);
-            }
-            if out != live_out[bi] {
-                live_out[bi] = out;
-            }
-            // in = use ∪ (out − def)
-            let mut inn = live_out[bi].clone();
-            inn.difference_with(&summaries.def_s[bi]);
-            inn.union_with(&summaries.use_s[bi]);
-            if inn != live_in[bi] {
-                live_in[bi] = inn;
-                changed = true;
-            }
-        }
-    }
-    Liveness { live_in, live_out }
-}
-
 /// Walks a block backwards invoking `visit(instr_index, instr, live_after)`
 /// with the set of registers live *after* each instruction.
 pub fn for_each_instr_backwards(
@@ -491,91 +447,6 @@ mod tests {
             "r1 needed next iteration"
         );
         assert!(!live.live_out[e.index()].contains(r0));
-    }
-
-    #[test]
-    fn sparse_agrees_with_dense_on_loops() {
-        let mut b = FunctionBuilder::new("f", 2);
-        let r0 = b.iconst(10);
-        let r1 = b.iconst(1);
-        let l = b.new_block();
-        let e = b.new_block();
-        b.jump(l);
-        b.switch_to(l);
-        b.emit(Instr::Binary {
-            op: BinOp::Sub,
-            dst: r0,
-            lhs: r0,
-            rhs: r1,
-        });
-        b.branch(r0, l, e);
-        b.switch_to(e);
-        b.ret(Some(r0));
-        let mut f = b.finish();
-        f.has_result = true;
-        let cfg = Cfg::build(&f);
-        assert_eq!(liveness(&f, &cfg), liveness_dense(&f, &cfg));
-    }
-
-    #[test]
-    fn sparse_does_less_transfer_work_than_dense_on_a_loop() {
-        // A loop forces the dense solver through an extra confirming sweep
-        // of every block; the sparse solver re-pops only the loop blocks.
-        let mut b = FunctionBuilder::new("f", 0);
-        let r0 = b.iconst(10);
-        let r1 = b.iconst(1);
-        let l = b.new_block();
-        let e = b.new_block();
-        b.jump(l);
-        b.switch_to(l);
-        b.emit(Instr::Binary {
-            op: BinOp::Sub,
-            dst: r0,
-            lhs: r0,
-            rhs: r1,
-        });
-        b.branch(r0, l, e);
-        b.switch_to(e);
-        b.ret(Some(r0));
-        let f = b.finish();
-        let cfg = Cfg::build(&f);
-        let mut summaries = LiveSummaries::default();
-        summaries.rescan_all(&f);
-        let mut sparse = DataflowStats::default();
-        liveness_sparse(&f, &cfg, &summaries, &mut sparse);
-        let mut dense = DataflowStats::default();
-        liveness_dense_stats(&f, &cfg, &mut dense);
-        assert!(
-            sparse.transfer_evals < dense.transfer_evals,
-            "sparse {} >= dense {}",
-            sparse.transfer_evals,
-            dense.transfer_evals
-        );
-    }
-
-    #[test]
-    fn partial_rescan_tracks_an_edit() {
-        let mut b = FunctionBuilder::new("f", 0);
-        let a = b.iconst(1);
-        let c = b.iconst(2);
-        let d = b.binary(BinOp::Add, a, c);
-        b.ret(Some(d));
-        let mut f = b.finish();
-        f.has_result = true;
-        let cfg = Cfg::build(&f);
-        let mut summaries = LiveSummaries::default();
-        summaries.rescan_all(&f);
-        // Edit block 0: append a new register definition and use it in ret.
-        let new = Reg(f.next_reg);
-        f.next_reg += 1;
-        let last = f.blocks[0].instrs.len() - 1;
-        f.blocks[0]
-            .instrs
-            .insert(last, Instr::Copy { dst: new, src: d });
-        f.blocks[0].instrs[last + 1] = Instr::Ret { value: Some(new) };
-        summaries.rescan_blocks(&f, &BTreeSet::from([0]));
-        let got = liveness_sparse(&f, &cfg, &summaries, &mut DataflowStats::default());
-        assert_eq!(got, liveness_dense(&f, &cfg));
     }
 
     #[test]

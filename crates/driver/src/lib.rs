@@ -35,9 +35,11 @@
 //! ```
 //!
 //! [`Session`] (plus [`Compilation::run`] for execution) is the *only*
-//! compile entry point since API v1 — the tuple-returning free functions
-//! that predated it are gone. External consumers should import from
-//! [`prelude`], the curated stable surface.
+//! compile entry point, with one exception: [`run_pipeline_in`] runs the
+//! pipeline of a session's [`PipelineConfig`] over an already-lowered
+//! module on a caller-owned [`WorkerPool`], for callers that time the
+//! front end and the pipeline separately. External consumers should
+//! import from [`prelude`], the curated stable surface.
 
 #![warn(missing_docs)]
 
@@ -51,11 +53,8 @@ mod session;
 
 pub use error::Error;
 pub use incremental::{FuncCache, IncrementalReport, DEFAULT_CACHE_BUDGET};
-pub use parallel::{parallel_map, parallel_map_funcs, resolve_threads, WorkerPool};
-pub use pipeline::{
-    run_pipeline, run_pipeline_in, run_pipeline_traced, PassTiming, PassTimings, PipelineConfig,
-    PipelineConfigBuilder, PipelineReport,
-};
+pub use parallel::{parallel_map, resolve_threads, WorkerPool};
+pub use pipeline::{run_pipeline_in, PassTiming, PassTimings, PipelineConfig, PipelineReport};
 pub use report::{measure_program, render_figure, MeasurementRow, Metric};
 pub use scratch::PassScratch;
 pub use session::{Compilation, Session, SessionBuilder};

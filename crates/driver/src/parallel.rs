@@ -23,7 +23,6 @@
 //! work offline.
 
 use crate::scratch::PassScratch;
-use ir::{FuncId, Function};
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -292,19 +291,6 @@ impl WorkerPool {
             .map(|s| s.expect("every item produced a result"))
             .collect()
     }
-
-    /// Fans a per-function transformation out over `funcs`, returning one
-    /// result per function in index order. The closure typically also
-    /// captures a shared `&ir::TagTable` (functions and the tag table are
-    /// disjoint fields of `ir::Module`, so both borrows coexist).
-    pub fn run_funcs<R, F>(&self, funcs: &mut [Function], f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(FuncId, &mut Function) -> R + Sync,
-    {
-        let items: Vec<&mut Function> = funcs.iter_mut().collect();
-        self.run(items, |i, func| f(FuncId(i as u32), func))
-    }
 }
 
 impl Drop for WorkerPool {
@@ -404,17 +390,6 @@ where
             .collect();
     }
     WorkerPool::new(threads.min(items.len())).run(items, f)
-}
-
-/// Fans a per-function transformation out over `funcs` on a throwaway
-/// pool. See [`parallel_map`].
-pub fn parallel_map_funcs<R, F>(funcs: &mut [Function], threads: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(FuncId, &mut Function) -> R + Sync,
-{
-    let items: Vec<&mut Function> = funcs.iter_mut().collect();
-    parallel_map(items, threads, |i, func| f(FuncId(i as u32), func))
 }
 
 #[cfg(test)]

@@ -8,16 +8,15 @@
 //! base addresses it needs).
 //!
 //! The per-function work fans out over a persistent [`WorkerPool`]
-//! (spawned once per pipeline run, or reused across runs via
-//! [`run_pipeline_in`]) in exactly **two** rounds: one for loop
-//! normalization (the whole-module interprocedural analysis needs every
-//! function normalized), then one *fused* round that carries each
-//! function through its entire intra-procedural chain — strengthen →
-//! promote → lvn → loadelim → constprop → licm → (pointer-promote) →
-//! lvn(2) → dce → clean → regalloc → clean(final) — with no barrier
-//! between passes. Barriers exist only where whole-module state is
-//! genuinely required: before the interprocedural analysis and at the
-//! sequential spill-tag commit.
+//! (owned by a [`crate::Session`], or passed to [`run_pipeline_in`]) in
+//! exactly **two** rounds: one for loop normalization (the whole-module
+//! interprocedural analysis needs every function normalized), then one
+//! *fused* round that carries each function through its entire
+//! intra-procedural chain — strengthen → promote → lvn → loadelim →
+//! constprop → licm → (pointer-promote) → lvn(2) → dce → clean →
+//! regalloc → clean(final) — with no barrier between passes. Barriers
+//! exist only where whole-module state is genuinely required: before the
+//! interprocedural analysis and at the sequential spill-tag commit.
 //!
 //! The output is bit-identical at any thread count: per-function passes
 //! share only the read-only tag table, and the allocator's spill tags are
@@ -29,7 +28,7 @@
 //! row carries a `cpu_summed` flag so consumers (and the benchmark
 //! JSON) cannot silently compare the two kinds of number.
 
-use crate::parallel::{resolve_threads, WorkerPool};
+use crate::parallel::WorkerPool;
 use crate::scratch::PassScratch;
 use analysis::{tarjan_sccs, AnalysisLevel, CallGraph};
 use ir::{FuncId, Module};
@@ -40,78 +39,40 @@ use trace::{AllocStats, FuncTrace, TraceLog};
 
 /// A pipeline configuration — one experimental arm.
 ///
-/// The fields are an implementation detail of the driver: assemble a
-/// configuration with [`PipelineConfig::builder`] (or go through
-/// [`crate::Session::builder`], which wraps the same knobs), and treat
-/// the struct as opaque. The fields remain `pub` for struct-update
-/// syntax in in-tree experiment code but are hidden from the documented
-/// API surface.
+/// Opaque: assemble one with [`crate::Session::builder`], which sets
+/// every field, and read it back with [`crate::Session::config`].
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
     /// Interprocedural analysis precision.
-    #[doc(hidden)]
-    pub analysis: AnalysisLevel,
+    pub(crate) analysis: AnalysisLevel,
     /// Run scalar register promotion (§3.1).
-    #[doc(hidden)]
-    pub promote: bool,
+    pub(crate) promote: bool,
     /// Run pointer-based promotion (§3.3) after LICM.
-    #[doc(hidden)]
-    pub pointer_promote: bool,
+    pub(crate) pointer_promote: bool,
     /// Pressure throttle for scalar promotion (§7 of the paper; see
     /// [`promote::PromotionOptions::max_promoted_per_loop`]).
-    #[doc(hidden)]
-    pub promotion_cap: Option<usize>,
+    pub(crate) promotion_cap: Option<usize>,
     /// Run the scalar optimizer (always on in the paper; off is useful
     /// for debugging).
-    #[doc(hidden)]
-    pub optimize: bool,
+    pub(crate) optimize: bool,
     /// Register allocation parameters; `None` leaves virtual registers.
-    #[doc(hidden)]
-    pub regalloc: Option<AllocOptions>,
+    pub(crate) regalloc: Option<AllocOptions>,
     /// Validate the module at every fan-out barrier (on in debug builds):
     /// after normalization, after the interprocedural analysis, and after
     /// the fused per-function chain has run and spill tags are committed.
     /// (Passes inside the fused chain see functions at different stages
     /// concurrently, so whole-module validation between them is no longer
     /// meaningful.)
-    #[doc(hidden)]
-    pub validate_each_pass: bool,
+    pub(crate) validate_each_pass: bool,
     /// Worker threads for the per-function stages. `None` defers to the
     /// `PROMO_THREADS` environment variable, then to
     /// `std::thread::available_parallelism()`; `Some(1)` forces the
     /// sequential path. The compiled output is identical either way.
-    #[doc(hidden)]
-    pub threads: Option<usize>,
-    /// Share one [`cfg::FunctionAnalyses`] cache per function across the
-    /// whole pass chain (the normal mode). `false` gives every stage a
-    /// throwaway cache — the rebuild-per-pass behaviour the pipeline had
-    /// before the cache existed — and exists so benchmarks can report an
-    /// honest uncached baseline for the analysis-build counters. Output is
-    /// identical either way.
-    #[doc(hidden)]
-    pub share_analyses: bool,
-    /// Use the sparse worklist dataflow solvers (the normal mode). `false`
-    /// selects the dense full-resweep solvers everywhere — constprop loses
-    /// its conditional (executable-edge) precision and every fixpoint
-    /// reverts to whole-function sweeps — and exists so the benchmark can
-    /// report the dense baseline's work counters from the same binary.
-    #[doc(hidden)]
-    pub sparse_dataflow: bool,
-    /// Reuse the pool's per-worker [`PassScratch`] arenas across functions
-    /// (the normal mode): every pass's dense side tables, worklists, and
-    /// rewrite buffers stay warm, so the steady-state fused chain allocates
-    /// almost nothing. `false` builds a fresh arena for every function —
-    /// the allocation behaviour the pipeline had before the arenas existed —
-    /// and exists so the benchmark can report an honest `alloc_stats_fresh`
-    /// baseline column. Output is byte-identical either way.
-    #[doc(hidden)]
-    pub reuse_scratch: bool,
+    pub(crate) threads: Option<usize>,
     /// Collect structured optimization remarks and per-pass deltas into a
-    /// [`TraceLog`] (see [`run_pipeline_traced`]). Off by default; when
-    /// off, every trace hook is a single enum-discriminant test and no
-    /// event is ever constructed.
-    #[doc(hidden)]
-    pub trace: bool,
+    /// [`TraceLog`]. Off by default; when off, every trace hook is a
+    /// single enum-discriminant test and no event is ever constructed.
+    pub(crate) trace: bool,
 }
 
 impl Default for PipelineConfig {
@@ -125,160 +86,8 @@ impl Default for PipelineConfig {
             regalloc: Some(AllocOptions::default()),
             validate_each_pass: cfg!(debug_assertions),
             threads: None,
-            share_analyses: true,
-            sparse_dataflow: true,
-            reuse_scratch: true,
             trace: false,
         }
-    }
-}
-
-impl PipelineConfig {
-    /// Starts a builder from the default configuration — the intended way
-    /// to assemble a non-default config without poking public fields.
-    pub fn builder() -> PipelineConfigBuilder {
-        PipelineConfigBuilder::default()
-    }
-
-    /// One of the paper's four measured variants: `{modref, pointer}` ×
-    /// `{without, with}` promotion.
-    pub fn paper_variant(analysis: AnalysisLevel, promote: bool) -> Self {
-        PipelineConfig {
-            analysis,
-            promote,
-            // §3.3 pointer-based promotion was measured separately; the
-            // headline figures use scalar promotion only.
-            pointer_promote: false,
-            ..Default::default()
-        }
-    }
-
-    /// The four figure-generating variants in the paper's row order.
-    pub fn figure_variants() -> [(String, PipelineConfig); 4] {
-        [
-            (
-                "modref/without".into(),
-                PipelineConfig::paper_variant(AnalysisLevel::ModRef, false),
-            ),
-            (
-                "modref/with".into(),
-                PipelineConfig::paper_variant(AnalysisLevel::ModRef, true),
-            ),
-            (
-                "pointer/without".into(),
-                PipelineConfig::paper_variant(AnalysisLevel::PointsTo, false),
-            ),
-            (
-                "pointer/with".into(),
-                PipelineConfig::paper_variant(AnalysisLevel::PointsTo, true),
-            ),
-        ]
-    }
-}
-
-/// Fluent builder for [`PipelineConfig`], starting from the defaults.
-///
-/// ```
-/// use driver::PipelineConfig;
-/// use analysis::AnalysisLevel;
-///
-/// let config = PipelineConfig::builder()
-///     .analysis(AnalysisLevel::PointsTo)
-///     .pointer_promote(true)
-///     .trace(true)
-///     .build();
-/// assert!(config.promote); // untouched fields keep their defaults
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct PipelineConfigBuilder {
-    config: PipelineConfig,
-}
-
-impl PipelineConfigBuilder {
-    /// Starts the builder from an existing configuration instead of the
-    /// defaults.
-    pub fn from_config(config: PipelineConfig) -> Self {
-        PipelineConfigBuilder { config }
-    }
-
-    /// Sets the interprocedural analysis precision.
-    pub fn analysis(mut self, level: AnalysisLevel) -> Self {
-        self.config.analysis = level;
-        self
-    }
-
-    /// Enables or disables scalar register promotion (§3.1).
-    pub fn promote(mut self, on: bool) -> Self {
-        self.config.promote = on;
-        self
-    }
-
-    /// Enables or disables pointer-based promotion (§3.3).
-    pub fn pointer_promote(mut self, on: bool) -> Self {
-        self.config.pointer_promote = on;
-        self
-    }
-
-    /// Sets the per-loop promotion pressure cap (`None` = unthrottled).
-    pub fn promotion_cap(mut self, cap: Option<usize>) -> Self {
-        self.config.promotion_cap = cap;
-        self
-    }
-
-    /// Enables or disables the scalar optimizer.
-    pub fn optimize(mut self, on: bool) -> Self {
-        self.config.optimize = on;
-        self
-    }
-
-    /// Sets register-allocation parameters (`None` leaves virtual
-    /// registers).
-    pub fn regalloc(mut self, opts: Option<AllocOptions>) -> Self {
-        self.config.regalloc = opts;
-        self
-    }
-
-    /// Enables or disables module validation at the fan-out barriers.
-    pub fn validate_each_pass(mut self, on: bool) -> Self {
-        self.config.validate_each_pass = on;
-        self
-    }
-
-    /// Sets the worker-thread count (`None` = environment/default).
-    pub fn threads(mut self, threads: Option<usize>) -> Self {
-        self.config.threads = threads;
-        self
-    }
-
-    /// Enables or disables the shared per-function analysis cache.
-    pub fn share_analyses(mut self, on: bool) -> Self {
-        self.config.share_analyses = on;
-        self
-    }
-
-    /// Selects sparse worklist (`true`, the default) or dense resweep
-    /// (`false`) dataflow solvers.
-    pub fn sparse_dataflow(mut self, on: bool) -> Self {
-        self.config.sparse_dataflow = on;
-        self
-    }
-
-    /// Enables or disables cross-function reuse of the per-worker pass
-    /// scratch arenas.
-    pub fn reuse_scratch(mut self, on: bool) -> Self {
-        self.config.reuse_scratch = on;
-        self
-    }
-
-    /// Enables or disables structured trace collection.
-    pub fn trace(mut self, on: bool) -> Self {
-        self.config.trace = on;
-        self
-    }
-
-    /// Finishes the build.
-    pub fn build(self) -> PipelineConfig {
-        self.config
     }
 }
 
@@ -380,9 +189,9 @@ pub struct PipelineReport {
     pub analysis_builds: cfg::BuildCounts,
     /// Solver work performed by every fixpoint dataflow problem in the
     /// run (liveness, constprop, loadelim, DCE marking, points-to):
-    /// blocks visited, transfer evaluations, worklist pushes. The sparse
-    /// and dense modes report through the same counters, so the benchmark
-    /// can print both from the same binary.
+    /// blocks visited, transfer evaluations, worklist pushes. A solver
+    /// that regresses toward whole-function resweeps shows up here as a
+    /// counter jump.
     pub dataflow_stats: cfg::DataflowStats,
     /// What the incremental cache did this compile — `Some` only when the
     /// run went through a [`crate::Session`] built with
@@ -469,25 +278,6 @@ impl StageClock {
     }
 }
 
-/// Runs one chain stage against the shared cache, or — in the benchmark's
-/// uncached baseline mode — against a throwaway cache whose build ledger
-/// is still folded into the shared one.
-fn stage<R>(
-    analyses: &mut cfg::FunctionAnalyses,
-    share: bool,
-    f: impl FnOnce(&mut cfg::FunctionAnalyses) -> R,
-) -> R {
-    if share {
-        f(analyses)
-    } else {
-        let mut throwaway = cfg::FunctionAnalyses::new();
-        throwaway.set_dense_dataflow(analyses.dense_dataflow());
-        let r = f(&mut throwaway);
-        analyses.absorb_builds(&throwaway);
-        r
-    }
-}
-
 /// Mid-chain loop renormalization with the trace's stats cache kept
 /// coherent: when renormalization actually changes the body (landing-pad
 /// / preheader insertion, unreachable-block removal), the change is
@@ -522,7 +312,7 @@ fn normalize_in_traced(
 /// Carries one function through the entire fused chain. Reads only the
 /// shared tag-table snapshot and per-function read-only facts, so any
 /// number of these run concurrently; all tag-table writes are deferred as
-/// [`PendingSpill`]s. `analyses` is the function's shared cache: a pass
+/// [`PendingSpill`]s. `fa` is the function's shared analysis cache: a pass
 /// that changes nothing leaves it warm, and every downstream pass then
 /// reuses the artifacts instead of rebuilding them. `scratch` is the
 /// worker's pass arena: every pass's dense side tables and buffers live
@@ -534,50 +324,37 @@ fn run_fused_chain(
     fid: FuncId,
     recursive: bool,
     config: &PipelineConfig,
-    analyses: &mut cfg::FunctionAnalyses,
+    fa: &mut cfg::FunctionAnalyses,
     scratch: &mut PassScratch,
     tr: &mut FuncTrace,
 ) -> FuncOutcome {
-    let share = config.share_analyses;
     let mut clock = StageClock::new();
     let mut o = FuncOutcome {
         strengthened: clock.timed("strengthen", || {
-            stage(analyses, share, |fa| {
-                opt::strengthen_function_traced(tags, func, fid, recursive, fa, tr)
-            })
+            opt::strengthen_function_traced(tags, func, fid, recursive, fa, tr)
         }),
         ..Default::default()
     };
     if config.promote {
         let cap = config.promotion_cap;
         o.scalar = clock.timed("promote", || {
-            stage(analyses, share, |fa| {
-                normalize_in_traced(func, fa, tr);
-                promote::promote_scalars_in_func_traced(tags, func, fid, recursive, cap, fa, tr)
-            })
+            normalize_in_traced(func, fa, tr);
+            promote::promote_scalars_in_func_traced(tags, func, fid, recursive, cap, fa, tr)
         });
     }
     if config.optimize {
         o.lvn_rewrites += clock.timed("lvn", || {
-            stage(analyses, share, |fa| {
-                opt::lvn_function_traced(func, fa, &mut scratch.opt.lvn, tr)
-            })
+            opt::lvn_function_traced(func, fa, &mut scratch.opt.lvn, tr)
         });
         o.loads_eliminated = clock.timed("loadelim", || {
-            stage(analyses, share, |fa| {
-                opt::loadelim_function_traced(func, fa, &mut scratch.opt.loadelim, tr)
-            })
+            opt::loadelim_function_traced(func, fa, &mut scratch.opt.loadelim, tr)
         });
         o.constants_folded = clock.timed("constprop", || {
-            stage(analyses, share, |fa| {
-                opt::constprop_function_traced(func, fa, &mut scratch.opt.constprop, tr)
-            })
+            opt::constprop_function_traced(func, fa, &mut scratch.opt.constprop, tr)
         });
         o.licm_moved = clock.timed("licm", || {
-            stage(analyses, share, |fa| {
-                normalize_in_traced(func, fa, tr);
-                opt::licm_function_traced(func, fa, &mut scratch.opt.licm, tr)
-            })
+            normalize_in_traced(func, fa, tr);
+            opt::licm_function_traced(func, fa, &mut scratch.opt.licm, tr)
         });
     }
     if config.pointer_promote {
@@ -585,27 +362,19 @@ fn run_fused_chain(
         // case earlier folding perturbed loop shapes (a no-op — and zero
         // rebuilds — when they did not).
         o.pointer = clock.timed("pointer-promote", || {
-            stage(analyses, share, |fa| {
-                normalize_in_traced(func, fa, tr);
-                promote::promote_pointers_in_func_traced(func, fa, tr)
-            })
+            normalize_in_traced(func, fa, tr);
+            promote::promote_pointers_in_func_traced(func, fa, tr)
         });
     }
     if config.optimize {
         o.lvn_rewrites += clock.timed("lvn(2)", || {
-            stage(analyses, share, |fa| {
-                opt::lvn_function_traced(func, fa, &mut scratch.opt.lvn, tr)
-            })
+            opt::lvn_function_traced(func, fa, &mut scratch.opt.lvn, tr)
         });
         o.dce_removed = clock.timed("dce", || {
-            stage(analyses, share, |fa| {
-                opt::dce_function_traced(func, fa, &mut scratch.opt.dce, tr)
-            })
+            opt::dce_function_traced(func, fa, &mut scratch.opt.dce, tr)
         });
         o.cleaned += clock.timed("clean", || {
-            stage(analyses, share, |fa| {
-                opt::clean_function_traced(func, fa, &mut scratch.opt.clean, tr)
-            })
+            opt::clean_function_traced(func, fa, &mut scratch.opt.clean, tr)
         });
     }
     if let Some(opts) = &config.regalloc {
@@ -615,18 +384,16 @@ fn run_fused_chain(
         // exact tag table (ids and names) of a sequential run.
         let r = clock.timed("regalloc", || {
             let mut pending = Vec::new();
-            let r = stage(analyses, share, |fa| {
-                regalloc::allocate_function_core_traced(
-                    tags,
-                    func,
-                    fid,
-                    opts,
-                    &mut pending,
-                    fa,
-                    &mut scratch.alloc,
-                    tr,
-                )
-            });
+            let r = regalloc::allocate_function_core_traced(
+                tags,
+                func,
+                fid,
+                opts,
+                &mut pending,
+                fa,
+                &mut scratch.alloc,
+                tr,
+            );
             (r, pending)
         });
         o.alloc = Some(r);
@@ -634,9 +401,7 @@ fn run_fused_chain(
             // Block cleaning is tag-agnostic, so it can run before the
             // provisional spill tags are interned.
             o.cleaned += clock.timed("clean(final)", || {
-                stage(analyses, share, |fa| {
-                    opt::clean_function_traced(func, fa, &mut scratch.opt.clean, tr)
-                })
+                opt::clean_function_traced(func, fa, &mut scratch.opt.clean, tr)
             });
         }
     }
@@ -644,19 +409,12 @@ fn run_fused_chain(
     o
 }
 
-/// Runs the configured pipeline over `module` in place, on a worker pool
-/// spawned for this run and shut down when it returns.
-pub fn run_pipeline(module: &mut Module, config: &PipelineConfig) -> PipelineReport {
-    let pool = WorkerPool::new(resolve_threads(config.threads));
-    run_pipeline_in(module, config, &pool)
-}
-
 /// Runs the configured pipeline over `module` in place, fanning the
-/// per-function work out over a caller-provided [`WorkerPool`]. Batch
-/// drivers (benchmarks, servers compiling many modules) should create one
-/// pool and reuse it across runs; the pool's worker count is what
-/// determines the parallelism (`config.threads` is only consulted by
-/// [`run_pipeline`], which builds the pool). The compiled output is
+/// per-function work out over a caller-provided [`WorkerPool`]: the one
+/// public entry point beside [`crate::Session`], for callers that time
+/// the front end and the pipeline separately. The pool's worker count is
+/// what determines the parallelism (`config.threads` is only consulted
+/// when a [`crate::Session`] builds its pool). The compiled output is
 /// byte-identical for every pool size.
 pub fn run_pipeline_in(
     module: &mut Module,
@@ -671,7 +429,7 @@ pub fn run_pipeline_in(
 /// events are buffered per function inside the worker that owns the
 /// function and assembled here in function-index order, so the log is
 /// byte-identical at any pool size.
-pub fn run_pipeline_traced(
+pub(crate) fn run_pipeline_traced(
     module: &mut Module,
     config: &PipelineConfig,
     pool: &WorkerPool,
@@ -708,22 +466,10 @@ pub(crate) fn run_pipeline_core(
     let mut timings = PassTimings::default();
     // One analysis cache per function, alive from normalization to the
     // final clean: every pass both consumes it and reports what it
-    // invalidated, so converged passes cost zero rebuilds downstream.
-    // With scratch reuse on, the shells come recycled from the pool (warm
-    // buffers, stale artifacts) and go back to it at the end of the run;
-    // the fresh-arena baseline allocates cold ones.
-    let mut analyses: Vec<cfg::FunctionAnalyses> = if config.reuse_scratch {
-        pool.take_analyses(module.funcs.len())
-    } else {
-        module
-            .funcs
-            .iter()
-            .map(|_| cfg::FunctionAnalyses::new())
-            .collect()
-    };
-    for fa in &mut analyses {
-        fa.set_dense_dataflow(!config.sparse_dataflow);
-    }
+    // invalidated, so converged passes cost zero rebuilds downstream. The
+    // shells come recycled from the pool (warm buffers, stale artifacts)
+    // and go back to it at the end of the run.
+    let mut analyses = pool.take_analyses(module.funcs.len());
     // One trace buffer per function, alive across every round that touches
     // the function, so each function's events arrive in chain order.
     let mut traces: Vec<FuncTrace> = module
@@ -746,9 +492,7 @@ pub(crate) fn run_pipeline_core(
             .collect();
         pool.run(items, |_, ((f, fa), tr)| {
             let before = tr.enabled().then(|| f.body_stats());
-            stage(fa, config.share_analyses, |fa| {
-                cfg::normalize_loops_in(f, fa)
-            });
+            cfg::normalize_loops_in(f, fa);
             if let Some(before) = before {
                 let after = f.body_stats();
                 let (i, l, s) = before.delta(&after);
@@ -761,11 +505,10 @@ pub(crate) fn run_pipeline_core(
     });
     validate_if(module, v, "normalize");
     let outcome = timed(&mut timings, "analysis", || {
-        analysis::analyze_traced_with(
+        analysis::analyze_traced(
             module,
             config.analysis,
             config.trace.then_some(traces.as_mut_slice()),
-            !config.sparse_dataflow,
         )
     });
     report.analysis_stats = Some(outcome.stats);
@@ -843,16 +586,9 @@ pub(crate) fn run_pipeline_core(
             .collect();
         pool.run(items, |_, (i, func, fa, tr)| {
             let fid = FuncId(i as u32);
-            let o = if config.reuse_scratch {
-                pool.with_scratch(|scratch| {
-                    run_fused_chain(tags, func, fid, recursive[i], config, fa, scratch, tr)
-                })
-            } else {
-                // The fresh-arena baseline: every function pays the full
-                // allocation cost the arenas exist to avoid.
-                let mut scratch = PassScratch::default();
-                run_fused_chain(tags, func, fid, recursive[i], config, fa, &mut scratch, tr)
-            };
+            let o = pool.with_scratch(|scratch| {
+                run_fused_chain(tags, func, fid, recursive[i], config, fa, scratch, tr)
+            });
             (i, o)
         })
     };
@@ -920,9 +656,7 @@ pub(crate) fn run_pipeline_core(
         report.analysis_builds.add(&fa.builds);
         report.dataflow_stats.add(&fa.dataflow);
     }
-    if config.reuse_scratch {
-        pool.return_analyses(analyses);
-    }
+    pool.return_analyses(analyses);
     let commit_elapsed = commit_start.elapsed();
     for (name, d, a) in pass_totals {
         // The spill-tag commit is the sequential tail of allocation;
@@ -959,7 +693,7 @@ pub(crate) fn run_pipeline_core(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::Session;
+    use crate::session::{Session, SessionBuilder};
     use vm::Outcome;
 
     const PROGRAM: &str = r#"
@@ -978,8 +712,9 @@ int main() {
 }
 "#;
 
-    fn run(config: PipelineConfig) -> (Outcome, PipelineReport) {
-        let c = Session::from_config(config)
+    fn run(builder: SessionBuilder) -> (Outcome, PipelineReport) {
+        let c = builder
+            .build()
             .compile_and_run(PROGRAM)
             .expect("compile and run");
         (c.outcome.expect("outcome populated"), c.report)
@@ -988,8 +723,8 @@ int main() {
     #[test]
     fn all_four_variants_agree_on_output() {
         let mut outputs = Vec::new();
-        for (name, config) in PipelineConfig::figure_variants() {
-            let (out, _) = run(config);
+        for (name, builder) in SessionBuilder::figure_variants() {
+            let (out, _) = run(builder);
             outputs.push((name, out.output));
         }
         for w in outputs.windows(2) {
@@ -999,8 +734,9 @@ int main() {
 
     #[test]
     fn promotion_reduces_memory_traffic() {
-        let without = run(PipelineConfig::paper_variant(AnalysisLevel::ModRef, false)).0;
-        let with = run(PipelineConfig::paper_variant(AnalysisLevel::ModRef, true)).0;
+        let modref = || Session::builder().analysis(AnalysisLevel::ModRef);
+        let without = run(modref().promote(false)).0;
+        let with = run(modref().promote(true)).0;
         // g is promotable; h is pinned by the call.
         assert!(
             with.counts.stores + 400 <= without.counts.stores,
@@ -1027,12 +763,10 @@ int main() {
 
     #[test]
     fn unoptimized_pipeline_still_runs() {
-        let config = PipelineConfig::builder()
+        let (out, _) = run(Session::builder()
             .optimize(false)
             .promote(false)
-            .regalloc(None)
-            .build();
-        let (out, _) = run(config);
+            .regalloc(None));
         assert_eq!(out.output, vec!["124750", "500"]);
     }
 

@@ -6,7 +6,6 @@
 //! [`measure_program`] produces the four-variant matrix for a source
 //! program.
 
-use crate::pipeline::PipelineConfig;
 use crate::session::Session;
 use analysis::AnalysisLevel;
 use vm::ExecCounts;
@@ -110,7 +109,10 @@ pub fn measure_program(name: &str, source: &str) -> Vec<MeasurementRow> {
     for analysis in [AnalysisLevel::ModRef, AnalysisLevel::PointsTo] {
         let mut counts = Vec::new();
         for promote in [false, true] {
-            let session = Session::from_config(PipelineConfig::paper_variant(analysis, promote));
+            let session = Session::builder()
+                .analysis(analysis)
+                .promote(promote)
+                .build();
             let outcome = session
                 .compile(source)
                 .and_then(|c| c.run(session.vm_options().clone()))

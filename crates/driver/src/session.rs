@@ -2,13 +2,12 @@
 //! configuration, the VM options, and the persistent worker pool, handing
 //! back a [`Compilation`] artifact per program.
 //!
-//! This replaces the older pattern of poking [`PipelineConfig`]'s public
-//! fields and calling tuple-returning free functions (deleted in API v1):
-//! a session is built once, amortizes its worker pool across every program
-//! it compiles, and returns module, report, trace, and run outcome as one
-//! value. Execution is part of the same surface — [`Compilation::run`]
-//! executes the compiled module in the instrumented VM and folds any
-//! fault into the unified [`Error`].
+//! A session is built once with [`Session::builder`], the only way to
+//! assemble a [`PipelineConfig`]; it amortizes its worker pool across
+//! every program it compiles, and returns module, report, trace, and run
+//! outcome as one value. Execution is part of the same surface —
+//! [`Compilation::run`] executes the compiled module in the instrumented
+//! VM and folds any fault into the unified [`Error`].
 //!
 //! ```
 //! use driver::Session;
@@ -38,8 +37,7 @@ use crate::error::Error;
 use crate::incremental::{FuncCache, DEFAULT_CACHE_BUDGET};
 use crate::parallel::{resolve_threads, WorkerPool};
 use crate::pipeline::{
-    run_pipeline_core, run_pipeline_traced, IncrementalRun, PipelineConfig, PipelineConfigBuilder,
-    PipelineReport,
+    run_pipeline_core, run_pipeline_traced, IncrementalRun, PipelineConfig, PipelineReport,
 };
 use analysis::AnalysisLevel;
 use ir::Module;
@@ -62,7 +60,6 @@ pub struct Session {
     /// Warm front-end buffers; behind a mutex because compilation entry
     /// points take `&self`.
     frontend: Mutex<minic::Frontend>,
-    reuse_frontend: bool,
     /// The per-function incremental cache, present when the session was
     /// built with [`SessionBuilder::incremental`]. Compiles on such a
     /// session splice fingerprint-matching functions from here instead of
@@ -89,25 +86,6 @@ impl Session {
     /// Starts a session builder from the default configuration.
     pub fn builder() -> SessionBuilder {
         SessionBuilder::default()
-    }
-
-    /// A session over an existing configuration (the pool is sized from
-    /// `config.threads`).
-    pub fn from_config(config: PipelineConfig) -> Session {
-        Session::from_parts(config, VmOptions::default())
-    }
-
-    /// A session over existing configuration and VM options.
-    pub fn from_parts(config: PipelineConfig, vm: VmOptions) -> Session {
-        let pool = WorkerPool::new(resolve_threads(config.threads));
-        Session {
-            config,
-            vm,
-            pool,
-            frontend: Mutex::new(minic::Frontend::new()),
-            reuse_frontend: true,
-            cache: None,
-        }
     }
 
     /// The pipeline configuration this session runs.
@@ -168,21 +146,18 @@ impl Session {
     /// Returns [`Error::Front`] if the source does not compile, or
     /// [`Error::Validate`] if the pipeline produced invalid IL.
     pub fn compile(&self, src: &str) -> Result<Compilation, Error> {
-        let mut module = if self.reuse_frontend {
-            let mut frontend = self.frontend.lock().unwrap_or_else(|poisoned| {
+        let mut module = self
+            .frontend
+            .lock()
+            .unwrap_or_else(|poisoned| {
                 // A compile that panicked may have left the warm buffers
                 // mid-rebuild; swap in a fresh front end instead of
                 // wedging every later compile on this session.
                 let mut guard = poisoned.into_inner();
                 *guard = minic::Frontend::new();
                 guard
-            });
-            frontend.compile(src)?
-        } else {
-            // Cold path for A/B measurement: a fresh `Frontend` per
-            // program, exactly what the free function does.
-            minic::compile(src)?
-        };
+            })
+            .compile(src)?;
         // Raw-text hints let unchanged functions skip even the canonical
         // body-hash walk on incremental sessions.
         let source = self.cache.is_some().then(|| minic::source_fingerprint(src));
@@ -210,13 +185,27 @@ impl Session {
     }
 }
 
-/// Fluent builder for [`Session`]. Pipeline knobs mirror
-/// [`PipelineConfigBuilder`]; `max_steps`/`max_depth` configure the VM.
+/// Fluent builder for [`Session`], starting from the paper's default arm:
+/// MOD/REF analysis, scalar promotion, the optimizer, and a 32-register
+/// allocator. `max_steps`/`max_depth` configure the VM.
+///
+/// ```
+/// use analysis::AnalysisLevel;
+/// use driver::Session;
+///
+/// let session = Session::builder()
+///     .analysis(AnalysisLevel::PointsTo)
+///     .pointer_promote(true)
+///     .trace(true)
+///     .build();
+/// let c = session.compile("int main() { print_int(1); return 0; }")?;
+/// assert!(c.report.analysis_stats.is_some());
+/// # Ok::<(), driver::Error>(())
+/// ```
 #[derive(Debug, Clone)]
 pub struct SessionBuilder {
-    config: PipelineConfigBuilder,
+    config: PipelineConfig,
     vm: VmOptions,
-    reuse_frontend: bool,
     incremental: bool,
     cache_budget: usize,
 }
@@ -224,9 +213,8 @@ pub struct SessionBuilder {
 impl Default for SessionBuilder {
     fn default() -> Self {
         SessionBuilder {
-            config: PipelineConfigBuilder::default(),
+            config: PipelineConfig::default(),
             vm: VmOptions::default(),
-            reuse_frontend: true,
             incremental: false,
             cache_budget: DEFAULT_CACHE_BUDGET,
         }
@@ -234,88 +222,72 @@ impl Default for SessionBuilder {
 }
 
 impl SessionBuilder {
+    /// The paper's four measured variants in its row order:
+    /// `{modref, pointer}` × `{without, with}` promotion. §3.3's
+    /// pointer-based promotion was measured separately, so the headline
+    /// figures use scalar promotion only (the default).
+    pub fn figure_variants() -> [(&'static str, SessionBuilder); 4] {
+        let arm = |level, promote| Session::builder().analysis(level).promote(promote);
+        [
+            ("modref/without", arm(AnalysisLevel::ModRef, false)),
+            ("modref/with", arm(AnalysisLevel::ModRef, true)),
+            ("pointer/without", arm(AnalysisLevel::PointsTo, false)),
+            ("pointer/with", arm(AnalysisLevel::PointsTo, true)),
+        ]
+    }
+
     /// Sets the interprocedural analysis precision.
     pub fn analysis(mut self, level: AnalysisLevel) -> Self {
-        self.config = self.config.analysis(level);
+        self.config.analysis = level;
         self
     }
 
-    /// Enables or disables scalar register promotion.
+    /// Enables or disables scalar register promotion (§3.1).
     pub fn promote(mut self, on: bool) -> Self {
-        self.config = self.config.promote(on);
+        self.config.promote = on;
         self
     }
 
-    /// Enables or disables pointer-based promotion.
+    /// Enables or disables pointer-based promotion (§3.3).
     pub fn pointer_promote(mut self, on: bool) -> Self {
-        self.config = self.config.pointer_promote(on);
+        self.config.pointer_promote = on;
         self
     }
 
-    /// Sets the per-loop promotion pressure cap.
+    /// Sets the per-loop promotion pressure cap (`None` = unthrottled).
     pub fn promotion_cap(mut self, cap: Option<usize>) -> Self {
-        self.config = self.config.promotion_cap(cap);
+        self.config.promotion_cap = cap;
         self
     }
 
     /// Enables or disables the scalar optimizer.
     pub fn optimize(mut self, on: bool) -> Self {
-        self.config = self.config.optimize(on);
+        self.config.optimize = on;
         self
     }
 
-    /// Sets register-allocation parameters.
+    /// Sets register-allocation parameters (`None` leaves virtual
+    /// registers).
     pub fn regalloc(mut self, opts: Option<AllocOptions>) -> Self {
-        self.config = self.config.regalloc(opts);
+        self.config.regalloc = opts;
         self
     }
 
-    /// Enables or disables barrier validation.
+    /// Enables or disables module validation at the fan-out barriers.
     pub fn validate_each_pass(mut self, on: bool) -> Self {
-        self.config = self.config.validate_each_pass(on);
+        self.config.validate_each_pass = on;
         self
     }
 
-    /// Sets the worker-thread count.
+    /// Sets the worker-thread count (`None` = environment/default).
     pub fn threads(mut self, threads: Option<usize>) -> Self {
-        self.config = self.config.threads(threads);
-        self
-    }
-
-    /// Enables or disables the shared analysis cache.
-    pub fn share_analyses(mut self, on: bool) -> Self {
-        self.config = self.config.share_analyses(on);
-        self
-    }
-
-    /// Selects sparse worklist (`true`, the default) or dense resweep
-    /// (`false`) dataflow solvers. The dense arm exists for measurement
-    /// and differential testing; output is identical either way.
-    pub fn sparse_dataflow(mut self, on: bool) -> Self {
-        self.config = self.config.sparse_dataflow(on);
-        self
-    }
-
-    /// Enables or disables cross-function reuse of the per-worker pass
-    /// scratch arenas.
-    pub fn reuse_scratch(mut self, on: bool) -> Self {
-        self.config = self.config.reuse_scratch(on);
+        self.config.threads = threads;
         self
     }
 
     /// Enables or disables structured trace collection.
     pub fn trace(mut self, on: bool) -> Self {
-        self.config = self.config.trace(on);
-        self
-    }
-
-    /// Enables or disables reuse of the session's warm front end
-    /// (interner, token buffer, AST pools) across compiles. On by
-    /// default; turning it off makes every [`Session::compile`] build a
-    /// fresh `Frontend`, which is what `--fresh-frontend` benchmarking
-    /// measures against.
-    pub fn reuse_frontend(mut self, on: bool) -> Self {
-        self.reuse_frontend = on;
+        self.config.trace = on;
         self
     }
 
@@ -340,12 +312,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Replaces the whole pipeline configuration at once.
-    pub fn pipeline_config(mut self, config: PipelineConfig) -> Self {
-        self.config = PipelineConfigBuilder::from_config(config);
-        self
-    }
-
     /// Sets the VM's execution step budget.
     pub fn max_steps(mut self, steps: u64) -> Self {
         self.vm.max_steps = steps;
@@ -358,14 +324,18 @@ impl SessionBuilder {
         self
     }
 
-    /// Builds the session (spawning its worker pool).
+    /// Builds the session, spawning its worker pool (sized from the
+    /// thread count).
     pub fn build(self) -> Session {
-        let mut session = Session::from_parts(self.config.build(), self.vm);
-        session.reuse_frontend = self.reuse_frontend;
-        if self.incremental {
-            session.cache = Some(Mutex::new(FuncCache::new(self.cache_budget)));
+        Session {
+            pool: WorkerPool::new(resolve_threads(self.config.threads)),
+            config: self.config,
+            vm: self.vm,
+            frontend: Mutex::new(minic::Frontend::new()),
+            cache: self
+                .incremental
+                .then(|| Mutex::new(FuncCache::new(self.cache_budget))),
         }
-        session
     }
 }
 

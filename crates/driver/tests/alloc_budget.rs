@@ -34,24 +34,22 @@ fn counting_alone() -> MutexGuard<'static, ()> {
 
 /// Upper bound on allocator calls for one steady-state compile of the
 /// whole suite. Measured at ~1.5k after the scratch-arena work (vs ~10k
-/// with `reuse_scratch` off); the slack covers allocator-independent
-/// noise, not a regression.
+/// with a fresh arena per function, before the fresh-arena mode was
+/// deleted); the slack covers allocator-independent noise, not a
+/// regression.
 const STEADY_STATE_ALLOC_BUDGET: u64 = 2_600;
 
 /// Upper bound on allocator calls for one steady-state *front-end*
 /// compile of the whole suite (lex + parse + lower on a warm
 /// [`minic::Frontend`]). Measured at ~1.6k after the interned front end
-/// landed (vs ~8.7k through `minic::classic`); mirrors the
-/// `--max-frontend-allocs` CI gate.
+/// landed (vs ~8.7k through the since-deleted `String`/`Box` front end);
+/// mirrors the `--max-frontend-allocs` CI gate.
 const FRONTEND_ALLOC_BUDGET: u64 = 2_500;
 
 #[test]
 fn steady_state_suite_compile_stays_within_alloc_budget() {
     let _alone = counting_alone();
-    let session = Session::builder()
-        .threads(Some(1))
-        .reuse_scratch(true)
-        .build();
+    let session = Session::builder().threads(Some(1)).build();
     // Parse everything up front so frontend traffic stays out of the
     // measurement, then warm the pool on a first compile of each program.
     let modules: Vec<ir::Module> = benchsuite::SUITE

@@ -1,5 +1,5 @@
-//! Differential test of scratch-arena reuse against fresh-allocation
-//! compilation on randomized modules.
+//! Differential test of scratch-arena reuse against compilation on a
+//! clean arena, on randomized modules.
 //!
 //! The zero-allocation hot loop threads per-worker [`driver::PassScratch`]
 //! arenas and pool-recycled analysis shells through every pass. Two bug
@@ -10,11 +10,14 @@
 //! on compilation order or worker count. *Partial clearing*: an epoch
 //! reset that skips one side table produces correct output for most
 //! functions and garbage only when the stale entry happens to collide.
-//! Both produce miscompiles that no single-compile test catches — the only
-//! reliable oracle is the fresh-scratch configuration, which allocates
-//! everything per function. These tests compile the same randomized
-//! modules under both configurations at several worker counts and demand
-//! byte-identical printed IL and an identical remark stream.
+//! Both produce miscompiles that no single-compile test catches. The
+//! oracle is each function compiled alone: a one-function module with the
+//! same tag table, on a brand-new one-worker session, runs on a clean
+//! arena with fresh analysis shells. The random modules contain no calls,
+//! so nothing else about a function's compile depends on its neighbours.
+//! These tests compile the same randomized modules on long-lived sessions
+//! at several worker counts and demand, for every function, the
+//! reference's printed body and remark events.
 //!
 //! Random inputs come from an in-tree xorshift64* generator: every case
 //! is reproducible from the fixed seed and no external crates are needed
@@ -22,6 +25,7 @@
 
 use driver::Session;
 use ir::{BinOp, BlockId, Function, FunctionBuilder, Instr, Module, Reg, TagId, TagKind, TagTable};
+use trace::{CollectSink, TraceRecord};
 
 /// Deterministic xorshift64* PRNG.
 struct Rng(u64);
@@ -129,73 +133,97 @@ fn random_module(rng: &mut Rng) -> Module {
     module
 }
 
-/// Compiles a copy of `module` on `session`, returning the printed IL and
-/// the serialized remark stream.
-fn compile_on(session: &Session, module: &Module) -> (String, String) {
+/// One function's compile: its printed body and its trace records.
+type FuncOutput = (String, Vec<TraceRecord>);
+
+/// Compiles a copy of `module` on `session`, returning every function's
+/// output in module order.
+fn compile_on(session: &Session, module: &Module) -> Vec<FuncOutput> {
     let mut m = module.clone();
     let (_report, log) = session.optimize(&mut m).expect("pipeline must validate");
-    (m.to_string(), log.to_jsonl())
+    let mut sink = CollectSink::default();
+    log.replay(&mut sink);
+    let printed = m.to_string();
+    let bodies = printed.split("func @").skip(1);
+    m.funcs
+        .iter()
+        .zip(bodies)
+        .map(|(f, body)| {
+            let records = sink.records.iter().filter(|r| r.func == f.name);
+            (body.to_string(), records.cloned().collect())
+        })
+        .collect()
 }
 
-fn session(threads: usize, reuse_scratch: bool) -> Session {
+fn session(threads: usize) -> Session {
     Session::builder()
         .threads(Some(threads))
-        .reuse_scratch(reuse_scratch)
         .trace(true)
         .build()
 }
 
-/// Fresh-scratch and reused-scratch compilation must be byte-identical —
-/// same printed IL, same remark stream — at every worker count. The
-/// reused-scratch sessions are built once and fed every case in sequence,
-/// so each case (after the first) runs on arenas and recycled shells the
-/// previous cases dirtied.
+/// The reference output of every function of `module`: each compiled
+/// alone, in a one-function module with the same tag table, on a
+/// brand-new one-worker session.
+fn reference(module: &Module) -> Vec<FuncOutput> {
+    module
+        .funcs
+        .iter()
+        .map(|f| {
+            let mut alone = Module::new();
+            alone.tags = module.tags.clone();
+            alone.funcs.push(f.clone());
+            compile_on(&session(1), &alone).remove(0)
+        })
+        .collect()
+}
+
+/// Asserts that `got` matches the per-function reference `want`.
+fn assert_matches(got: &[FuncOutput], want: &[FuncOutput], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: function count");
+    for (i, ((il, events), (want_il, want_events))) in got.iter().zip(want).enumerate() {
+        assert_eq!(il, want_il, "{what}: f{i} body");
+        assert_eq!(events, want_events, "{what}: f{i} remarks");
+    }
+}
+
+/// Reused-scratch compilation must match the clean-arena reference —
+/// same printed body, same remark events for every function — at every
+/// worker count. The sessions are built once and fed every case in
+/// sequence, so each case (after the first) runs on arenas and recycled
+/// shells the previous cases dirtied.
 #[test]
 fn scratch_reuse_is_byte_identical_across_workers() {
     let mut rng = Rng::new(0x5C2A_7C41_0DDB_EEF5);
-    let reused: Vec<Session> = [1, 2, 8].iter().map(|&w| session(w, true)).collect();
-    let fresh: Vec<Session> = [1, 2, 8].iter().map(|&w| session(w, false)).collect();
+    let reused: Vec<Session> = [1, 2, 8].iter().map(|&w| session(w)).collect();
     for case in 0..40 {
         let module = random_module(&mut rng);
-        let (want_il, want_remarks) = compile_on(&fresh[0], &module);
-        for (s, workers) in fresh.iter().zip([1, 2, 8]).skip(1) {
-            let (il, remarks) = compile_on(s, &module);
-            assert_eq!(il, want_il, "case {case}: fresh scratch, {workers} workers");
-            assert_eq!(
-                remarks, want_remarks,
-                "case {case}: fresh-scratch remarks, {workers} workers"
-            );
-        }
+        let want = reference(&module);
         for (s, workers) in reused.iter().zip([1, 2, 8]) {
-            let (il, remarks) = compile_on(s, &module);
-            assert_eq!(
-                il, want_il,
-                "case {case}: reused scratch, {workers} workers"
-            );
-            assert_eq!(
-                remarks, want_remarks,
-                "case {case}: reused-scratch remarks, {workers} workers"
+            let got = compile_on(s, &module);
+            assert_matches(
+                &got,
+                &want,
+                &format!("case {case}: reused scratch, {workers} workers"),
             );
         }
     }
 }
 
-/// Two consecutive runs of the same module on one session must agree with
-/// each other and with a fresh-scratch session: the second run executes
-/// entirely on the warm pool (recycled shells, dirtied arenas) that the
-/// first run left behind.
+/// Two consecutive runs of the same module on one session must both match
+/// the clean-arena reference: the second run executes entirely on the
+/// warm pool (recycled shells, dirtied arenas) that the first run left
+/// behind.
 #[test]
 fn consecutive_runs_on_one_pool_agree() {
     let mut rng = Rng::new(0xB1A5_ED5E_55C7_A7C8);
-    let warm = session(2, true);
+    let warm = session(2);
     for case in 0..25 {
         let module = random_module(&mut rng);
-        let (want_il, want_remarks) = compile_on(&session(1, false), &module);
+        let want = reference(&module);
         let first = compile_on(&warm, &module);
         let second = compile_on(&warm, &module);
-        assert_eq!(first.0, want_il, "case {case}: first warm run");
-        assert_eq!(second.0, want_il, "case {case}: second warm run");
-        assert_eq!(first.1, want_remarks, "case {case}: first warm remarks");
-        assert_eq!(second.1, want_remarks, "case {case}: second warm remarks");
+        assert_matches(&first, &want, &format!("case {case}: first warm run"));
+        assert_matches(&second, &want, &format!("case {case}: second warm run"));
     }
 }

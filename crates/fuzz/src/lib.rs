@@ -8,8 +8,7 @@
 //!   arrays, loops, and calls.
 //! * [`oracle`] — a differential execution oracle running each program
 //!   through the full configuration matrix (unoptimized reference,
-//!   default pipeline, points-to + pointer promotion, dense dataflow,
-//!   fresh scratch/front end, the classic front end, worker counts 2
+//!   default pipeline, points-to + pointer promotion, worker counts 2
 //!   and 8, and a register-starved allocator) and comparing outputs,
 //!   exit codes, dynamic memory traffic, and IL determinism.
 //! * [`mod@reduce`] — a delta-debugging reducer that shrinks a failing

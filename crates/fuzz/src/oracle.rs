@@ -7,9 +7,8 @@
 //! * **reference** — the `-O0` arm: no optimizer, no promotion, no
 //!   allocator. Its output/exit code is ground truth.
 //! * **behavioral arms** — default pipeline, points-to + pointer
-//!   promotion, dense dataflow, fresh scratch arenas, fresh front end,
-//!   the `minic::classic` front end, and a register-starved allocator:
-//!   each must reproduce the reference output and exit code exactly.
+//!   promotion, and a register-starved allocator: each must reproduce
+//!   the reference output and exit code exactly.
 //! * **determinism arms** — worker counts 2 and 8 must produce
 //!   bit-identical IL (compared as rendered text) and identical dynamic
 //!   counts to the single-threaded default arm.
@@ -25,7 +24,6 @@
 
 use driver::prelude::*;
 use ir::Instr;
-use vm::Vm;
 
 /// Default VM step budget per arm execution. Generated programs finish
 /// in well under a million steps; the budget only exists to bound
@@ -42,15 +40,6 @@ pub enum Arm {
     Default,
     /// Points-to analysis plus pointer promotion.
     Pointer,
-    /// Dense (resweep) dataflow solvers.
-    Dense,
-    /// Scratch-arena reuse disabled.
-    FreshScratch,
-    /// Fresh front end per compile (no warm interner).
-    FreshFrontend,
-    /// The `minic::classic` (String/Box) front end feeding the same
-    /// pipeline.
-    Classic,
     /// Worker pool of 2 threads (IL + counts determinism vs Default).
     Workers2,
     /// Worker pool of 8 threads (IL + counts determinism vs Default).
@@ -70,10 +59,6 @@ impl Arm {
             Arm::Reference => "reference",
             Arm::Default => "default",
             Arm::Pointer => "pointer",
-            Arm::Dense => "dense",
-            Arm::FreshScratch => "fresh-scratch",
-            Arm::FreshFrontend => "fresh-frontend",
-            Arm::Classic => "classic",
             Arm::Workers2 => "workers2",
             Arm::Workers8 => "workers8",
             Arm::TightRegs => "tight-regs",
@@ -86,7 +71,7 @@ impl Arm {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureKind {
     /// An arm rejected a program another arm accepted (or the generator
-    /// produced something no front end accepts).
+    /// produced something the front end rejects).
     CompileError,
     /// An arm faulted at runtime while the reference ran clean.
     VmFault,
@@ -182,7 +167,6 @@ pub struct Oracle {
     reference: Session,
     behavioral: Vec<ConfiguredArm>,
     workers: Vec<ConfiguredArm>,
-    classic_pipeline: Session,
     options: OracleOptions,
 }
 
@@ -213,18 +197,6 @@ impl Oracle {
                 ),
             },
             ConfiguredArm {
-                arm: Arm::Dense,
-                session: single(Session::builder().sparse_dataflow(false)),
-            },
-            ConfiguredArm {
-                arm: Arm::FreshScratch,
-                session: single(Session::builder().reuse_scratch(false)),
-            },
-            ConfiguredArm {
-                arm: Arm::FreshFrontend,
-                session: single(Session::builder().reuse_frontend(false)),
-            },
-            ConfiguredArm {
                 arm: Arm::TightRegs,
                 // Spill-heavy on purpose; the generous round bound keeps
                 // the allocator's convergence assert (a safety valve, not
@@ -245,12 +217,10 @@ impl Oracle {
                 session: Session::builder().threads(Some(8)).max_steps(steps).build(),
             },
         ];
-        let classic_pipeline = single(Session::builder());
         Oracle {
             reference,
             behavioral,
             workers,
-            classic_pipeline,
             options,
         }
     }
@@ -280,20 +250,6 @@ impl Oracle {
             Err(e) => return Verdict::Skip(format!("reference arm fault: {e}")),
         };
         let base_traffic = reference.counts.loads + reference.counts.stores;
-
-        // Front-end differential: both front ends must agree on
-        // acceptance (the reference arm already compiled via the
-        // interned front end).
-        let classic_module = match minic::classic::compile(src) {
-            Ok(m) => m,
-            Err(e) => {
-                return Verdict::Fail(Failure {
-                    arm: Arm::Classic,
-                    kind: FailureKind::CompileError,
-                    detail: format!("classic front end rejected what the interned one took: {e}"),
-                })
-            }
-        };
 
         // Behavioral arms.
         let mut default_il = String::new();
@@ -395,32 +351,6 @@ impl Oracle {
             if let Some(f) = compare_behavior(ca.arm, &reference, &out) {
                 return Verdict::Fail(f);
             }
-        }
-
-        // Classic-front-end arm: same pipeline, different parser/lowerer.
-        let mut classic_module = classic_module;
-        match self.classic_pipeline.optimize(&mut classic_module) {
-            Ok(_) => {}
-            Err(e) => {
-                return Verdict::Fail(Failure {
-                    arm: Arm::Classic,
-                    kind: FailureKind::CompileError,
-                    detail: e.to_string(),
-                })
-            }
-        }
-        let out = match Vm::run_main(&classic_module, self.vm()) {
-            Ok(o) => o,
-            Err(e) => {
-                return Verdict::Fail(Failure {
-                    arm: Arm::Classic,
-                    kind: FailureKind::VmFault,
-                    detail: e.to_string(),
-                })
-            }
-        };
-        if let Some(f) = compare_behavior(Arm::Classic, &reference, &out) {
-            return Verdict::Fail(f);
         }
 
         Verdict::Pass

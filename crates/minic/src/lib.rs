@@ -12,8 +12,7 @@
 //! `u32` [`Symbol`]s, tokens are `Copy`, and the AST lives in per-module
 //! id pools rather than `Box`es. A [`Frontend`] owns all of those buffers
 //! and recycles them across compiles; the free [`compile`] function is a
-//! one-shot convenience on top of it. The original allocating front end is
-//! preserved verbatim under [`classic`] as the measurement baseline.
+//! one-shot convenience on top of it.
 //!
 //! ```
 //! use vm::{Vm, VmOptions};
@@ -37,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod ast;
-pub mod classic;
 mod error;
 mod fingerprint;
 mod frontend;

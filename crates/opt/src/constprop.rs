@@ -6,16 +6,15 @@
 //! conditions become jumps (which `clean` then exploits to delete dead
 //! arms).
 //!
-//! The default solver is sparse *conditional* constant propagation in the
-//! style of Wegman/Zadeck: it tracks which blocks are executable, marks
-//! only the taken edge of a branch whose condition has resolved to a
-//! constant, and never lets values flowing along a dead edge pollute a
-//! join. That is strictly stronger than the dense sweep (which treats
-//! every CFG edge as live) — a join reached constantly from only one arm
-//! of a constant branch keeps its constant. The dense sweep survives as
-//! the measured baseline ([`analyze_constants`] with `dense = true`).
+//! The solver is sparse *conditional* constant propagation in the style
+//! of Wegman/Zadeck: it tracks which blocks are executable, marks only the
+//! taken edge of a branch whose condition has resolved to a constant, and
+//! never lets values flowing along a dead edge pollute a join. That is
+//! strictly stronger than a dense sweep (which treats every CFG edge as
+//! live) — a join reached constantly from only one arm of a constant
+//! branch keeps its constant.
 //!
-//! Both solvers keep block-entry values only for the function's *global
+//! The solver keeps block-entry values only for the function's *global
 //! names*, the registers some block reads before defining them, found by
 //! one linear pre-scan. Every other register is written before it is
 //! read in each block that reads it, so its entry value is never read.
@@ -150,9 +149,8 @@ fn fold_cmp(op: CmpOp, a: i64, b: i64) -> i64 {
 /// Exposed so differential tests can compare solver precision directly.
 #[derive(Debug, Clone)]
 pub struct ConstLattice {
-    /// True for blocks reachable along executable edges only. The dense
-    /// solver marks every CFG-reachable block; the sparse solver can prove
-    /// fewer blocks executable.
+    /// True for blocks reachable along executable edges only: fewer than
+    /// the CFG-reachable blocks when a branch condition is a constant.
     pub executable: Vec<bool>,
     /// Lattice value per register at each block's entry. A register that
     /// no block reads before defining it reports ⊤ everywhere: its entry
@@ -243,7 +241,6 @@ fn meet_into(input: &mut [Lat], globals: &[Reg], state: &[Lat]) -> bool {
 fn analyze_constants_in(
     func: &Function,
     cfg: &Cfg,
-    dense: bool,
     stats: &mut DataflowStats,
     scratch: &mut ConstScratch,
 ) {
@@ -269,29 +266,6 @@ fn analyze_constants_in(
     let params = globals.partition_point(|r| r.index() < func.arity);
     let entry = func.entry.index() * width;
     input[entry..entry + params].fill(Lat::Bottom);
-    if dense {
-        for &b in &cfg.rpo {
-            executable[b.index()] = true;
-        }
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in &cfg.rpo {
-                stats.blocks_visited += 1;
-                let bi = b.index();
-                enter(state, globals, row(input, bi, width));
-                for instr in &func.block(b).instrs {
-                    stats.transfer_evals += 1;
-                    transfer(instr, state);
-                }
-                for s in cfg.succs[bi].iter() {
-                    let si = s.index();
-                    changed |= meet_into(&mut input[si * width..(si + 1) * width], globals, state);
-                }
-            }
-        }
-        return;
-    }
     // Sparse conditional constant propagation. The executable set and the
     // per-block inputs both grow monotonically, so the worklist terminates
     // at the least fixpoint over executable edges.
@@ -335,20 +309,13 @@ fn analyze_constants_in(
     }
 }
 
-/// Solves the constant lattice for `func`. With `dense = false` this is
-/// sparse conditional constant propagation: only the entry is seeded, a
-/// branch whose condition is a known constant marks only its taken edge,
-/// and blocks are re-enqueued only when their input actually changes. With
-/// `dense = true` it is the classic iterate-to-fixpoint sweep over every
-/// reachable block and edge. Work is counted into `stats` either way.
-pub fn analyze_constants(
-    func: &Function,
-    cfg: &Cfg,
-    dense: bool,
-    stats: &mut DataflowStats,
-) -> ConstLattice {
+/// Solves the constant lattice for `func` by sparse conditional constant
+/// propagation: only the entry is seeded, a branch whose condition is a
+/// known constant marks only its taken edge, and blocks are re-enqueued
+/// only when their input actually changes. Work is counted into `stats`.
+pub fn analyze_constants(func: &Function, cfg: &Cfg, stats: &mut DataflowStats) -> ConstLattice {
     let mut scratch = ConstScratch::default();
-    analyze_constants_in(func, cfg, dense, stats, &mut scratch);
+    analyze_constants_in(func, cfg, stats, &mut scratch);
     let width = scratch.globals.len();
     let input = (0..func.blocks.len())
         .map(|bi| {
@@ -378,10 +345,9 @@ pub fn constprop_function_in(
     analyses: &mut FunctionAnalyses,
     scratch: &mut ConstScratch,
 ) -> usize {
-    let dense = analyses.dense_dataflow();
     let mut stats = DataflowStats::default();
     let cfg = analyses.cfg(func);
-    analyze_constants_in(func, cfg, dense, &mut stats, scratch);
+    analyze_constants_in(func, cfg, &mut stats, scratch);
     // Rewrite pass: fold definitions and branches. Blocks the solver
     // proved non-executable are left untouched — once their incoming
     // branches fold to jumps, `clean` removes them outright.
@@ -576,8 +542,8 @@ B2:
 
     #[test]
     fn dead_branch_arm_does_not_pollute_the_join() {
-        // r0 is the constant 1, so B2 never executes. The dense solver
-        // still meets B2's r1 = 7 into the join and loses the fold; SCCP
+        // r0 is the constant 1, so B2 never executes. A dense sweep would
+        // still meet B2's r1 = 7 into the join and lose the fold; SCCP
         // keeps r1 = 5 and folds the add.
         let src = r#"
 func @main(0) result {
@@ -611,36 +577,6 @@ B3:
         ));
         assert!(n >= 2);
         ir::validate(&m).unwrap();
-    }
-
-    #[test]
-    fn sparse_solver_skips_dead_work_the_dense_one_does() {
-        let src = r#"
-func @main(0) result {
-B0:
-  r0 = iconst 1
-  branch r0, B1, B2
-B1:
-  r1 = iconst 5
-  jump B3
-B2:
-  r1 = iconst 7
-  jump B3
-B3:
-  r2 = add r1, r1
-  ret r2
-}
-"#;
-        let m = ir::parse_module(src).unwrap();
-        let f = &m.funcs[0];
-        let cfg = Cfg::build(f);
-        let mut sparse = DataflowStats::default();
-        let lat = analyze_constants(f, &cfg, false, &mut sparse);
-        let mut dense = DataflowStats::default();
-        let dense_lat = analyze_constants(f, &cfg, true, &mut dense);
-        assert!(!lat.executable[2], "B2 is dead under SCCP");
-        assert!(dense_lat.executable[2], "dense treats every edge as live");
-        assert!(sparse.transfer_evals < dense.transfer_evals);
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! Liveness propagates sparsely along a def→uses map: when a register
 //! first becomes live, the operands of its pure definitions are marked and
 //! queued, so each definition's use list is walked once instead of once
-//! per dense fixpoint sweep. The old full-resweep propagation survives as
-//! the benchmark's dense baseline.
+//! per dense fixpoint sweep.
 
 use cfg::{DataflowStats, FunctionAnalyses};
 use ir::{Function, Module, Reg};
@@ -27,31 +26,6 @@ pub struct DceScratch {
     fill: Vec<usize>,
     operands: Vec<Reg>,
     wl: Vec<Reg>,
-}
-
-/// Marks live registers by dense full-function resweeps (the measured
-/// baseline).
-fn mark_dense(func: &Function, live: &mut [bool], stats: &mut DataflowStats) {
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for block in &func.blocks {
-            stats.blocks_visited += 1;
-            for instr in &block.instrs {
-                if let Some(d) = instr.def() {
-                    stats.transfer_evals += 1;
-                    if live[d.index()] && !instr.has_side_effects() {
-                        instr.visit_uses(|r| {
-                            if !live[r.index()] {
-                                live[r.index()] = true;
-                                changed = true;
-                            }
-                        });
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Marks live registers sparsely: a CSR def→uses map (for each register,
@@ -150,11 +124,7 @@ pub fn dce_function_in(
     }
     // Propagate: a live def makes its operands live.
     let mut stats = DataflowStats::default();
-    if analyses.dense_dataflow() {
-        mark_dense(func, &mut scratch.live, &mut stats);
-    } else {
-        mark_sparse(func, scratch, &mut stats);
-    }
+    mark_sparse(func, scratch, &mut stats);
     analyses.dataflow.add(&stats);
     // Sweep.
     let live = &scratch.live;

@@ -8,7 +8,7 @@
 //! each tag, which register is known to hold the tag's current value. A
 //! later `sload` of an available tag becomes a register copy.
 
-use cfg::{BlockWorklist, DataflowStats, Direction, FunctionAnalyses};
+use cfg::{BlockWorklist, Cfg, DataflowStats, Direction, FunctionAnalyses};
 use ir::hash::FxHashMap;
 use ir::{Function, Instr, Module, Reg, TagId, TagSet};
 
@@ -130,9 +130,21 @@ pub fn loadelim_function_in(
     analyses: &mut FunctionAnalyses,
     scratch: &mut LoadelimScratch,
 ) -> usize {
-    let dense = analyses.dense_dataflow();
     let mut stats = DataflowStats::default();
     let cfg = analyses.cfg(func);
+    solve(func, cfg, scratch, &mut stats);
+    let rewrites = rewrite(func, cfg, scratch);
+    analyses.dataflow.add(&stats);
+    // Rewrites turn loads into copies in place: operand-only.
+    if rewrites > 0 {
+        analyses.note_body_changed();
+    }
+    rewrites
+}
+
+/// Solves the available-values problem into `scratch.input` with a sparse
+/// worklist: a block re-runs only when its input shrank.
+fn solve(func: &mut Function, cfg: &Cfg, scratch: &mut LoadelimScratch, stats: &mut DataflowStats) {
     scratch.begin(func.blocks.len());
     let LoadelimScratch {
         input,
@@ -141,63 +153,36 @@ pub fn loadelim_function_in(
         wl,
     } = scratch;
     input[func.entry.index()] = Some(pool.pop().unwrap_or_default());
-    if dense {
-        // Dense fixpoint: resweep every visited block until stable.
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in &cfg.rpo {
-                if input[b.index()].is_none() {
-                    continue;
-                }
-                facts.clear();
-                facts.extend(input[b.index()].as_ref().unwrap());
-                stats.blocks_visited += 1;
-                for instr in &mut func.block_mut(b).instrs {
-                    stats.transfer_evals += 1;
-                    transfer(instr, facts, false);
-                }
-                for s in &cfg.succs[b.index()] {
-                    if meet_into(&mut input[s.index()], facts, pool) {
-                        changed = true;
-                    }
-                }
-            }
+    wl.reset(cfg, Direction::Forward);
+    wl.push(func.entry, stats);
+    while let Some(b) = wl.pop(stats) {
+        facts.clear();
+        facts.extend(input[b.index()].as_ref().expect("queued implies visited"));
+        for instr in &mut func.block_mut(b).instrs {
+            stats.transfer_evals += 1;
+            transfer(instr, facts, false);
         }
-    } else {
-        // Sparse worklist: a block re-runs only when its input shrank.
-        wl.reset(cfg, Direction::Forward);
-        wl.push(func.entry, &mut stats);
-        while let Some(b) = wl.pop(&mut stats) {
-            facts.clear();
-            facts.extend(input[b.index()].as_ref().expect("queued implies visited"));
-            for instr in &mut func.block_mut(b).instrs {
-                stats.transfer_evals += 1;
-                transfer(instr, facts, false);
-            }
-            for &s in &cfg.succs[b.index()] {
-                if meet_into(&mut input[s.index()], facts, pool) {
-                    wl.push(s, &mut stats);
-                }
+        for &s in &cfg.succs[b.index()] {
+            if meet_into(&mut input[s.index()], facts, pool) {
+                wl.push(s, stats);
             }
         }
     }
-    // Rewrite.
+}
+
+/// Rewrites every load whose tag is available under the solved
+/// `scratch.input`; returns the number rewritten.
+fn rewrite(func: &mut Function, cfg: &Cfg, scratch: &mut LoadelimScratch) -> usize {
     let mut rewrites = 0;
     for &b in &cfg.rpo {
-        let Some(block_in) = input[b.index()].as_ref() else {
+        let Some(block_in) = scratch.input[b.index()].as_ref() else {
             continue;
         };
-        facts.clear();
-        facts.extend(block_in);
+        scratch.facts.clear();
+        scratch.facts.extend(block_in);
         for instr in &mut func.block_mut(b).instrs {
-            rewrites += transfer(instr, facts, true);
+            rewrites += transfer(instr, &mut scratch.facts, true);
         }
-    }
-    analyses.dataflow.add(&stats);
-    // Rewrites turn loads into copies in place: operand-only.
-    if rewrites > 0 {
-        analyses.note_body_changed();
     }
     rewrites
 }
@@ -216,7 +201,162 @@ pub fn loadelim(module: &mut Module) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ir::{BinOp, BlockId, FunctionBuilder, TagKind, TagTable};
     use vm::{Vm, VmOptions};
+
+    /// The dense fixpoint the sparse worklist replaced: every visited
+    /// block is swept again in reverse postorder until no input changes.
+    fn solve_dense(func: &mut Function, cfg: &Cfg, scratch: &mut LoadelimScratch) {
+        scratch.begin(func.blocks.len());
+        let LoadelimScratch {
+            input, pool, facts, ..
+        } = scratch;
+        input[func.entry.index()] = Some(pool.pop().unwrap_or_default());
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for &b in &cfg.rpo {
+                let Some(block_in) = input[b.index()].as_ref() else {
+                    continue;
+                };
+                facts.clear();
+                facts.extend(block_in);
+                for instr in &mut func.block_mut(b).instrs {
+                    transfer(instr, facts, false);
+                }
+                for s in &cfg.succs[b.index()] {
+                    changed |= meet_into(&mut input[s.index()], facts, pool);
+                }
+            }
+        }
+    }
+
+    /// Deterministic xorshift64* PRNG.
+    struct Rng(u64);
+
+    impl Rng {
+        fn new(seed: u64) -> Self {
+            Rng(seed ^ 0x9e37_79b9_7f4a_7c15)
+        }
+        fn next(&mut self) -> u64 {
+            let mut x = self.0;
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            self.0 = x;
+            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// Builds a function with random register dataflow, random multi-block
+    /// control flow (loops, irreducible tangles, and unreachable blocks
+    /// included), constant-guarded branches for SCCP to prune, and scalar
+    /// loads/stores through a small set of global tags for the memory
+    /// problems to chew on.
+    fn random_function(rng: &mut Rng, tags: &[TagId]) -> Function {
+        let arity = rng.below(3);
+        let mut b = FunctionBuilder::new("f", arity);
+        let nblocks = 1 + rng.below(7);
+        for _ in 1..nblocks {
+            b.new_block();
+        }
+        let mut regs: Vec<Reg> = (0..arity as u32).map(Reg).collect();
+        if regs.is_empty() {
+            b.switch_to(BlockId(0));
+            regs.push(b.iconst(1));
+        }
+        for bi in 0..nblocks {
+            b.switch_to(BlockId(bi as u32));
+            if b.is_terminated() {
+                continue;
+            }
+            for _ in 0..rng.below(8) {
+                let pick = |rng: &mut Rng, regs: &[Reg]| regs[rng.below(regs.len())];
+                match rng.below(7) {
+                    0 => regs.push(b.iconst(rng.below(100) as i64)),
+                    1 => {
+                        let (l, r) = (pick(rng, &regs), pick(rng, &regs));
+                        regs.push(b.binary(BinOp::Add, l, r));
+                    }
+                    2 => {
+                        // Redefine an existing register.
+                        let (d, l, r) = (pick(rng, &regs), pick(rng, &regs), pick(rng, &regs));
+                        b.emit(Instr::Binary {
+                            op: BinOp::Mul,
+                            dst: d,
+                            lhs: l,
+                            rhs: r,
+                        });
+                    }
+                    3 => {
+                        let s = pick(rng, &regs);
+                        regs.push(b.copy(s));
+                    }
+                    4 => regs.push(b.sload(tags[rng.below(tags.len())])),
+                    5 => {
+                        let s = pick(rng, &regs);
+                        b.sstore(s, tags[rng.below(tags.len())]);
+                    }
+                    _ => {
+                        let (d, s) = (pick(rng, &regs), pick(rng, &regs));
+                        b.emit(Instr::Copy { dst: d, src: s });
+                    }
+                }
+            }
+            // A quarter of branch conditions are fresh constants, so SCCP's
+            // executable-edge pruning actually fires on these inputs.
+            let v = if rng.below(4) == 0 {
+                b.iconst(rng.below(2) as i64)
+            } else {
+                regs[rng.below(regs.len())]
+            };
+            match rng.below(3) {
+                0 => b.ret(None),
+                1 => b.jump(BlockId(rng.below(nblocks) as u32)),
+                _ => b.branch(
+                    v,
+                    BlockId(rng.below(nblocks) as u32),
+                    BlockId(rng.below(nblocks) as u32),
+                ),
+            }
+        }
+        b.finish()
+    }
+
+    fn test_tags() -> (TagTable, Vec<TagId>) {
+        let mut tags = TagTable::new();
+        let ids = (0..3)
+            .map(|i| tags.intern(format!("g{i}"), TagKind::Global, 1))
+            .collect();
+        (tags, ids)
+    }
+
+    /// The sparse worklist is precision-equal to the dense fixpoint, so on
+    /// random functions (loops, irreducible tangles, unreachable blocks,
+    /// redefinitions) both must rewrite the same loads.
+    #[test]
+    fn sparse_loadelim_rewrites_identically_to_dense() {
+        let (_, tag_ids) = test_tags();
+        let mut rng = Rng::new(0xD1FF_0000_0000_0003);
+        for case in 0..300 {
+            let func = random_function(&mut rng, &tag_ids);
+            let mut f_sparse = func.clone();
+            let ns = loadelim_function(&mut f_sparse, &mut FunctionAnalyses::new());
+            let mut f_dense = func.clone();
+            let cfg = Cfg::build(&f_dense);
+            let mut scratch = LoadelimScratch::default();
+            solve_dense(&mut f_dense, &cfg, &mut scratch);
+            let nd = rewrite(&mut f_dense, &cfg, &mut scratch);
+            assert_eq!(ns, nd, "case {case}: loadelim rewrite counts diverged");
+            assert_eq!(
+                f_sparse, f_dense,
+                "case {case}: loadelim output diverged\n{func:?}"
+            );
+        }
+    }
 
     fn run_pair(src: &str) -> (vm::Outcome, vm::Outcome, usize) {
         let mut m = minic::compile(src).unwrap();

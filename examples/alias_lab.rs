@@ -36,8 +36,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "analysis", "loads", "stores", "promoted"
     );
     for level in AnalysisLevel::ALL {
-        let config = PipelineConfig::paper_variant(level, true);
-        let c = Session::from_config(config).compile_and_run(PROGRAM)?;
+        let builder = Session::builder().analysis(level).promote(true);
+        let c = builder.build().compile_and_run(PROGRAM)?;
         let (outcome, report) = (c.outcome.expect("outcome populated"), c.report);
         let note = match level {
             AnalysisLevel::AddressTaken => "p may touch anything addressed: hot stays ambiguous",

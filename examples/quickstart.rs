@@ -25,8 +25,10 @@ int main() {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("source:\n{PROGRAM}");
     for promote in [false, true] {
-        let config = PipelineConfig::paper_variant(AnalysisLevel::ModRef, promote);
-        let c = Session::from_config(config).compile_and_run(PROGRAM)?;
+        let builder = Session::builder()
+            .analysis(AnalysisLevel::ModRef)
+            .promote(promote);
+        let c = builder.build().compile_and_run(PROGRAM)?;
         let (outcome, report) = (c.outcome.expect("outcome populated"), c.report);
         println!(
             "promotion {:<3}  output={:?}  total={:>7}  loads={:>7}  stores={:>7}",

@@ -41,8 +41,10 @@
 //! "#;
 //! // The paper's experiment: same program, promotion off vs on.
 //! let run = |promote| -> Result<Outcome, Error> {
-//!     let config = PipelineConfig::paper_variant(AnalysisLevel::ModRef, promote);
-//!     Session::from_config(config)
+//!     Session::builder()
+//!         .analysis(AnalysisLevel::ModRef)
+//!         .promote(promote)
+//!         .build()
 //!         .compile(source)?
 //!         .run(VmOptions::default())
 //! };

@@ -7,14 +7,17 @@ fn run_pair(src: &str, k: Option<usize>) -> (vm::ExecCounts, vm::ExecCounts) {
     let mut counts = Vec::new();
     let mut output: Option<Vec<String>> = None;
     for promote in [false, true] {
-        let mut config = PipelineConfig::paper_variant(AnalysisLevel::ModRef, promote);
+        let mut builder = Session::builder()
+            .analysis(AnalysisLevel::ModRef)
+            .promote(promote);
         if let Some(k) = k {
-            config.regalloc = Some(AllocOptions {
+            builder = builder.regalloc(Some(AllocOptions {
                 num_regs: k,
                 ..Default::default()
-            });
+            }));
         }
-        let out = Session::from_config(config)
+        let out = builder
+            .build()
             .compile_and_run(src)
             .expect("run")
             .outcome

@@ -8,8 +8,8 @@ use driver::prelude::*;
 
 /// Compiles and executes through the Session API, returning the outcome
 /// and report pair the old tuple helpers used to.
-fn run_config(src: &str, config: PipelineConfig) -> Result<(Outcome, PipelineReport), Error> {
-    let c = Session::from_config(config).compile_and_run(src)?;
+fn run_config(src: &str, builder: SessionBuilder) -> Result<(Outcome, PipelineReport), Error> {
+    let c = builder.build().compile_and_run(src)?;
     Ok((c.outcome.expect("outcome populated"), c.report))
 }
 
@@ -56,11 +56,10 @@ fn expected_sum() -> i64 {
 #[test]
 fn pointer_promotion_keeps_b_i_in_a_register() {
     let src = figure3_source();
-    let scalar_only = PipelineConfig::paper_variant(AnalysisLevel::PointsTo, true);
-    let with_ptr = PipelineConfig {
-        pointer_promote: true,
-        ..scalar_only.clone()
-    };
+    let scalar_only = Session::builder()
+        .analysis(AnalysisLevel::PointsTo)
+        .promote(true);
+    let with_ptr = scalar_only.clone().pointer_promote(true);
     let (base, _) = run_config(&src, scalar_only.clone()).expect("scalar");
     let (ptr, report) = run_config(&src, with_ptr).expect("pointer");
     assert_eq!(base.output, ptr.output);
@@ -87,7 +86,10 @@ fn scalar_promotion_alone_cannot_do_this() {
     // The paper's point: the loop-based scalar algorithm does not promote
     // array references; only §3.3 catches B[i].
     let src = figure3_source();
-    let c = Session::from_config(PipelineConfig::paper_variant(AnalysisLevel::PointsTo, true))
+    let c = Session::builder()
+        .analysis(AnalysisLevel::PointsTo)
+        .promote(true)
+        .build()
         .compile(&src)
         .expect("compile");
     let (module, report) = (c.module, c.report);

@@ -5,8 +5,8 @@ use driver::prelude::*;
 
 /// Compiles and executes through the Session API, returning the outcome
 /// and report pair the old tuple helpers used to.
-fn run(src: &str, config: PipelineConfig) -> Result<(Outcome, PipelineReport), Error> {
-    let c = Session::from_config(config).compile_and_run(src)?;
+fn run(src: &str, builder: SessionBuilder) -> Result<(Outcome, PipelineReport), Error> {
+    let c = builder.build().compile_and_run(src)?;
     Ok((c.outcome.expect("outcome populated"), c.report))
 }
 
@@ -29,7 +29,9 @@ int main() {
 "#;
     // The FULL optimizer without promotion: value numbering, load
     // elimination, constant propagation, LICM, DCE, clean, allocation.
-    let no_promo = PipelineConfig::paper_variant(AnalysisLevel::PointsTo, false);
+    let no_promo = Session::builder()
+        .analysis(AnalysisLevel::PointsTo)
+        .promote(false);
     let (base, _) = run(src, no_promo).unwrap();
     assert!(
         base.counts.stores >= 1000,
@@ -37,7 +39,9 @@ int main() {
         base.counts.stores
     );
     // Promotion converts them to one store at the loop exit.
-    let promo = PipelineConfig::paper_variant(AnalysisLevel::PointsTo, true);
+    let promo = Session::builder()
+        .analysis(AnalysisLevel::PointsTo)
+        .promote(true);
     let (with, _) = run(src, promo).unwrap();
     assert_eq!(base.output, with.output);
     assert!(
@@ -56,8 +60,8 @@ fn modref_matches_pointer_analysis_where_the_paper_says_so() {
         let b = benchsuite::find(name).unwrap();
         let mut per_level = Vec::new();
         for level in [AnalysisLevel::ModRef, AnalysisLevel::PointsTo] {
-            let config = PipelineConfig::paper_variant(level, true);
-            let (out, _) = run(b.source, config).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let builder = Session::builder().analysis(level).promote(true);
+            let (out, _) = run(b.source, builder).unwrap_or_else(|e| panic!("{name}: {e}"));
             per_level.push((out.counts.loads, out.counts.stores));
         }
         assert_eq!(per_level[0], per_level[1], "{name}: modref == pointer");
@@ -117,8 +121,10 @@ int main() {
     return 0;
 }
 "#;
-    let config = PipelineConfig::paper_variant(AnalysisLevel::PointsTo, true);
-    let (out, report) = run(src, config).unwrap();
+    let builder = Session::builder()
+        .analysis(AnalysisLevel::PointsTo)
+        .promote(true);
+    let (out, report) = run(src, builder).unwrap();
     assert_eq!(out.output, vec!["100", "100"]);
     // Neither x nor y may be enregistered (either may be *p)... but the
     // pointer variable p itself is an unaliased global scalar, and
@@ -157,8 +163,10 @@ int main() {
     return 0;
 }
 "#;
-    let config = PipelineConfig::paper_variant(AnalysisLevel::ModRef, true);
-    let (out, _) = run(src, config).unwrap();
+    let builder = Session::builder()
+        .analysis(AnalysisLevel::ModRef)
+        .promote(true);
+    let (out, _) = run(src, builder).unwrap();
     assert_eq!(out.output, vec!["1000"]);
     // One load before the nest, one store after: not 10 or 100.
     assert!(out.counts.loads <= 5, "loads = {}", out.counts.loads);
@@ -185,8 +193,10 @@ int main() {
 }
 "#;
     // Promotion off so the access class is visible in the counts.
-    let config = PipelineConfig::paper_variant(AnalysisLevel::PointsTo, false);
-    let (out, _) = run(src, config).unwrap();
+    let builder = Session::builder()
+        .analysis(AnalysisLevel::PointsTo)
+        .promote(false);
+    let (out, _) = run(src, builder).unwrap();
     assert_eq!(out.output, vec!["45"]);
     assert_eq!(
         out.counts.ptr_loads, 0,

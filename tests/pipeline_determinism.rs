@@ -6,7 +6,7 @@
 //! spill tags are committed in function-index order — so it is checked
 //! across the whole benchmark suite at every figure variant.
 
-use driver::{PipelineConfig, PipelineReport};
+use driver::{PipelineReport, Session, SessionBuilder};
 
 fn counters(r: &PipelineReport) -> (usize, String, usize, usize, usize, usize, usize, usize) {
     (
@@ -21,24 +21,28 @@ fn counters(r: &PipelineReport) -> (usize, String, usize, usize, usize, usize, u
     )
 }
 
+/// Runs a session's pipeline over a copy of `base`.
+fn optimize(session: &Session, base: &ir::Module) -> (ir::Module, PipelineReport, String) {
+    let mut m = base.clone();
+    let (report, log) = session.optimize(&mut m).expect("pipeline output validates");
+    (m, report, log.to_jsonl())
+}
+
 #[test]
 fn parallel_pipeline_matches_sequential_everywhere() {
+    let variants: Vec<(&str, Vec<Session>)> = SessionBuilder::figure_variants()
+        .into_iter()
+        .map(|(label, builder)| {
+            let at = |n| builder.clone().threads(Some(n)).build();
+            (label, vec![at(1), at(2), at(8)])
+        })
+        .collect();
     for b in benchsuite::SUITE {
         let base = minic::compile(b.source).unwrap_or_else(|e| panic!("{}: {e}", b.name));
-        for (label, config) in PipelineConfig::figure_variants() {
-            let sequential = PipelineConfig {
-                threads: Some(1),
-                ..config.clone()
-            };
-            let mut m_seq = base.clone();
-            let r_seq = driver::run_pipeline(&mut m_seq, &sequential);
-            for workers in [2usize, 8] {
-                let parallel = PipelineConfig {
-                    threads: Some(workers),
-                    ..config.clone()
-                };
-                let mut m_par = base.clone();
-                let r_par = driver::run_pipeline(&mut m_par, &parallel);
+        for (label, sessions) in &variants {
+            let (m_seq, r_seq, _) = optimize(&sessions[0], &base);
+            for (session, workers) in sessions[1..].iter().zip([2, 8]) {
+                let (m_par, r_par, _) = optimize(session, &base);
                 assert_eq!(
                     m_seq.to_string(),
                     m_par.to_string(),
@@ -63,21 +67,17 @@ fn parallel_pipeline_matches_sequential_everywhere() {
 /// scheduling must not be observable.
 #[test]
 fn remark_streams_are_identical_across_worker_counts() {
+    let sessions: Vec<(usize, Session)> = [1, 2, 8]
+        .into_iter()
+        .map(|n| (n, Session::builder().threads(Some(n)).trace(true).build()))
+        .collect();
     let mut suite_records = 0usize;
     for b in benchsuite::SUITE {
         let base = minic::compile(b.source).unwrap_or_else(|e| panic!("{}: {e}", b.name));
         let mut reference: Option<String> = None;
-        for workers in [1usize, 2, 8] {
-            let pool = driver::WorkerPool::new(workers);
-            let config = PipelineConfig {
-                threads: Some(workers),
-                trace: true,
-                ..Default::default()
-            };
-            let mut m = base.clone();
-            let (_, log) = driver::run_pipeline_traced(&mut m, &config, &pool);
-            suite_records += log.len();
-            let jsonl = log.to_jsonl();
+        for (workers, session) in &sessions {
+            let (_, _, jsonl) = optimize(session, &base);
+            suite_records += jsonl.lines().count();
             match &reference {
                 None => reference = Some(jsonl),
                 Some(r) => assert_eq!(
@@ -98,21 +98,7 @@ fn env_override_is_equivalent_to_explicit() {
     assert_eq!(driver::resolve_threads(Some(6)), 6);
     let b = &benchsuite::SUITE[0];
     let base = minic::compile(b.source).expect("compile");
-    let mut with_auto = base.clone();
-    driver::run_pipeline(
-        &mut with_auto,
-        &PipelineConfig {
-            threads: None,
-            ..Default::default()
-        },
-    );
-    let mut with_one = base.clone();
-    driver::run_pipeline(
-        &mut with_one,
-        &PipelineConfig {
-            threads: Some(1),
-            ..Default::default()
-        },
-    );
+    let (with_auto, _, _) = optimize(&Session::builder().threads(None).build(), &base);
+    let (with_one, _, _) = optimize(&Session::builder().threads(Some(1)).build(), &base);
     assert_eq!(with_auto.to_string(), with_one.to_string());
 }

@@ -10,52 +10,39 @@
 use analysis::AnalysisLevel;
 use driver::prelude::*;
 
-fn all_variants() -> Vec<(String, PipelineConfig)> {
-    let mut v: Vec<(String, PipelineConfig)> =
-        PipelineConfig::figure_variants().into_iter().collect();
+fn all_variants() -> Vec<(&'static str, SessionBuilder)> {
+    let mut v = SessionBuilder::figure_variants().to_vec();
     // Extra arms beyond the paper: weakest analysis, Steensgaard, pointer
     // promotion, no optimization at all, tiny register file.
+    let promoting = |level| Session::builder().analysis(level).promote(true);
+    v.push(("addrtaken/with", promoting(AnalysisLevel::AddressTaken)));
+    v.push(("steens/with", promoting(AnalysisLevel::Steensgaard)));
     v.push((
-        "addrtaken/with".into(),
-        PipelineConfig::paper_variant(AnalysisLevel::AddressTaken, true),
+        "pointer/with+ptrpromo",
+        promoting(AnalysisLevel::PointsTo).pointer_promote(true),
     ));
     v.push((
-        "steens/with".into(),
-        PipelineConfig::paper_variant(AnalysisLevel::Steensgaard, true),
+        "no-opt",
+        Session::builder()
+            .optimize(false)
+            .promote(false)
+            .regalloc(None),
     ));
     v.push((
-        "pointer/with+ptrpromo".into(),
-        PipelineConfig {
-            pointer_promote: true,
-            ..PipelineConfig::paper_variant(AnalysisLevel::PointsTo, true)
-        },
-    ));
-    v.push((
-        "no-opt".into(),
-        PipelineConfig {
-            optimize: false,
-            promote: false,
-            regalloc: None,
+        "tight-registers",
+        promoting(AnalysisLevel::PointsTo).regalloc(Some(regalloc::AllocOptions {
+            num_regs: 8,
             ..Default::default()
-        },
-    ));
-    v.push((
-        "tight-registers".into(),
-        PipelineConfig {
-            regalloc: Some(regalloc::AllocOptions {
-                num_regs: 8,
-                ..Default::default()
-            }),
-            ..PipelineConfig::paper_variant(AnalysisLevel::PointsTo, true)
-        },
+        })),
     ));
     v
 }
 
 fn check_program(name: &str, src: &str) {
-    let mut reference: Option<(String, Vec<String>)> = None;
-    for (label, config) in all_variants() {
-        let out = Session::from_config(config)
+    let mut reference: Option<(&str, Vec<String>)> = None;
+    for (label, builder) in all_variants() {
+        let out = builder
+            .build()
             .compile_and_run(src)
             .unwrap_or_else(|e| panic!("{name} [{label}]: {e}"))
             .outcome

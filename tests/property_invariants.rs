@@ -175,8 +175,9 @@ fn pipeline_preserves_behaviour_on_random_programs() {
     for _case in 0..48 {
         let src = random_program(&mut rng);
         let mut reference: Option<Vec<String>> = None;
-        for (label, config) in driver::PipelineConfig::figure_variants() {
-            let out = driver::Session::from_config(config)
+        for (label, builder) in driver::SessionBuilder::figure_variants() {
+            let out = builder
+                .build()
                 .compile_and_run(&src)
                 .unwrap_or_else(|e| panic!("{label} on\n{src}\n: {e}"))
                 .outcome

@@ -8,8 +8,10 @@ use analysis::AnalysisLevel;
 use driver::prelude::*;
 
 fn promoted_tags(src: &str, level: AnalysisLevel) -> (usize, Vec<String>) {
-    let config = PipelineConfig::paper_variant(level, true);
-    let c = Session::from_config(config)
+    let c = Session::builder()
+        .analysis(level)
+        .promote(true)
+        .build()
         .compile_and_run(src)
         .expect("pipeline");
     let out = c.outcome.expect("outcome populated");
