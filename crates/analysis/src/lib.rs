@@ -150,8 +150,8 @@ pub fn analyze(module: &mut Module, level: AnalysisLevel) -> AnalysisOutcome {
 
 /// [`analyze`] with optional per-function trace buffers (one per function,
 /// module index order). Only the `PointsToSsa` level currently emits
-/// events — the SSA construction/destruction deltas of its per-name
-/// analysis round trip.
+/// events: its per-name analysis round trip runs SSA construction and
+/// destruction as `ssa-construct` and `ssa-destruct` trace stages.
 pub fn analyze_traced(
     module: &mut Module,
     level: AnalysisLevel,
@@ -219,15 +219,10 @@ pub fn analyze_traced(
                 .iter()
                 .map(|_| cfg::FunctionAnalyses::new())
                 .collect();
+            let mut off = trace::FuncTrace::off();
             for (fi, (f, fa)) in module.funcs.iter_mut().zip(&mut caches).enumerate() {
-                match traces.as_deref_mut() {
-                    Some(ts) => {
-                        ssa::construct_in_traced(f, fa, &mut ts[fi]);
-                    }
-                    None => {
-                        ssa::construct_in(f, fa);
-                    }
-                }
+                let tr = traces.as_deref_mut().map_or(&mut off, |ts| &mut ts[fi]);
+                tr.stage("ssa-construct", f, |f, _| (ssa::construct_in(f, fa), true));
             }
             let pt = points_to_analyze_with(module, &mut dataflow);
             points_to_apply(module, &pt);
@@ -236,14 +231,8 @@ pub fn analyze_traced(
             let graph = CallGraph::build(module, Some(&targets));
             let modref = compute_and_apply_with_sites(module, &graph, Some(&sites));
             for (fi, (f, fa)) in module.funcs.iter_mut().zip(&mut caches).enumerate() {
-                match traces.as_deref_mut() {
-                    Some(ts) => {
-                        ssa::destruct_in_traced(f, fa, &mut ts[fi]);
-                    }
-                    None => {
-                        ssa::destruct_in(f, fa);
-                    }
-                }
+                let tr = traces.as_deref_mut().map_or(&mut off, |ts| &mut ts[fi]);
+                tr.stage("ssa-destruct", f, |f, _| (ssa::destruct_in(f, fa), true));
             }
             (graph, modref)
         }

@@ -13,7 +13,7 @@ use driver::{measure_program, Metric};
 fn main() {
     for name in ["dhrystone", "bison"] {
         let b = benchsuite::find(name).expect("suite program");
-        let rows = measure_program(b.name, b.source);
+        let rows = measure_program(b.name, b.source).expect("suite program compiles and runs");
         println!("{name}: {}", b.paper_expectation);
         for row in &rows {
             println!("  {}", row.format(Metric::TotalOps));

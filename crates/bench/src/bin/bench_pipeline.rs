@@ -25,7 +25,8 @@
 //!
 //! An unknown flag, a second output path, or a missing or unparsable
 //! value prints this usage and exits with status 2, so a misspelled gate
-//! can never be dropped silently.
+//! can never be dropped silently. An output file that cannot be written
+//! is reported as `bench_pipeline: <path>: <error>`, also with status 2.
 //!
 //! With `--max-2t-slowdown X` the process exits nonzero if the 2-worker
 //! total is more than `X` times the sequential total — the CI regression
@@ -99,6 +100,7 @@
 use bench_harness::timing::measure;
 use driver::{run_pipeline_in, Session, WorkerPool};
 use std::fmt::Write as _;
+use std::path::Path;
 use trace::AllocStats;
 
 /// Count every allocation the benchmark makes, so the per-pass and
@@ -635,9 +637,16 @@ fn main() {
         let _ = writeln!(json, "    }}{comma}");
     }
     json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, &json).expect("write benchmark output");
-    let remarks_path = std::path::Path::new(&out_path).with_file_name("BENCH_remarks.jsonl");
-    std::fs::write(&remarks_path, &remarks_jsonl).expect("write remarks artifact");
+    let remarks_path = Path::new(&out_path).with_file_name("BENCH_remarks.jsonl");
+    for (path, contents) in [
+        (Path::new(&out_path), &json),
+        (&remarks_path, &remarks_jsonl),
+    ] {
+        if let Err(e) = std::fs::write(path, contents) {
+            eprintln!("bench_pipeline: {}: {e}", path.display());
+            std::process::exit(2);
+        }
+    }
 
     println!("pipeline benchmark ({cores} core(s) available), min of {ITERS} iters:");
     for (i, (&t, total)) in sweep.iter().zip(&totals).enumerate() {

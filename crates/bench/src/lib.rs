@@ -38,21 +38,22 @@ fn run_config(src: &str, builder: SessionBuilder, context: &str) -> Outcome {
 
 /// Runs the paper's 2×2 experiment over the whole suite (or a named
 /// subset), returning rows in suite order. Programs are measured
-/// concurrently (one worker per core, via [`driver::parallel_map`]);
+/// concurrently (one worker per core, on a [`driver::WorkerPool`]);
 /// results come back in suite order, so every table is reproducible.
 pub fn measure_suite(only: Option<&str>) -> Vec<MeasurementRow> {
     let programs: Vec<_> = benchsuite::SUITE
         .iter()
         .filter(|b| only.map_or(true, |name| b.name == name))
         .collect();
-    let threads = driver::resolve_threads(None);
-    driver::parallel_map(programs, threads, |_, b| {
-        eprintln!("measuring {} ...", b.name);
-        measure_program(b.name, b.source)
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    let threads = driver::resolve_threads(None).min(programs.len());
+    driver::WorkerPool::new(threads)
+        .run(programs, |_, b| {
+            eprintln!("measuring {} ...", b.name);
+            measure_program(b.name, b.source).expect("suite program compiles and runs")
+        })
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 /// Renders one figure for previously measured rows.

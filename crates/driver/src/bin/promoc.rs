@@ -181,7 +181,7 @@ fn cmd_compile(path: &str, opts: Options) -> Result<(), String> {
 }
 
 fn cmd_measure(name: &str, source: &str) -> Result<(), String> {
-    let rows = measure_program(name, source);
+    let rows = measure_program(name, source).map_err(|e| e.to_string())?;
     for metric in [Metric::TotalOps, Metric::Stores, Metric::Loads] {
         println!("{}", driver::render_figure(metric, &rows));
     }

@@ -15,6 +15,19 @@ pub enum Error {
     Validate(ir::ValidateError),
     /// The VM faulted while executing the compiled program.
     Vm(vm::VmError),
+    /// The register allocator's file cannot hold the module: it needs at
+    /// least two registers, and at least as many as any function needs at
+    /// once (its parameters, or the operands of one instruction). Checked
+    /// before the pipeline runs.
+    Registers {
+        /// The configured register count.
+        num_regs: usize,
+        /// The smallest register count the module allows.
+        needed: usize,
+        /// The function that sets `needed`, unless it is the two-register
+        /// floor.
+        func: Option<String>,
+    },
 }
 
 impl fmt::Display for Error {
@@ -23,6 +36,17 @@ impl fmt::Display for Error {
             Error::Front(e) => write!(f, "front end: {e}"),
             Error::Validate(e) => write!(f, "invalid IL: {e}"),
             Error::Vm(e) => write!(f, "vm fault: {e}"),
+            Error::Registers {
+                num_regs,
+                needed,
+                func,
+            } => {
+                write!(f, "register allocation needs at least {needed} registers")?;
+                if let Some(func) = func {
+                    write!(f, " for @{func}")?;
+                }
+                write!(f, ", got {num_regs}")
+            }
         }
     }
 }
@@ -33,6 +57,7 @@ impl std::error::Error for Error {
             Error::Front(e) => Some(e),
             Error::Validate(e) => Some(e),
             Error::Vm(e) => Some(e),
+            Error::Registers { .. } => None,
         }
     }
 }

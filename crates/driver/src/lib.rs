@@ -53,7 +53,7 @@ mod session;
 
 pub use error::Error;
 pub use incremental::{FuncCache, IncrementalReport, DEFAULT_CACHE_BUDGET};
-pub use parallel::{parallel_map, resolve_threads, WorkerPool};
+pub use parallel::{resolve_threads, WorkerPool};
 pub use pipeline::{run_pipeline_in, PassTiming, PassTimings, PipelineConfig, PipelineReport};
 pub use report::{measure_program, render_figure, MeasurementRow, Metric};
 pub use scratch::PassScratch;

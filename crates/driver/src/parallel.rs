@@ -368,58 +368,10 @@ where
     }
 }
 
-/// Applies `f` to every item on a throwaway pool of up to `threads`
-/// workers, returning results in item order. Convenience wrapper for
-/// one-shot callers; anything that fans out repeatedly should create a
-/// [`WorkerPool`] once and call [`WorkerPool::run`].
-///
-/// # Panics
-///
-/// Propagates the first worker panic.
-pub fn parallel_map<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    if threads <= 1 || items.len() <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, item)| f(i, item))
-            .collect();
-    }
-    WorkerPool::new(threads.min(items.len())).run(items, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn results_stay_in_order() {
-        let items: Vec<usize> = (0..100).collect();
-        for threads in [1, 2, 8] {
-            let out = parallel_map(items.clone(), threads, |i, x| {
-                assert_eq!(i, x);
-                x * 3
-            });
-            assert_eq!(out, (0..100).map(|x| x * 3).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn more_threads_than_items() {
-        let out = parallel_map(vec![7usize, 8], 16, |_, x| x + 1);
-        assert_eq!(out, vec![8, 9]);
-    }
-
-    #[test]
-    fn empty_input() {
-        let out: Vec<usize> = parallel_map(Vec::<usize>::new(), 4, |_, x| x);
-        assert!(out.is_empty());
-    }
 
     #[test]
     fn explicit_thread_count_wins() {

@@ -126,21 +126,6 @@ pub struct PassTimings {
 }
 
 impl PassTimings {
-    fn record(
-        &mut self,
-        name: &'static str,
-        elapsed: Duration,
-        cpu_summed: bool,
-        allocs: AllocStats,
-    ) {
-        self.passes.push(PassTiming {
-            name,
-            elapsed,
-            cpu_summed,
-            allocs,
-        });
-    }
-
     /// Total across all recorded passes (wall and CPU-summed rows mixed;
     /// an upper bound on pipeline wall time).
     pub fn total(&self) -> Duration {
@@ -207,19 +192,6 @@ fn validate_if(module: &Module, enabled: bool, pass: &str) {
     }
 }
 
-fn timed<R>(timings: &mut PassTimings, name: &'static str, f: impl FnOnce() -> R) -> R {
-    let start = Instant::now();
-    let before = AllocStats::now();
-    let r = f();
-    timings.record(
-        name,
-        start.elapsed(),
-        false,
-        AllocStats::now().since(&before),
-    );
-    r
-}
-
 /// Which functions sit on call-graph cycles (recursion blocks promotion of
 /// their locals). Derived from the call graph the analysis barrier already
 /// built — the pipeline never reconstructs it.
@@ -246,66 +218,50 @@ pub(crate) struct FuncOutcome {
     pub(crate) dce_removed: usize,
     pub(crate) cleaned: usize,
     pub(crate) alloc: Option<(AllocReport, Vec<PendingSpill>)>,
-    pub(crate) timings: Vec<(&'static str, Duration, AllocStats)>,
+    pub(crate) timings: Vec<StageRow>,
 }
 
-/// Per-function pass clock used inside the fused worker. Each stage also
-/// snapshots the process-wide allocation counters, so binaries that
-/// install [`trace::CountingAlloc`] get per-pass allocator traffic for
-/// free (everyone else records zeros — the snapshot is two relaxed atomic
-/// loads).
-#[derive(Default)]
-struct StageClock {
-    rows: Vec<(&'static str, Duration, AllocStats)>,
+/// One timed stage: its label, wall time, and allocator traffic.
+type StageRow = (&'static str, Duration, AllocStats);
+
+/// Runs `f` and appends its row to `rows`: the one clock behind the
+/// barriers' and the fused chain's [`PassTimings`] rows. The allocation
+/// snapshot is two relaxed atomic loads, so binaries that install
+/// [`trace::CountingAlloc`] get per-pass allocator traffic for free
+/// (everyone else records zeros).
+fn timed<R>(rows: &mut Vec<StageRow>, name: &'static str, f: impl FnOnce() -> R) -> R {
+    let start = Instant::now();
+    let before = AllocStats::now();
+    let r = f();
+    rows.push((name, start.elapsed(), AllocStats::now().since(&before)));
+    r
 }
 
-impl StageClock {
-    /// Room for every stage label the fused chain can emit, so the row
-    /// vector is one exact allocation instead of a doubling chain.
-    fn new() -> StageClock {
-        StageClock {
-            rows: Vec::with_capacity(16),
-        }
-    }
-
-    fn timed<R>(&mut self, name: &'static str, f: impl FnOnce() -> R) -> R {
-        let start = Instant::now();
-        let before = AllocStats::now();
-        let r = f();
-        self.rows
-            .push((name, start.elapsed(), AllocStats::now().since(&before)));
-        r
-    }
-}
-
-/// Mid-chain loop renormalization with the trace's stats cache kept
-/// coherent: when renormalization actually changes the body (landing-pad
-/// / preheader insertion, unreachable-block removal), the change is
-/// recorded as a `normalize` delta and the cache refreshed. The change
-/// check is a cheap structural signature — block count plus total
-/// instruction count — because normalization only inserts and deletes
-/// whole blocks and jumps, never rewrites an instruction in place; in
-/// the usual case (already normal, nothing to do) the signature is
-/// unchanged and no body scan happens at all.
-fn normalize_in_traced(
-    func: &mut ir::Function,
-    analyses: &mut cfg::FunctionAnalyses,
+/// An `opt` pass as a trace stage. Every such pass returns the number of
+/// changes it made, and 0 only when it left the body untouched, so the
+/// count is the stage's change flag.
+fn opt_pass(
     tr: &mut FuncTrace,
-) {
-    if !tr.enabled() {
-        cfg::normalize_loops_in(func, analyses);
-        return;
-    }
-    let signature = |f: &ir::Function| {
-        (
-            f.blocks.len(),
-            f.blocks.iter().map(|b| b.instrs.len()).sum::<usize>(),
-        )
-    };
-    let sig_before = signature(func);
-    opt::with_delta("normalize", func, tr, |f| {
-        cfg::normalize_loops_in(f, analyses);
-        usize::from(signature(f) != sig_before)
+    pass: &'static str,
+    func: &mut ir::Function,
+    run: impl FnOnce(&mut ir::Function) -> usize,
+) -> usize {
+    tr.stage(pass, func, |f, _| {
+        let n = run(f);
+        (n, n != 0)
+    })
+}
+
+/// Loop normalization as a `normalize` trace stage. Normalization reports
+/// each edit it makes (a landing pad or exit block inserted, an
+/// unreachable block removed) to the analysis cache as a shape change, so
+/// an unchanged body version means an untouched body: in the usual case
+/// (already normal, nothing to do) no body scan happens at all.
+fn normalize(func: &mut ir::Function, fa: &mut cfg::FunctionAnalyses, tr: &mut FuncTrace) {
+    tr.stage("normalize", func, |f, _| {
+        let version = fa.body_version();
+        cfg::normalize_loops_in(f, fa);
+        ((), fa.body_version() != version)
     });
 }
 
@@ -328,53 +284,71 @@ fn run_fused_chain(
     scratch: &mut PassScratch,
     tr: &mut FuncTrace,
 ) -> FuncOutcome {
-    let mut clock = StageClock::new();
+    // Room for every stage label the chain can emit, so the row vector
+    // is one exact allocation instead of a doubling chain.
+    let mut rows = Vec::with_capacity(16);
     let mut o = FuncOutcome {
-        strengthened: clock.timed("strengthen", || {
-            opt::strengthen_function_traced(tags, func, fid, recursive, fa, tr)
+        strengthened: timed(&mut rows, "strengthen", || {
+            opt_pass(tr, "strengthen", func, |f| {
+                opt::strengthen_function(tags, f, fid, recursive, fa)
+            })
         }),
         ..Default::default()
     };
     if config.promote {
         let cap = config.promotion_cap;
-        o.scalar = clock.timed("promote", || {
-            normalize_in_traced(func, fa, tr);
-            promote::promote_scalars_in_func_traced(tags, func, fid, recursive, cap, fa, tr)
+        o.scalar = timed(&mut rows, "promote", || {
+            normalize(func, fa, tr);
+            tr.stage("promote", func, |f, tr| {
+                let r = promote::promote_scalars_in_func(tags, f, fid, recursive, cap, fa, tr);
+                (r, true)
+            })
         });
     }
+    let s = &mut scratch.opt;
     if config.optimize {
-        o.lvn_rewrites += clock.timed("lvn", || {
-            opt::lvn_function_traced(func, fa, &mut scratch.opt.lvn, tr)
+        o.lvn_rewrites += timed(&mut rows, "lvn", || {
+            opt_pass(tr, "lvn", func, |f| opt::lvn_function_in(f, fa, &mut s.lvn))
         });
-        o.loads_eliminated = clock.timed("loadelim", || {
-            opt::loadelim_function_traced(func, fa, &mut scratch.opt.loadelim, tr)
+        o.loads_eliminated = timed(&mut rows, "loadelim", || {
+            opt_pass(tr, "loadelim", func, |f| {
+                opt::loadelim_function_in(f, fa, &mut s.loadelim)
+            })
         });
-        o.constants_folded = clock.timed("constprop", || {
-            opt::constprop_function_traced(func, fa, &mut scratch.opt.constprop, tr)
+        o.constants_folded = timed(&mut rows, "constprop", || {
+            opt_pass(tr, "constprop", func, |f| {
+                opt::constprop_function_in(f, fa, &mut s.constprop)
+            })
         });
-        o.licm_moved = clock.timed("licm", || {
-            normalize_in_traced(func, fa, tr);
-            opt::licm_function_traced(func, fa, &mut scratch.opt.licm, tr)
+        o.licm_moved = timed(&mut rows, "licm", || {
+            normalize(func, fa, tr);
+            opt_pass(tr, "licm", func, |f| {
+                opt::licm_function_in(f, fa, &mut s.licm)
+            })
         });
     }
     if config.pointer_promote {
         // LICM has hoisted invariant base addresses; normalize again in
         // case earlier folding perturbed loop shapes (a no-op — and zero
         // rebuilds — when they did not).
-        o.pointer = clock.timed("pointer-promote", || {
-            normalize_in_traced(func, fa, tr);
-            promote::promote_pointers_in_func_traced(func, fa, tr)
+        o.pointer = timed(&mut rows, "pointer-promote", || {
+            normalize(func, fa, tr);
+            tr.stage("pointer-promote", func, |f, tr| {
+                (promote::promote_pointers_in_func(f, fa, tr), true)
+            })
         });
     }
     if config.optimize {
-        o.lvn_rewrites += clock.timed("lvn(2)", || {
-            opt::lvn_function_traced(func, fa, &mut scratch.opt.lvn, tr)
+        o.lvn_rewrites += timed(&mut rows, "lvn(2)", || {
+            opt_pass(tr, "lvn", func, |f| opt::lvn_function_in(f, fa, &mut s.lvn))
         });
-        o.dce_removed = clock.timed("dce", || {
-            opt::dce_function_traced(func, fa, &mut scratch.opt.dce, tr)
+        o.dce_removed = timed(&mut rows, "dce", || {
+            opt_pass(tr, "dce", func, |f| opt::dce_function_in(f, fa, &mut s.dce))
         });
-        o.cleaned += clock.timed("clean", || {
-            opt::clean_function_traced(func, fa, &mut scratch.opt.clean, tr)
+        o.cleaned += timed(&mut rows, "clean", || {
+            opt_pass(tr, "clean", func, |f| {
+                opt::clean_function_in(f, fa, &mut s.clean)
+            })
         });
     }
     if let Some(opts) = &config.regalloc {
@@ -382,30 +356,28 @@ fn run_fused_chain(
         // needed spill tags as provisional ids. The sequential
         // function-index-order commit after the barrier reproduces the
         // exact tag table (ids and names) of a sequential run.
-        let r = clock.timed("regalloc", || {
+        let r = timed(&mut rows, "regalloc", || {
             let mut pending = Vec::new();
-            let r = regalloc::allocate_function_core_traced(
-                tags,
-                func,
-                fid,
-                opts,
-                &mut pending,
-                fa,
-                &mut scratch.alloc,
-                tr,
-            );
+            let r = tr.stage("regalloc", func, |f, tr| {
+                let alloc = &mut scratch.alloc;
+                let r =
+                    regalloc::allocate_function_in(tags, f, fid, opts, &mut pending, fa, alloc, tr);
+                (r, true)
+            });
             (r, pending)
         });
         o.alloc = Some(r);
         if config.optimize {
             // Block cleaning is tag-agnostic, so it can run before the
             // provisional spill tags are interned.
-            o.cleaned += clock.timed("clean(final)", || {
-                opt::clean_function_traced(func, fa, &mut scratch.opt.clean, tr)
+            o.cleaned += timed(&mut rows, "clean(final)", || {
+                opt_pass(tr, "clean", func, |f| {
+                    opt::clean_function_in(f, fa, &mut s.clean)
+                })
             });
         }
     }
-    o.timings = clock.rows;
+    o.timings = rows;
     o
 }
 
@@ -421,20 +393,7 @@ pub fn run_pipeline_in(
     config: &PipelineConfig,
     pool: &WorkerPool,
 ) -> PipelineReport {
-    run_pipeline_traced(module, config, pool).0
-}
-
-/// [`run_pipeline_in`] returning the structured [`TraceLog`] alongside the
-/// report. The log is empty unless `config.trace` is set; when it is,
-/// events are buffered per function inside the worker that owns the
-/// function and assembled here in function-index order, so the log is
-/// byte-identical at any pool size.
-pub(crate) fn run_pipeline_traced(
-    module: &mut Module,
-    config: &PipelineConfig,
-    pool: &WorkerPool,
-) -> (PipelineReport, TraceLog) {
-    run_pipeline_core(module, config, pool, None)
+    run_pipeline_core(module, config, pool, None).0
 }
 
 /// The incremental context a cache-backed run threads through the core:
@@ -450,11 +409,15 @@ pub(crate) struct IncrementalRun<'a> {
 }
 
 /// The one pipeline body behind both the plain and the incremental entry
-/// points. With `incr` set, functions whose fingerprints match the cache
-/// are spliced instead of recompiled and the fused fan-out covers only
-/// the residual set; the sequential epilogue (spill commit, counter and
-/// trace assembly in function-index order) is identical either way, which
-/// is what keeps warm output byte-identical to cold.
+/// points, returning the structured [`TraceLog`] beside the report. The
+/// log is empty unless `config.trace` is set; when it is, events are
+/// buffered per function inside the worker that owns the function and
+/// assembled in function-index order, so the log is byte-identical at any
+/// pool size. With `incr` set, functions whose fingerprints match the
+/// cache are spliced instead of recompiled and the fused fan-out covers
+/// only the residual set; the sequential epilogue (spill commit, counter
+/// and trace assembly in function-index order) is identical either way,
+/// which is what keeps warm output byte-identical to cold.
 pub(crate) fn run_pipeline_core(
     module: &mut Module,
     config: &PipelineConfig,
@@ -463,7 +426,6 @@ pub(crate) fn run_pipeline_core(
 ) -> (PipelineReport, TraceLog) {
     let v = config.validate_each_pass;
     let mut report = PipelineReport::default();
-    let mut timings = PassTimings::default();
     // One analysis cache per function, alive from normalization to the
     // final clean: every pass both consumes it and reports what it
     // invalidated, so converged passes cost zero rebuilds downstream. The
@@ -483,34 +445,26 @@ pub(crate) fn run_pipeline_core(
             }
         })
         .collect();
-    timed(&mut timings, "normalize", || {
+    // The barriers' rows, then the chain's rows summed by pass name.
+    let mut rows: Vec<StageRow> = Vec::new();
+    timed(&mut rows, "normalize", || {
         let items: Vec<_> = module
             .funcs
             .iter_mut()
             .zip(analyses.iter_mut())
             .zip(traces.iter_mut())
             .collect();
-        pool.run(items, |_, ((f, fa), tr)| {
-            let before = tr.enabled().then(|| f.body_stats());
-            cfg::normalize_loops_in(f, fa);
-            if let Some(before) = before {
-                let after = f.body_stats();
-                let (i, l, s) = before.delta(&after);
-                tr.delta("normalize", i, l, s);
-                // Seed the stats cache so the chain's first delta stage
-                // starts from this scan instead of redoing it.
-                tr.set_stats((after.instrs, after.loads, after.stores));
-            }
-        });
+        pool.run(items, |_, ((f, fa), tr)| normalize(f, fa, tr));
     });
     validate_if(module, v, "normalize");
-    let outcome = timed(&mut timings, "analysis", || {
+    let outcome = timed(&mut rows, "analysis", || {
         analysis::analyze_traced(
             module,
             config.analysis,
             config.trace.then_some(traces.as_mut_slice()),
         )
     });
+    let barrier_rows = rows.len();
     report.analysis_stats = Some(outcome.stats);
     report.dataflow_stats.add(&outcome.dataflow);
     validate_if(module, v, "analysis");
@@ -603,7 +557,6 @@ pub(crate) fn run_pipeline_core(
     // chain order).
     let commit_start = Instant::now();
     let mut alloc_total: Option<AllocReport> = None;
-    let mut pass_totals: Vec<(&'static str, Duration, AllocStats)> = Vec::new();
     for (fi, o) in outcomes.into_iter().enumerate() {
         let o = o.expect("every function has a chain or cache outcome");
         // Memoize fresh chain output before the spill commit rewrites the
@@ -642,12 +595,12 @@ pub(crate) fn run_pipeline_core(
             total.rounds += r.rounds;
         }
         for (name, d, a) in o.timings {
-            match pass_totals.iter_mut().find(|(n, _, _)| *n == name) {
+            match rows[barrier_rows..].iter_mut().find(|(n, _, _)| *n == name) {
                 Some(entry) => {
                     entry.1 += d;
                     entry.2.merge(&a);
                 }
-                None => pass_totals.push((name, d, a)),
+                None => rows.push((name, d, a)),
             }
         }
     }
@@ -658,18 +611,23 @@ pub(crate) fn run_pipeline_core(
     }
     pool.return_analyses(analyses);
     let commit_elapsed = commit_start.elapsed();
-    for (name, d, a) in pass_totals {
-        // The spill-tag commit is the sequential tail of allocation;
-        // account it there rather than inventing a pass label.
-        let d = if name == "regalloc" {
-            d + commit_elapsed
-        } else {
-            d
-        };
-        timings.record(name, d, true, a);
-    }
+    report.timings.passes = rows
+        .into_iter()
+        .enumerate()
+        .map(|(i, (name, elapsed, allocs))| PassTiming {
+            name,
+            // The spill-tag commit is the sequential tail of allocation;
+            // account it there rather than inventing a pass label.
+            elapsed: if name == "regalloc" {
+                elapsed + commit_elapsed
+            } else {
+                elapsed
+            },
+            cpu_summed: i >= barrier_rows,
+            allocs,
+        })
+        .collect();
     validate_if(module, v, "fused per-function chain");
-    report.timings = timings;
     if let Some(run) = incr.as_mut() {
         let rep = incr_report.as_mut().expect("incremental report started");
         rep.evictions = run.cache.evict_to_budget();

@@ -6,6 +6,7 @@
 //! [`measure_program`] produces the four-variant matrix for a source
 //! program.
 
+use crate::error::Error;
 use crate::session::Session;
 use analysis::AnalysisLevel;
 use vm::ExecCounts;
@@ -100,10 +101,16 @@ impl MeasurementRow {
 /// `pointer`). The run also asserts that every variant produced identical
 /// program output — the end-to-end correctness check.
 ///
+/// # Errors
+///
+/// Returns the first variant's [`Error`] if the source does not compile
+/// or its program faults in the VM.
+///
 /// # Panics
 ///
-/// Panics if any variant fails to compile/run or if outputs diverge.
-pub fn measure_program(name: &str, source: &str) -> Vec<MeasurementRow> {
+/// Panics if the variants' outputs diverge: that is a miscompile, not bad
+/// input.
+pub fn measure_program(name: &str, source: &str) -> Result<Vec<MeasurementRow>, Error> {
     let mut rows = Vec::new();
     let mut reference_output: Option<Vec<String>> = None;
     for analysis in [AnalysisLevel::ModRef, AnalysisLevel::PointsTo] {
@@ -113,10 +120,7 @@ pub fn measure_program(name: &str, source: &str) -> Vec<MeasurementRow> {
                 .analysis(analysis)
                 .promote(promote)
                 .build();
-            let outcome = session
-                .compile(source)
-                .and_then(|c| c.run(session.vm_options().clone()))
-                .unwrap_or_else(|e| panic!("{name} [{analysis}, promote={promote}]: {e}"));
+            let outcome = session.compile(source)?.run(session.vm_options().clone())?;
             match &reference_output {
                 None => reference_output = Some(outcome.output.clone()),
                 Some(r) => assert_eq!(
@@ -133,7 +137,7 @@ pub fn measure_program(name: &str, source: &str) -> Vec<MeasurementRow> {
             with: counts[1],
         });
     }
-    rows
+    Ok(rows)
 }
 
 /// Renders a whole figure (all programs × both analyses) as text.
@@ -206,7 +210,8 @@ int main() {
     return 0;
 }
 "#,
-        );
+        )
+        .expect("toy program compiles and runs");
         assert_eq!(rows.len(), 2);
         for row in &rows {
             assert!(row.percent_removed(Metric::Stores) > 90.0);

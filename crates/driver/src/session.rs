@@ -36,9 +36,7 @@
 use crate::error::Error;
 use crate::incremental::{FuncCache, DEFAULT_CACHE_BUDGET};
 use crate::parallel::{resolve_threads, WorkerPool};
-use crate::pipeline::{
-    run_pipeline_core, run_pipeline_traced, IncrementalRun, PipelineConfig, PipelineReport,
-};
+use crate::pipeline::{run_pipeline_core, IncrementalRun, PipelineConfig, PipelineReport};
 use analysis::AnalysisLevel;
 use ir::Module;
 use regalloc::AllocOptions;
@@ -107,9 +105,40 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Validate`] if the pipeline produced invalid IL.
+    /// Returns [`Error::Registers`] (before anything runs) if the
+    /// allocator's register file is too small for the module, or
+    /// [`Error::Validate`] if the pipeline produced invalid IL.
     pub fn optimize(&self, module: &mut Module) -> Result<(PipelineReport, TraceLog), Error> {
         self.optimize_with_source(module, None)
+    }
+
+    /// Checks that the allocator's register file can hold `module`: at
+    /// least two registers (a binary operation reads two), and no fewer
+    /// than any function needs at once. Below that the allocator cannot
+    /// converge, so the session reports it instead of running.
+    fn check_registers(&self, module: &Module) -> Result<(), Error> {
+        let Some(opts) = &self.config.regalloc else {
+            return Ok(());
+        };
+        let num_regs = opts.num_regs;
+        if num_regs < 2 {
+            return Err(Error::Registers {
+                num_regs,
+                needed: 2,
+                func: None,
+            });
+        }
+        for f in &module.funcs {
+            let needed = registers_needed(f, num_regs);
+            if needed > num_regs {
+                return Err(Error::Registers {
+                    num_regs,
+                    needed,
+                    func: Some(f.name.clone()),
+                });
+            }
+        }
+        Ok(())
     }
 
     fn optimize_with_source(
@@ -117,6 +146,7 @@ impl Session {
         module: &mut Module,
         source: Option<&minic::SourceFingerprint>,
     ) -> Result<(PipelineReport, TraceLog), Error> {
+        self.check_registers(module)?;
         let (report, log) = match &self.cache {
             Some(cache) => {
                 // A poisoned lock only means an earlier compile panicked;
@@ -133,7 +163,7 @@ impl Session {
                     }),
                 )
             }
-            None => run_pipeline_traced(module, &self.config, &self.pool),
+            None => run_pipeline_core(module, &self.config, &self.pool, None),
         };
         ir::validate(module)?;
         Ok((report, log))
@@ -143,8 +173,8 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Front`] if the source does not compile, or
-    /// [`Error::Validate`] if the pipeline produced invalid IL.
+    /// Returns [`Error::Front`] if the source does not compile, or what
+    /// [`optimize`](Self::optimize) returns.
     pub fn compile(&self, src: &str) -> Result<Compilation, Error> {
         let mut module = self
             .frontend
@@ -183,6 +213,31 @@ impl Session {
         compilation.outcome = Some(outcome);
         Ok(compilation)
     }
+}
+
+/// How many registers `func` needs at once: its parameters all arrive in
+/// registers, and an instruction reads all its operands from registers
+/// (an indirect call reads its target and every argument). Exact whenever
+/// the answer exceeds `limit`: an instruction's operands are deduplicated
+/// only when there are more of them than that, so the common case
+/// allocates nothing.
+fn registers_needed(func: &ir::Function, limit: usize) -> usize {
+    let mut needed = func.arity;
+    let mut distinct = Vec::new();
+    for instr in func.blocks.iter().flat_map(|b| &b.instrs) {
+        let mut operands = 0;
+        instr.visit_uses(|_| operands += 1);
+        if operands > limit.max(needed) {
+            distinct.clear();
+            instr.visit_uses(|r| {
+                if !distinct.contains(&r) {
+                    distinct.push(r);
+                }
+            });
+            needed = needed.max(distinct.len());
+        }
+    }
+    needed
 }
 
 /// Fluent builder for [`Session`], starting from the paper's default arm:

@@ -20,6 +20,7 @@
 
 use cfg::{liveness, Cfg, DomTree, FunctionAnalyses, LoopForest, LoopGeometry};
 use ir::{BinOp, BlockId, FuncId, Function, FunctionBuilder, Instr, Reg, TagId, TagKind, TagTable};
+use trace::FuncTrace;
 
 /// Deterministic xorshift64* PRNG.
 struct Rng(u64);
@@ -193,30 +194,47 @@ fn cached_artifacts_match_fresh_builds_after_every_pass() {
         opt::strengthen_function(&tags, f, fid, false, &mut fa);
         assert_cache_fresh(f, &mut fa, case, "strengthen");
         cfg::normalize_loops_in(f, &mut fa);
-        promote::promote_scalars_in_func_core(&tags, f, fid, false, None, &mut fa);
+        promote::promote_scalars_in_func(
+            &tags,
+            f,
+            fid,
+            false,
+            None,
+            &mut fa,
+            &mut FuncTrace::off(),
+        );
         assert_cache_fresh_normalized(f, &mut fa, case, "promote");
-        opt::lvn_function(f, &mut fa);
+        opt::lvn_function_in(f, &mut fa, &mut opt::LvnScratch::default());
         assert_cache_fresh(f, &mut fa, case, "lvn");
-        opt::loadelim_function(f, &mut fa);
+        opt::loadelim_function_in(f, &mut fa, &mut opt::LoadelimScratch::default());
         assert_cache_fresh(f, &mut fa, case, "loadelim");
-        opt::constprop_function(f, &mut fa);
+        opt::constprop_function_in(f, &mut fa, &mut opt::ConstScratch::default());
         assert_cache_fresh(f, &mut fa, case, "constprop");
         cfg::normalize_loops_in(f, &mut fa);
-        opt::licm_function(f, &mut fa);
+        opt::licm_function_in(f, &mut fa, &mut opt::LicmScratch::default());
         assert_cache_fresh_normalized(f, &mut fa, case, "licm");
         cfg::normalize_loops_in(f, &mut fa);
-        promote::promote_pointers_in_func_core(f, &mut fa);
+        promote::promote_pointers_in_func(f, &mut fa, &mut FuncTrace::off());
         assert_cache_fresh_normalized(f, &mut fa, case, "pointer-promote");
-        opt::lvn_function(f, &mut fa);
+        opt::lvn_function_in(f, &mut fa, &mut opt::LvnScratch::default());
         assert_cache_fresh(f, &mut fa, case, "lvn(2)");
-        opt::dce_function(f, &mut fa);
+        opt::dce_function_in(f, &mut fa, &mut opt::DceScratch::default());
         assert_cache_fresh(f, &mut fa, case, "dce");
-        opt::clean_function(f, &mut fa);
+        opt::clean_function_in(f, &mut fa, &mut opt::CleanScratch::default());
         assert_cache_fresh(f, &mut fa, case, "clean");
         let mut pending = Vec::new();
-        regalloc::allocate_function_core(&tags, f, fid, &opts, &mut pending, &mut fa);
+        regalloc::allocate_function_in(
+            &tags,
+            f,
+            fid,
+            &opts,
+            &mut pending,
+            &mut fa,
+            &mut regalloc::AllocScratch::default(),
+            &mut FuncTrace::off(),
+        );
         assert_cache_fresh(f, &mut fa, case, "regalloc");
-        opt::clean_function(f, &mut fa);
+        opt::clean_function_in(f, &mut fa, &mut opt::CleanScratch::default());
         assert_cache_fresh(f, &mut fa, case, "clean(final)");
     }
 }
@@ -243,11 +261,11 @@ fn converged_passes_skip_all_rebuilds() {
         for _ in 0..8 {
             let mut changed = 0;
             changed += opt::strengthen_function(&tags, f, fid, false, &mut fa);
-            changed += opt::lvn_function(f, &mut fa);
-            changed += opt::loadelim_function(f, &mut fa);
-            changed += opt::constprop_function(f, &mut fa);
-            changed += opt::dce_function(f, &mut fa);
-            changed += opt::clean_function(f, &mut fa);
+            changed += opt::lvn_function_in(f, &mut fa, &mut opt::LvnScratch::default());
+            changed += opt::loadelim_function_in(f, &mut fa, &mut opt::LoadelimScratch::default());
+            changed += opt::constprop_function_in(f, &mut fa, &mut opt::ConstScratch::default());
+            changed += opt::dce_function_in(f, &mut fa, &mut opt::DceScratch::default());
+            changed += opt::clean_function_in(f, &mut fa, &mut opt::CleanScratch::default());
             if changed == 0 {
                 break;
             }
@@ -261,11 +279,11 @@ fn converged_passes_skip_all_rebuilds() {
         // A converged round touches nothing, so the cache must serve every
         // analysis request without a single construction.
         opt::strengthen_function(&tags, f, fid, false, &mut fa);
-        opt::lvn_function(f, &mut fa);
-        opt::loadelim_function(f, &mut fa);
-        opt::constprop_function(f, &mut fa);
-        opt::dce_function(f, &mut fa);
-        opt::clean_function(f, &mut fa);
+        opt::lvn_function_in(f, &mut fa, &mut opt::LvnScratch::default());
+        opt::loadelim_function_in(f, &mut fa, &mut opt::LoadelimScratch::default());
+        opt::constprop_function_in(f, &mut fa, &mut opt::ConstScratch::default());
+        opt::dce_function_in(f, &mut fa, &mut opt::DceScratch::default());
+        opt::clean_function_in(f, &mut fa, &mut opt::CleanScratch::default());
 
         assert_eq!(
             fa.builds, before,

@@ -404,7 +404,11 @@ fn sparse_dce_rewrites_identically_to_dense() {
         let func = random_function(&mut rng, &tag_ids);
         let mut f_sparse = func.clone();
         let mut f_dense = func.clone();
-        let ns = opt::dce_function(&mut f_sparse, &mut sparse_cache());
+        let ns = opt::dce_function_in(
+            &mut f_sparse,
+            &mut sparse_cache(),
+            &mut opt::DceScratch::default(),
+        );
         let nd = model_dce(&mut f_dense);
         assert_eq!(ns, nd, "case {case}: dce removal counts diverged");
         assert_eq!(
@@ -514,7 +518,7 @@ fn model_exit(func: &Function, lat: &ModelLattice, bi: usize) -> Vec<Lat> {
     state
 }
 
-/// The reference model of `opt::constprop_function`'s solver: SCCP with a
+/// The reference model of `opt::constprop_function_in`'s solver: SCCP with a
 /// full-width state, a slot for every register at every block entry,
 /// copied at each visit and met along each executable edge. Blocks pop in
 /// reverse postorder, as from `cfg::BlockWorklist`: a branch on a ⊤
@@ -573,7 +577,7 @@ fn model_dense_constants(func: &Function, cfg: &Cfg, evals: &mut u64) -> ModelLa
     lat
 }
 
-/// Folds `func` under `lat` as `opt::constprop_function` does: constant
+/// Folds `func` under `lat` as `opt::constprop_function_in` does: constant
 /// binary results become `iconst`, branches on constants become jumps,
 /// blocks that do not execute stay untouched. Returns the rewrite count.
 fn model_fold(func: &mut Function, cfg: &Cfg, lat: &ModelLattice) -> usize {
@@ -612,7 +616,7 @@ fn model_fold(func: &mut Function, cfg: &Cfg, lat: &ModelLattice) -> usize {
     rewrites
 }
 
-/// The reference model of `opt::constprop_function`: `model_sccp`
+/// The reference model of `opt::constprop_function_in`: `model_sccp`
 /// then `model_fold`.
 fn model_constprop(func: &mut Function) -> usize {
     let cfg = Cfg::build(func);
@@ -671,7 +675,11 @@ fn constprop_folds_exactly_what_the_full_width_model_folds() {
         let func = random_function(&mut rng, &tag_ids);
         let func = with_phis(&mut rng, func);
         let mut got = func.clone();
-        let n = opt::constprop_function(&mut got, &mut sparse_cache());
+        let n = opt::constprop_function_in(
+            &mut got,
+            &mut sparse_cache(),
+            &mut opt::ConstScratch::default(),
+        );
         let mut want = func.clone();
         let m = model_constprop(&mut want);
         assert_eq!(n, m, "case {case}: rewrite counts diverged\n{func:?}");
@@ -727,7 +735,11 @@ fn sccp_folds_through_a_dead_branch_arm_where_dense_cannot() {
     };
 
     let mut f_sparse = build();
-    opt::constprop_function(&mut f_sparse, &mut sparse_cache());
+    opt::constprop_function_in(
+        &mut f_sparse,
+        &mut sparse_cache(),
+        &mut opt::ConstScratch::default(),
+    );
     let folded = f_sparse.blocks[3].instrs.iter().any(|i| {
         matches!(
             i,

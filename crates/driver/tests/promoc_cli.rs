@@ -1,0 +1,159 @@
+//! End-to-end tests of the `promoc` command line: each test writes a MiniC
+//! file, runs the built binary on it, and checks its exit status and what
+//! it printed. Every run must finish within [`DEADLINE`]; a hang fails the
+//! test instead of stalling the suite.
+
+use driver::Session;
+use std::io::Read;
+use std::path::PathBuf;
+use std::process::{Command, Stdio};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+const DEADLINE: Duration = Duration::from_secs(5);
+
+/// A global updated in a loop. Its initializing store lets value
+/// numbering forward the value into the landing pad, so once promoted the
+/// loop executes no load at all.
+const LOOP: &str = "int g;
+int main() {
+    int i;
+    g = 0;
+    for (i = 0; i < 100; i++) g = g + i;
+    print_int(g);
+    return 0;
+}
+";
+
+/// What one `promoc` run left behind.
+struct Run {
+    code: Option<i32>,
+    stdout: String,
+    stderr: String,
+}
+
+/// Writes `source` to a file of its own and runs `promoc <cmd> FILE
+/// <flags>` on it, killing the process if it outlives [`DEADLINE`].
+fn promoc(name: &str, source: &str, cmd: &str, flags: &[&str]) -> Run {
+    let path: PathBuf =
+        std::env::temp_dir().join(format!("promoc-cli-{}-{name}.c", std::process::id()));
+    std::fs::write(&path, source).expect("write the source file");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_promoc"))
+        .arg(cmd)
+        .arg(&path)
+        .args(flags)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn promoc");
+    let stdout = drain(child.stdout.take().expect("piped stdout"));
+    let stderr = drain(child.stderr.take().expect("piped stderr"));
+    let start = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll promoc") {
+            break status;
+        }
+        if start.elapsed() > DEADLINE {
+            child.kill().expect("kill promoc");
+            child.wait().expect("reap promoc");
+            let _ = std::fs::remove_file(&path);
+            panic!("promoc {cmd} {flags:?} on {name} ran past {DEADLINE:?}");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let _ = std::fs::remove_file(&path);
+    Run {
+        code: status.code(),
+        stdout: stdout.join().expect("stdout reader"),
+        stderr: stderr.join().expect("stderr reader"),
+    }
+}
+
+/// Reads `pipe` to its end on a thread of its own, so a large output
+/// cannot fill the pipe and stall the process while it is polled.
+fn drain(mut pipe: impl Read + Send + 'static) -> JoinHandle<String> {
+    std::thread::spawn(move || {
+        let mut text = String::new();
+        pipe.read_to_string(&mut text).expect("read promoc output");
+        text
+    })
+}
+
+/// Asserts that `run` failed with status 1 and a diagnostic naming `want`.
+fn assert_rejected(run: &Run, want: &str) {
+    assert_eq!(run.code, Some(1), "stderr: {}", run.stderr);
+    assert!(run.stderr.starts_with("promoc: "), "{}", run.stderr);
+    assert!(run.stderr.contains(want), "{}", run.stderr);
+    assert!(!run.stderr.contains("panicked"), "{}", run.stderr);
+}
+
+#[test]
+fn run_prints_the_output_and_a_load_free_executed_line() {
+    let run = promoc("run", LOOP, "run", &[]);
+    assert_eq!(run.code, Some(0), "stderr: {}", run.stderr);
+    assert_eq!(run.stdout, "4950\n");
+    let executed = run
+        .stderr
+        .lines()
+        .find(|l| l.starts_with("; executed"))
+        .unwrap_or_else(|| panic!("no executed line in {}", run.stderr));
+    assert!(executed.contains(" loads=0 "), "{executed}");
+}
+
+#[test]
+fn compile_prints_the_sessions_module() {
+    let run = promoc("compile", LOOP, "compile", &[]);
+    assert_eq!(run.code, Some(0), "stderr: {}", run.stderr);
+    let module = Session::default().compile(LOOP).expect("compiles").module;
+    assert_eq!(run.stdout, module.to_string());
+}
+
+#[test]
+fn trace_json_on_stdout_is_the_sessions_trace() {
+    let run = promoc("trace", LOOP, "run", &["--trace-json", "-"]);
+    assert_eq!(run.code, Some(0), "stderr: {}", run.stderr);
+    let want = Session::builder()
+        .trace(true)
+        .build()
+        .compile(LOOP)
+        .expect("compiles")
+        .trace;
+    // The JSONL comes first, then the program's own output.
+    let jsonl = run
+        .stdout
+        .strip_suffix("4950\n")
+        .unwrap_or_else(|| panic!("no program output after the trace: {}", run.stdout));
+    let log = trace::TraceLog::from_jsonl(jsonl).expect("promoc prints valid JSONL");
+    assert!(!log.is_empty());
+    assert_eq!(log.records, want.records);
+}
+
+#[test]
+fn an_unknown_flag_is_named() {
+    let run = promoc("flag", LOOP, "run", &["--bogus"]);
+    assert_ne!(run.code, Some(0));
+    assert!(run.stderr.contains("--bogus"), "{}", run.stderr);
+}
+
+#[test]
+fn measure_reports_a_file_that_does_not_compile() {
+    let run = promoc("measure", "int main() { return x; }\n", "measure", &[]);
+    assert_rejected(&run, "unknown identifier `x`");
+}
+
+#[test]
+fn a_register_file_below_two_is_reported() {
+    for regs in ["0", "1"] {
+        let run = promoc(&format!("regs{regs}"), LOOP, "run", &["--regs", regs]);
+        assert_rejected(&run, "at least 2 registers");
+    }
+}
+
+#[test]
+fn a_register_file_below_a_functions_arity_is_reported() {
+    let source = "int f(int a, int b, int c) { return a + b + c; }
+int main() { print_int(f(1, 2, 3)); return 0; }
+";
+    let run = promoc("arity", source, "run", &["--regs", "2"]);
+    assert_rejected(&run, "3 registers for @f");
+}

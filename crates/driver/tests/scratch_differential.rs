@@ -25,7 +25,7 @@
 
 use driver::Session;
 use ir::{BinOp, BlockId, Function, FunctionBuilder, Instr, Module, Reg, TagId, TagKind, TagTable};
-use trace::{CollectSink, TraceRecord};
+use trace::TraceRecord;
 
 /// Deterministic xorshift64* PRNG.
 struct Rng(u64);
@@ -141,15 +141,13 @@ type FuncOutput = (String, Vec<TraceRecord>);
 fn compile_on(session: &Session, module: &Module) -> Vec<FuncOutput> {
     let mut m = module.clone();
     let (_report, log) = session.optimize(&mut m).expect("pipeline must validate");
-    let mut sink = CollectSink::default();
-    log.replay(&mut sink);
     let printed = m.to_string();
     let bodies = printed.split("func @").skip(1);
     m.funcs
         .iter()
         .zip(bodies)
         .map(|(f, body)| {
-            let records = sink.records.iter().filter(|r| r.func == f.name);
+            let records = log.records.iter().filter(|r| r.func == f.name);
             (body.to_string(), records.cloned().collect())
         })
         .collect()

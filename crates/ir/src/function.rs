@@ -187,14 +187,13 @@ pub struct BodyStats {
     pub stores: usize,
 }
 
-impl BodyStats {
-    /// Per-field `self - after`, as signed counts (negative = inserted).
-    pub fn delta(&self, after: &BodyStats) -> (i64, i64, i64) {
-        (
-            self.instrs as i64 - after.instrs as i64,
-            self.loads as i64 - after.loads as i64,
-            self.stores as i64 - after.stores as i64,
-        )
+/// [`Function::body_stats`] as a plain `(instrs, loads, stores)` tuple:
+/// how `trace::FuncTrace::stage` counts a function for its deltas (the
+/// trace crate does not depend on this one).
+impl From<&Function> for (usize, usize, usize) {
+    fn from(func: &Function) -> Self {
+        let s = func.body_stats();
+        (s.instrs, s.loads, s.stores)
     }
 }
 

@@ -16,15 +16,8 @@ pub struct CleanScratch {
     forward: Vec<Option<BlockId>>,
 }
 
-/// Runs the cleaner on one function. Returns the number of changes.
-///
-/// Convenience wrapper over [`clean_function_in`] with a throwaway scratch.
-pub fn clean_function(func: &mut Function, analyses: &mut FunctionAnalyses) -> usize {
-    clean_function_in(func, analyses, &mut CleanScratch::default())
-}
-
-/// [`clean_function`] against caller-owned scratch buffers: the
-/// zero-allocation path the fused pipeline chain uses.
+/// Runs the cleaner on one function against caller-owned scratch
+/// buffers. Returns the number of changes.
 pub fn clean_function_in(
     func: &mut Function,
     analyses: &mut FunctionAnalyses,
@@ -132,6 +125,15 @@ mod tests {
     use super::*;
     use ir::FunctionBuilder;
 
+    /// `clean_function_in` on `f` with a fresh cache and scratch.
+    fn clean_alone(f: &mut Function) -> usize {
+        clean_function_in(
+            f,
+            &mut FunctionAnalyses::new(),
+            &mut CleanScratch::default(),
+        )
+    }
+
     #[test]
     fn removes_nops_and_threads_jumps() {
         let mut b = FunctionBuilder::new("f", 0);
@@ -144,7 +146,7 @@ mod tests {
         b.switch_to(end);
         b.ret(None);
         let mut f = b.finish();
-        let changes = clean_function(&mut f, &mut FunctionAnalyses::new());
+        let changes = clean_alone(&mut f);
         assert!(changes >= 2);
         // After nop removal B0 itself becomes a forwarder, so everything
         // collapses to the single return block.
@@ -164,7 +166,7 @@ mod tests {
         b.switch_to(t);
         b.ret(None);
         let mut f = b.finish();
-        clean_function(&mut f, &mut FunctionAnalyses::new());
+        clean_alone(&mut f);
         assert!(matches!(
             f.block(f.entry).terminator(),
             Some(Instr::Jump { .. })
@@ -179,7 +181,7 @@ mod tests {
         b.switch_to(real);
         b.ret(None);
         let mut f = b.finish();
-        clean_function(&mut f, &mut FunctionAnalyses::new());
+        clean_alone(&mut f);
         assert_eq!(f.blocks.len(), 1);
         assert!(matches!(
             f.block(f.entry).terminator(),
@@ -196,7 +198,7 @@ mod tests {
         b.switch_to(l);
         b.jump(l);
         let mut f = b.finish();
-        clean_function(&mut f, &mut FunctionAnalyses::new());
+        clean_alone(&mut f);
         let m = {
             let mut m = Module::new();
             m.add_func(f);
@@ -204,17 +206,4 @@ mod tests {
         };
         ir::validate(&m).expect("still valid");
     }
-}
-
-/// [`clean_function_in`] with per-pass delta recording (see
-/// [`crate::with_delta`]).
-pub fn clean_function_traced(
-    func: &mut Function,
-    analyses: &mut FunctionAnalyses,
-    scratch: &mut CleanScratch,
-    tr: &mut trace::FuncTrace,
-) -> usize {
-    crate::with_delta("clean", func, tr, |f| {
-        clean_function_in(f, analyses, scratch)
-    })
 }

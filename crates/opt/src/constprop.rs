@@ -330,16 +330,8 @@ pub fn analyze_constants(func: &Function, cfg: &Cfg, stats: &mut DataflowStats) 
     }
 }
 
-/// Runs constant propagation over one function. Returns rewrites made.
-///
-/// Convenience wrapper over [`constprop_function_in`] with a throwaway
-/// scratch.
-pub fn constprop_function(func: &mut Function, analyses: &mut FunctionAnalyses) -> usize {
-    constprop_function_in(func, analyses, &mut ConstScratch::default())
-}
-
-/// [`constprop_function`] against caller-owned scratch buffers: the
-/// zero-allocation path the fused pipeline chain uses.
+/// Runs constant propagation over one function against caller-owned
+/// scratch buffers. Returns rewrites made.
 pub fn constprop_function_in(
     func: &mut Function,
     analyses: &mut FunctionAnalyses,
@@ -597,17 +589,4 @@ B0:
             Instr::Binary { .. }
         ));
     }
-}
-
-/// [`constprop_function_in`] with per-pass delta recording (see
-/// [`crate::with_delta`]).
-pub fn constprop_function_traced(
-    func: &mut Function,
-    analyses: &mut FunctionAnalyses,
-    scratch: &mut ConstScratch,
-    tr: &mut trace::FuncTrace,
-) -> usize {
-    crate::with_delta("constprop", func, tr, |f| {
-        constprop_function_in(f, analyses, scratch)
-    })
 }

@@ -97,15 +97,8 @@ fn mark_sparse(func: &Function, scratch: &mut DceScratch, stats: &mut DataflowSt
     }
 }
 
-/// Runs DCE on one function. Returns the number of instructions removed.
-///
-/// Convenience wrapper over [`dce_function_in`] with a throwaway scratch.
-pub fn dce_function(func: &mut Function, analyses: &mut FunctionAnalyses) -> usize {
-    dce_function_in(func, analyses, &mut DceScratch::default())
-}
-
-/// [`dce_function`] against caller-owned scratch buffers: the
-/// zero-allocation path the fused pipeline chain uses.
+/// Runs DCE on one function against caller-owned scratch buffers.
+/// Returns the number of instructions removed.
 pub fn dce_function_in(
     func: &mut Function,
     analyses: &mut FunctionAnalyses,
@@ -166,6 +159,11 @@ mod tests {
     use super::*;
     use ir::{BinOp, FunctionBuilder, Intrinsic};
 
+    /// `dce_function_in` on `f` with a fresh cache and scratch.
+    fn dce_alone(f: &mut Function) -> usize {
+        dce_function_in(f, &mut FunctionAnalyses::new(), &mut DceScratch::default())
+    }
+
     #[test]
     fn removes_dead_chains() {
         let mut b = FunctionBuilder::new("f", 0);
@@ -176,7 +174,7 @@ mod tests {
         b.ret(Some(live));
         let mut f = b.finish();
         f.has_result = true;
-        assert_eq!(dce_function(&mut f, &mut FunctionAnalyses::new()), 1);
+        assert_eq!(dce_alone(&mut f), 1);
         assert_eq!(f.instr_count(), 4);
     }
 
@@ -187,7 +185,7 @@ mod tests {
         b.call_intrinsic(Intrinsic::PrintInt, vec![a]);
         b.ret(None);
         let mut f = b.finish();
-        assert_eq!(dce_function(&mut f, &mut FunctionAnalyses::new()), 0);
+        assert_eq!(dce_alone(&mut f), 0);
     }
 
     #[test]
@@ -219,17 +217,6 @@ B0:
         b.ret(Some(d));
         let mut f = b.finish();
         f.has_result = true;
-        assert_eq!(dce_function(&mut f, &mut FunctionAnalyses::new()), 0);
+        assert_eq!(dce_alone(&mut f), 0);
     }
-}
-
-/// [`dce_function_in`] with per-pass delta recording (see
-/// [`crate::with_delta`]).
-pub fn dce_function_traced(
-    func: &mut Function,
-    analyses: &mut FunctionAnalyses,
-    scratch: &mut DceScratch,
-    tr: &mut trace::FuncTrace,
-) -> usize {
-    crate::with_delta("dce", func, tr, |f| dce_function_in(f, analyses, scratch))
 }

@@ -16,6 +16,15 @@
 //! * [`clean`] — nop removal, jump threading, empty-block removal;
 //! * [`strengthen`] — Table-1 opcode strengthening after analysis.
 //!
+//! Each pass has two entry points: the module-wide convenience named
+//! above, and one per-function entry (`lvn_function_in`, ...,
+//! [`strengthen_function`]) that runs against the caller's
+//! [`cfg::FunctionAnalyses`] and, where the pass keeps tables, the
+//! caller's scratch (see [`OptScratch`]). Both return the number of
+//! changes made, and 0 only when the body was left untouched. Passes do
+//! not record trace deltas: the driver runs each per-function entry as
+//! one `trace::FuncTrace::stage`, which does.
+//!
 //! ```
 //! let mut module = minic::compile(r#"
 //!     int main() {
@@ -40,24 +49,22 @@ mod loadelim;
 mod lvn;
 mod strengthen;
 
-pub use clean::{clean, clean_function, clean_function_in, clean_function_traced, CleanScratch};
+pub use clean::{clean, clean_function_in, CleanScratch};
 pub use constprop::{
-    analyze_constants, constprop, constprop_function, constprop_function_in,
-    constprop_function_traced, ConstLattice, ConstScratch, Lat,
+    analyze_constants, constprop, constprop_function_in, ConstLattice, ConstScratch, Lat,
 };
-pub use dce::{dce, dce_function, dce_function_in, dce_function_traced, DceScratch};
-pub use licm::{licm, licm_function, licm_function_in, licm_function_traced, LicmScratch};
-pub use loadelim::{
-    loadelim, loadelim_function, loadelim_function_in, loadelim_function_traced, LoadelimScratch,
-};
-pub use lvn::{lvn, lvn_function, lvn_function_in, lvn_function_traced, LvnScratch};
-pub use strengthen::{strengthen, strengthen_function, strengthen_function_traced};
+pub use dce::{dce, dce_function_in, DceScratch};
+pub use licm::{licm, licm_function_in, LicmScratch};
+pub use loadelim::{loadelim, loadelim_function_in, LoadelimScratch};
+pub use lvn::{lvn, lvn_function_in, LvnScratch};
+pub use strengthen::{strengthen, strengthen_function};
 
 /// One scratch arena covering every pass in this crate: what a pipeline
 /// worker owns (one per thread) and threads through the fused pass chain,
 /// so the steady-state hot loop runs without allocating. Each field is the
-/// corresponding pass's reusable state; all of them reset cheaply (epoch
-/// bumps and length-resets) at the start of each pass invocation.
+/// reusable state of one pass's per-function entry point; all of them
+/// reset cheaply (epoch bumps and length-resets) at the start of each
+/// call.
 #[derive(Default)]
 pub struct OptScratch {
     /// [`lvn_function_in`] tables.
@@ -72,44 +79,4 @@ pub struct OptScratch {
     pub dce: DceScratch,
     /// [`clean_function_in`] forwarding table.
     pub clean: CleanScratch,
-}
-
-use ir::{BodyStats, Function};
-use trace::FuncTrace;
-
-/// Runs one pass body over `func` and, when tracing is enabled, records a
-/// before-minus-after [`trace::PassEvent::Delta`] under `pass`.
-///
-/// When tracing is off this is a direct call — the stats scans are never
-/// performed, which is what keeps the disabled path free. When it is on,
-/// consecutive delta stages share scans through the [`FuncTrace`] stats
-/// cache: this pass's after-scan becomes the next pass's before-count,
-/// and a pass that reports zero rewrites costs no scan at all.
-///
-/// Contract: `pass_fn` must return 0 **only** when it left the function
-/// body untouched — true of every counting pass in this crate — because
-/// a zero return keeps the cached stats live without rescanning.
-pub fn with_delta(
-    pass: &'static str,
-    func: &mut Function,
-    tr: &mut FuncTrace,
-    pass_fn: impl FnOnce(&mut Function) -> usize,
-) -> usize {
-    if !tr.enabled() {
-        return pass_fn(func);
-    }
-    let before = match tr.cached_stats() {
-        Some((instrs, loads, stores)) => BodyStats {
-            instrs,
-            loads,
-            stores,
-        },
-        None => func.body_stats(),
-    };
-    let n = pass_fn(func);
-    let after = if n == 0 { before } else { func.body_stats() };
-    let (instrs, loads, stores) = before.delta(&after);
-    tr.delta(pass, instrs, loads, stores);
-    tr.set_stats((after.instrs, after.loads, after.stores));
-    n
 }

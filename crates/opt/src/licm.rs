@@ -97,15 +97,8 @@ fn loop_mods(func: &Function, forest: &LoopForest, li: usize) -> TagSet {
     mods
 }
 
-/// Runs LICM over one (normalized) function. Returns instructions moved.
-///
-/// Convenience wrapper over [`licm_function_in`] with a throwaway scratch.
-pub fn licm_function(func: &mut Function, analyses: &mut FunctionAnalyses) -> usize {
-    licm_function_in(func, analyses, &mut LicmScratch::default())
-}
-
-/// [`licm_function`] against caller-owned scratch tables: the
-/// zero-allocation path the fused pipeline chain uses.
+/// Runs LICM over one (normalized) function against caller-owned
+/// scratch tables. Returns instructions moved.
 ///
 /// Semantics are identical to hoisting one instruction at a time; the
 /// difference is mechanical. Hoist decisions mark instructions (the slot
@@ -446,15 +439,4 @@ int main() {
         // a*a*a leaves both loops: ~2 ops × 2500 iterations saved.
         assert!(after.counts.total + 4000 < before.counts.total);
     }
-}
-
-/// [`licm_function_in`] with per-pass delta recording (see
-/// [`crate::with_delta`]).
-pub fn licm_function_traced(
-    func: &mut Function,
-    analyses: &mut FunctionAnalyses,
-    scratch: &mut LicmScratch,
-    tr: &mut trace::FuncTrace,
-) -> usize {
-    crate::with_delta("licm", func, tr, |f| licm_function_in(f, analyses, scratch))
 }

@@ -114,17 +114,8 @@ fn transfer(instr: &mut Instr, facts: &mut FxHashMap<TagId, Reg>, rewrite: bool)
     changed
 }
 
-/// Runs redundant-load elimination on one function. Returns loads
-/// rewritten to copies.
-///
-/// Convenience wrapper over [`loadelim_function_in`] with a throwaway
-/// scratch.
-pub fn loadelim_function(func: &mut Function, analyses: &mut FunctionAnalyses) -> usize {
-    loadelim_function_in(func, analyses, &mut LoadelimScratch::default())
-}
-
-/// [`loadelim_function`] against caller-owned scratch state: the
-/// zero-allocation path the fused pipeline chain uses.
+/// Runs redundant-load elimination on one function against
+/// caller-owned scratch state. Returns loads rewritten to copies.
 pub fn loadelim_function_in(
     func: &mut Function,
     analyses: &mut FunctionAnalyses,
@@ -344,7 +335,11 @@ mod tests {
         for case in 0..300 {
             let func = random_function(&mut rng, &tag_ids);
             let mut f_sparse = func.clone();
-            let ns = loadelim_function(&mut f_sparse, &mut FunctionAnalyses::new());
+            let ns = loadelim_function_in(
+                &mut f_sparse,
+                &mut FunctionAnalyses::new(),
+                &mut LoadelimScratch::default(),
+            );
             let mut f_dense = func.clone();
             let cfg = Cfg::build(&f_dense);
             let mut scratch = LoadelimScratch::default();
@@ -467,17 +462,4 @@ int main() {
         );
         assert_eq!(after.output, vec!["12"]);
     }
-}
-
-/// [`loadelim_function_in`] with per-pass delta recording (see
-/// [`crate::with_delta`]).
-pub fn loadelim_function_traced(
-    func: &mut Function,
-    analyses: &mut FunctionAnalyses,
-    scratch: &mut LoadelimScratch,
-    tr: &mut trace::FuncTrace,
-) -> usize {
-    crate::with_delta("loadelim", func, tr, |f| {
-        loadelim_function_in(f, analyses, scratch)
-    })
 }

@@ -24,7 +24,7 @@ enum ExprKey {
     PtrAdd(Vn, Vn),
 }
 
-/// Reusable value-numbering tables: the per-block state of [`lvn_function`],
+/// Reusable value-numbering tables: the per-block state of [`lvn_function_in`],
 /// hoisted into a scratch arena so the steady state allocates nothing.
 ///
 /// The register- and value-number-keyed tables are epoch-cleared
@@ -144,16 +144,8 @@ fn fold_cmp(op: CmpOp, a: i64, b: i64) -> i64 {
     r as i64
 }
 
-/// Runs local value numbering over one function. Returns the number of
-/// instructions rewritten.
-///
-/// Convenience wrapper over [`lvn_function_in`] with a throwaway scratch.
-pub fn lvn_function(func: &mut Function, analyses: &mut FunctionAnalyses) -> usize {
-    lvn_function_in(func, analyses, &mut LvnScratch::default())
-}
-
-/// [`lvn_function`] against caller-owned scratch tables: the zero-allocation
-/// path the fused pipeline chain uses.
+/// Runs local value numbering over one function against caller-owned
+/// scratch tables. Returns the number of instructions rewritten.
 pub fn lvn_function_in(
     func: &mut Function,
     analyses: &mut FunctionAnalyses,
@@ -628,15 +620,4 @@ int main() {
         assert_eq!(after.output, before.output);
         assert!(after.counts.total <= before.counts.total);
     }
-}
-
-/// [`lvn_function_in`] with per-pass delta recording (see
-/// [`crate::with_delta`]).
-pub fn lvn_function_traced(
-    func: &mut Function,
-    analyses: &mut FunctionAnalyses,
-    scratch: &mut LvnScratch,
-    tr: &mut trace::FuncTrace,
-) -> usize {
-    crate::with_delta("lvn", func, tr, |f| lvn_function_in(f, analyses, scratch))
 }

@@ -148,18 +148,3 @@ int main() { return walk(3); }
         assert_eq!(before.exit_code, after.exit_code);
     }
 }
-
-/// [`strengthen_function`] with per-pass delta recording (see
-/// [`crate::with_delta`]).
-pub fn strengthen_function_traced(
-    tags_table: &TagTable,
-    func: &mut Function,
-    func_id: FuncId,
-    func_is_recursive: bool,
-    analyses: &mut FunctionAnalyses,
-    tr: &mut trace::FuncTrace,
-) -> usize {
-    crate::with_delta("strengthen", func, tr, |f| {
-        strengthen_function(tags_table, f, func_id, func_is_recursive, analyses)
-    })
-}

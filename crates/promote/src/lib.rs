@@ -14,6 +14,12 @@
 //!   pointer references (e.g. `B[i]` inside a `j` loop) when all accesses
 //!   to the referenced tags go through one invariant base register.
 //!
+//! [`promote_module`] runs both over a whole module. The pipeline calls
+//! the per-function entry points, [`promote_scalars_in_func`] and
+//! [`promote_pointers_in_func`], with its own analysis cache and trace:
+//! they emit remarks into the `trace::FuncTrace` they are given, and the
+//! driver records their before-minus-after delta around each call.
+//!
 //! ```
 //! use promote::{promote_module, PromotionOptions};
 //!
@@ -38,46 +44,13 @@ mod pointer;
 mod scalar;
 
 pub use equations::{block_sets, classify_singleton, BlockSets, LoopSets, RefClass};
-pub use pointer::{
-    promote_pointers_in_func, promote_pointers_in_func_core, promote_pointers_in_func_traced,
-    PointerReport,
-};
-pub use scalar::{
-    promotable_tags, promote_scalars_in_func, promote_scalars_in_func_core,
-    promote_scalars_in_func_traced, ScalarReport,
-};
+pub use pointer::{promote_pointers_in_func, PointerReport};
+pub use scalar::{promotable_tags, promote_scalars_in_func, ScalarReport};
 
 use analysis::{tarjan_sccs, CallGraph};
+use cfg::FunctionAnalyses;
 use ir::Module;
-
-/// Runs a rewriting stage and, when tracing is enabled, records its
-/// before-minus-after [`trace::PassEvent::Delta`] under `pass` (lift and
-/// store-back insertion shows up as negative counts). Chains body scans
-/// through the [`trace::FuncTrace`] stats cache like `opt::with_delta`.
-fn with_delta<R>(
-    pass: &'static str,
-    func: &mut ir::Function,
-    tr: &mut trace::FuncTrace,
-    stage: impl FnOnce(&mut ir::Function, &mut trace::FuncTrace) -> R,
-) -> R {
-    if !tr.enabled() {
-        return stage(func, tr);
-    }
-    let before = match tr.cached_stats() {
-        Some((instrs, loads, stores)) => ir::BodyStats {
-            instrs,
-            loads,
-            stores,
-        },
-        None => func.body_stats(),
-    };
-    let result = stage(func, tr);
-    let after = func.body_stats();
-    let (instrs, loads, stores) = before.delta(&after);
-    tr.delta(pass, instrs, loads, stores);
-    tr.set_stats((after.instrs, after.loads, after.stores));
-    result
-}
+use trace::FuncTrace;
 
 /// Configuration for [`promote_module`].
 #[derive(Debug, Clone)]
@@ -113,7 +86,10 @@ pub struct PromotionReport {
     pub pointer: PointerReport,
 }
 
-/// Runs register promotion over every function of `module`.
+/// Runs register promotion over every function of `module`: the
+/// module-wide convenience over [`promote_scalars_in_func`] and
+/// [`promote_pointers_in_func`], the per-function entry points the
+/// pipeline's fused chain calls (and traces) itself.
 ///
 /// Loop normalization (landing pads + dedicated exits) is performed first;
 /// the interprocedural analyses are expected to have already shrunk the
@@ -122,40 +98,22 @@ pub struct PromotionReport {
 pub fn promote_module(module: &mut Module, opts: &PromotionOptions) -> PromotionReport {
     let graph = CallGraph::build(module, None);
     let sccs = tarjan_sccs(&graph);
-    let recursive: Vec<bool> = (0..module.funcs.len())
-        .map(|fi| graph.is_recursive(ir::FuncId(fi as u32), &sccs))
-        .collect();
-    promote_module_with_flags(module, opts, &recursive)
-}
-
-/// [`promote_module`] with precomputed per-function recursion flags.
-///
-/// The pipeline's analysis barrier already builds the call graph and its
-/// SCCs; this entry point lets it pass those results down instead of
-/// recomputing them, while standalone callers go through
-/// [`promote_module`] and share the same code path.
-pub fn promote_module_with_flags(
-    module: &mut Module,
-    opts: &PromotionOptions,
-    recursive: &[bool],
-) -> PromotionReport {
-    assert_eq!(
-        recursive.len(),
-        module.funcs.len(),
-        "one recursion flag per function"
-    );
     for fi in 0..module.funcs.len() {
         cfg::normalize_loops(&mut module.funcs[fi]);
     }
     let mut report = PromotionReport::default();
     for fi in 0..module.funcs.len() {
         let f = ir::FuncId(fi as u32);
+        let func = &mut module.funcs[fi];
         if opts.scalar {
             let r = scalar::promote_scalars_in_func(
-                module,
+                &module.tags,
+                func,
                 f,
-                recursive[fi],
+                graph.is_recursive(f, &sccs),
                 opts.max_promoted_per_loop,
+                &mut FunctionAnalyses::new(),
+                &mut FuncTrace::off(),
             );
             report.scalar.loops += r.loops;
             report.scalar.promoted_tags += r.promoted_tags;
@@ -163,7 +121,11 @@ pub fn promote_module_with_flags(
             report.scalar.rewritten_refs += r.rewritten_refs;
         }
         if opts.pointer_based {
-            let r = pointer::promote_pointers_in_func(module, f);
+            let r = pointer::promote_pointers_in_func(
+                func,
+                &mut FunctionAnalyses::new(),
+                &mut FuncTrace::off(),
+            );
             report.pointer.promoted_bases += r.promoted_bases;
             report.pointer.rewritten_refs += r.rewritten_refs;
             report.pointer.lifts += r.lifts;

@@ -12,7 +12,7 @@
 //! it after LICM.
 
 use cfg::{FunctionAnalyses, LoopId};
-use ir::{FuncId, Function, Instr, Module, Reg, TagSet};
+use ir::{Function, Instr, Reg, TagSet};
 use std::collections::{BTreeMap, BTreeSet};
 use trace::{FuncTrace, LoopRef, Remark};
 
@@ -27,38 +27,11 @@ pub struct PointerReport {
     pub lifts: usize,
 }
 
-/// Runs pointer-based promotion on one normalized function.
-pub fn promote_pointers_in_func(module: &mut Module, func_id: FuncId) -> PointerReport {
-    promote_pointers_in_func_core(
-        &mut module.funcs[func_id.index()],
-        &mut FunctionAnalyses::new(),
-    )
-}
-
-/// The per-function core of pointer-based promotion. Entirely
+/// Runs pointer-based promotion on one normalized function. Entirely
 /// function-local, so the parallel pipeline can fan it out across
-/// functions.
-pub fn promote_pointers_in_func_core(
-    func: &mut Function,
-    analyses: &mut FunctionAnalyses,
-) -> PointerReport {
-    promote_pointers_in_func_traced(func, analyses, &mut FuncTrace::off())
-}
-
-/// [`promote_pointers_in_func_core`] with remark emission: one
-/// [`Remark::PointerPromoted`] per promoted base register when tracing is
-/// enabled, plus a `pointer-promote` delta covering the rewrite.
-pub fn promote_pointers_in_func_traced(
-    func: &mut Function,
-    analyses: &mut FunctionAnalyses,
-    tr: &mut FuncTrace,
-) -> PointerReport {
-    crate::with_delta("pointer-promote", func, tr, |func, tr| {
-        promote_pointers_in_func_inner(func, analyses, tr)
-    })
-}
-
-fn promote_pointers_in_func_inner(
+/// functions. When `tr` is enabled, each promoted base register is
+/// reported as a [`Remark::PointerPromoted`].
+pub fn promote_pointers_in_func(
     func: &mut Function,
     analyses: &mut FunctionAnalyses,
     tr: &mut FuncTrace,
@@ -246,6 +219,7 @@ fn promote_pointers_in_func_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ir::Module;
     use vm::{Vm, VmOptions};
 
     fn prepare(src: &str) -> Module {
@@ -260,7 +234,11 @@ mod tests {
     fn promote_pointers(m: &mut Module) -> PointerReport {
         let mut total = PointerReport::default();
         for fi in 0..m.funcs.len() {
-            let r = promote_pointers_in_func(m, FuncId(fi as u32));
+            let r = promote_pointers_in_func(
+                &mut m.funcs[fi],
+                &mut FunctionAnalyses::new(),
+                &mut FuncTrace::off(),
+            );
             total.promoted_bases += r.promoted_bases;
             total.rewritten_refs += r.rewritten_refs;
             total.lifts += r.lifts;

@@ -24,7 +24,9 @@ pub struct ScalarReport {
     pub rewritten_refs: usize,
 }
 
-/// Runs scalar promotion on one (already loop-normalized) function.
+/// Runs scalar promotion on one (already loop-normalized) function. It
+/// needs only the read-only tag table and the function body, so
+/// independent functions can be promoted concurrently.
 ///
 /// `func_is_recursive` must say whether the function lies on a call-graph
 /// cycle; it gates the classification of singleton pointer references to
@@ -37,76 +39,14 @@ pub struct ScalarReport {
 /// the promotion process"). When set, each loop keeps only its
 /// `max_per_loop` most-referenced promotable tags; the rest stay in
 /// memory rather than risk being spilled back by the allocator.
+///
+/// When `tr` is enabled, every loop's verdict is reported: a
+/// [`Remark::Promoted`] per (tag, loop) that equation (3) admits (with
+/// the lift placement from equation (4)), and a [`Remark::Blocked`] with
+/// a concrete [`BlockReason`] per explicitly-referenced tag that
+/// `L_AMBIGUOUS` claims.
+#[allow(clippy::too_many_arguments)]
 pub fn promote_scalars_in_func(
-    module: &mut Module,
-    func_id: FuncId,
-    func_is_recursive: bool,
-    max_per_loop: Option<usize>,
-) -> ScalarReport {
-    promote_scalars_in_func_core(
-        &module.tags,
-        &mut module.funcs[func_id.index()],
-        func_id,
-        func_is_recursive,
-        max_per_loop,
-        &mut FunctionAnalyses::new(),
-    )
-}
-
-/// The per-function core of scalar promotion: needs only the (read-only)
-/// tag table and the function body, so independent functions can be
-/// promoted concurrently.
-pub fn promote_scalars_in_func_core(
-    tags: &TagTable,
-    func: &mut Function,
-    func_id: FuncId,
-    func_is_recursive: bool,
-    max_per_loop: Option<usize>,
-    analyses: &mut FunctionAnalyses,
-) -> ScalarReport {
-    promote_scalars_in_func_traced(
-        tags,
-        func,
-        func_id,
-        func_is_recursive,
-        max_per_loop,
-        analyses,
-        &mut FuncTrace::off(),
-    )
-}
-
-/// [`promote_scalars_in_func_core`] with remark emission: when tracing is
-/// enabled, every loop's verdict is reported — a [`Remark::Promoted`] per
-/// (tag, loop) that equation (3) admits (with the lift placement from
-/// equation (4)), and a [`Remark::Blocked`] with a concrete
-/// [`BlockReason`] per explicitly-referenced tag that `L_AMBIGUOUS`
-/// claims — plus a `promote` delta covering the rewrite (lift insertion
-/// shows as negative counts).
-#[allow(clippy::too_many_arguments)]
-pub fn promote_scalars_in_func_traced(
-    tags: &TagTable,
-    func: &mut Function,
-    func_id: FuncId,
-    func_is_recursive: bool,
-    max_per_loop: Option<usize>,
-    analyses: &mut FunctionAnalyses,
-    tr: &mut FuncTrace,
-) -> ScalarReport {
-    crate::with_delta("promote", func, tr, |func, tr| {
-        promote_scalars_in_func_inner(
-            tags,
-            func,
-            func_id,
-            func_is_recursive,
-            max_per_loop,
-            analyses,
-            tr,
-        )
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn promote_scalars_in_func_inner(
     tags: &TagTable,
     func: &mut Function,
     func_id: FuncId,
@@ -472,7 +412,15 @@ mod tests {
         for fi in 0..m.funcs.len() {
             let f = FuncId(fi as u32);
             let rec = graph.is_recursive(f, &sccs);
-            let r = promote_scalars_in_func(m, f, rec, None);
+            let r = promote_scalars_in_func(
+                &m.tags,
+                &mut m.funcs[fi],
+                f,
+                rec,
+                None,
+                &mut FunctionAnalyses::new(),
+                &mut FuncTrace::off(),
+            );
             total.loops += r.loops;
             total.promoted_tags += r.promoted_tags;
             total.lifts += r.lifts;

@@ -15,7 +15,7 @@
 //!   traffic shows up in the measured load/store counts exactly as it does
 //!   in the paper's figures.
 //!
-//! Allocation is split into a per-function core ([`allocate_function_core`])
+//! Allocation is split into a per-function core ([`allocate_function_in`])
 //! that touches only the function body plus a read-only tag-table snapshot,
 //! and a sequential commit ([`commit_spills`]) that interns the spill tags
 //! the core requested. The core hands out *provisional* tag ids (at or
@@ -29,7 +29,7 @@ use cfg::{for_each_instr_backwards_in, Cfg, FunctionAnalyses, Liveness, RegSet};
 use ir::{BlockId, FuncId, Function, Instr, Module, Reg, RewriteBuf, TagId, TagKind, TagTable};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-/// Reusable allocator state for [`allocate_function_core_traced`]: the
+/// Reusable allocator state for [`allocate_function_in`]: the
 /// interference graph and coalescer's class adjacency (the two big
 /// [`BitMatrix`] builds), every per-round simplify/select vector, and the
 /// [`RewriteBuf`] the spill inserter rebuilds blocks through. One of these
@@ -125,7 +125,7 @@ pub struct AllocReport {
 /// [`commit_spills`] must replace.
 pub const PROVISIONAL_SPILL_BASE: u32 = 0x8000_0000;
 
-/// A spill tag requested by [`allocate_function_core`] but not yet
+/// A spill tag requested by [`allocate_function_in`] but not yet
 /// interned in the module's tag table.
 #[derive(Debug, Clone)]
 pub struct PendingSpill {
@@ -580,41 +580,20 @@ fn insert_spill_code(
 }
 
 /// Allocates one function onto `opts.num_regs` registers, using only a
-/// read-only snapshot of the tag table. Spill tags the function needs are
-/// returned through `pending` as provisional ids; the caller must intern
-/// them with [`commit_spills`] before the module is printed, validated, or
-/// run.
+/// read-only snapshot of the tag table, the caller's analysis cache and
+/// the caller's scratch. Spill tags the function needs are returned
+/// through `pending` as provisional ids; the caller must intern them with
+/// [`commit_spills`] before the module is printed, validated, or run.
+/// When `tr` is enabled, each spill victim is reported as a
+/// [`trace::Remark::Spilled`] with the simplify/select round that
+/// demanded it.
 ///
 /// # Panics
 ///
 /// Panics if the function's arity exceeds the register count or if
 /// allocation fails to converge within `opts.max_rounds`.
-pub fn allocate_function_core(
-    tags: &TagTable,
-    func: &mut Function,
-    func_id: FuncId,
-    opts: &AllocOptions,
-    pending: &mut Vec<PendingSpill>,
-    analyses: &mut FunctionAnalyses,
-) -> AllocReport {
-    allocate_function_core_traced(
-        tags,
-        func,
-        func_id,
-        opts,
-        pending,
-        analyses,
-        &mut AllocScratch::default(),
-        &mut trace::FuncTrace::off(),
-    )
-}
-
-/// [`allocate_function_core`] with remark emission: when tracing is
-/// enabled, each spill victim is reported as a
-/// [`trace::Remark::Spilled`] with the simplify/select round that demanded
-/// it, and the net spill-code insertion lands as a `regalloc` delta.
 #[allow(clippy::too_many_arguments)]
-pub fn allocate_function_core_traced(
+pub fn allocate_function_in(
     tags: &TagTable,
     func: &mut Function,
     func_id: FuncId,
@@ -648,20 +627,6 @@ pub fn allocate_function_core_traced(
     // Versions are per-`FunctionAnalyses`; a cached graph from a previous
     // function must never be mistaken for this one's.
     *graph_version = None;
-    // Seed the before-count from the stats cache when the preceding
-    // delta stage left one (the fused chain always does), else scan.
-    let stats_before = if tr.enabled() {
-        Some(match tr.cached_stats() {
-            Some((instrs, loads, stores)) => ir::BodyStats {
-                instrs,
-                loads,
-                stores,
-            },
-            None => func.body_stats(),
-        })
-    } else {
-        None
-    };
     let mut report = AllocReport::default();
     let k = opts.num_regs;
     assert!(
@@ -860,12 +825,6 @@ pub fn allocate_function_core_traced(
             func.next_reg = k as u32;
             // The physical-register rewrite is the last body change.
             analyses.note_body_changed();
-            if let Some(before) = stats_before {
-                let after = func.body_stats();
-                let (i, l, s) = before.delta(&after);
-                tr.delta("regalloc", i, l, s);
-                tr.set_stats((after.instrs, after.loads, after.stores));
-            }
             return report;
         }
         let mut spilled = spilled;
@@ -926,33 +885,13 @@ pub fn commit_spills(module: &mut Module, func_id: FuncId, pending: Vec<PendingS
     }
 }
 
-/// Allocates one function onto `opts.num_regs` registers.
-///
-/// # Panics
-///
-/// Panics if the function's arity exceeds the register count or if
-/// allocation fails to converge within `opts.max_rounds`.
-pub fn allocate_function(module: &mut Module, func_id: FuncId, opts: &AllocOptions) -> AllocReport {
-    let mut pending = Vec::new();
-    let report = allocate_function_core(
-        &module.tags,
-        &mut module.funcs[func_id.index()],
-        func_id,
-        opts,
-        &mut pending,
-        &mut FunctionAnalyses::new(),
-    );
-    commit_spills(module, func_id, pending);
-    report
-}
-
 /// Allocates every function in the module.
 pub fn allocate(module: &mut Module, opts: &AllocOptions) -> AllocReport {
     let mut total = AllocReport::default();
     let mut scratch = AllocScratch::default();
     for fi in 0..module.funcs.len() {
         let mut pending = Vec::new();
-        let r = allocate_function_core_traced(
+        let r = allocate_function_in(
             &module.tags,
             &mut module.funcs[fi],
             FuncId(fi as u32),

@@ -7,6 +7,12 @@
 //! tags, so spill traffic is measured by the VM like any other memory
 //! traffic.
 //!
+//! [`allocate`] allocates a whole module. The pipeline instead calls the
+//! per-function entry point, [`allocate_function_in`], with its own
+//! analysis cache, scratch and trace (which receives `Spilled` remarks;
+//! the driver records the allocator's before-minus-after delta around the
+//! call), then interns each function's spill tags with [`commit_spills`].
+//!
 //! ```
 //! use regalloc::{allocate, AllocOptions};
 //!
@@ -29,9 +35,8 @@ mod alloc;
 mod matrix;
 
 pub use alloc::{
-    allocate, allocate_function, allocate_function_core, allocate_function_core_traced,
-    commit_spills, interference_graph, interference_graph_in, AllocOptions, AllocReport,
-    AllocScratch, PendingSpill, PROVISIONAL_SPILL_BASE,
+    allocate, allocate_function_in, commit_spills, interference_graph, interference_graph_in,
+    AllocOptions, AllocReport, AllocScratch, PendingSpill, PROVISIONAL_SPILL_BASE,
 };
 pub use cfg::{for_each_instr_backwards, liveness, Cfg, Liveness, RegSet};
 pub use matrix::BitMatrix;

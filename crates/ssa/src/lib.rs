@@ -49,56 +49,3 @@ pub use destruct::{
     split_critical_edges_in,
 };
 pub use verify::{verify_ssa, SsaError};
-
-/// The before-count for a delta: the [`trace::FuncTrace`] stats cache if
-/// a preceding delta stage left one, else a fresh body scan. `None` when
-/// tracing is off.
-fn cached_or_scan(func: &ir::Function, tr: &trace::FuncTrace) -> Option<ir::BodyStats> {
-    if !tr.enabled() {
-        return None;
-    }
-    Some(match tr.cached_stats() {
-        Some((instrs, loads, stores)) => ir::BodyStats {
-            instrs,
-            loads,
-            stores,
-        },
-        None => func.body_stats(),
-    })
-}
-
-/// [`construct_in`] with a `ssa-construct` delta recorded when tracing is
-/// enabled (φ insertion shows up as negative `instrs_removed`).
-pub fn construct_in_traced(
-    func: &mut ir::Function,
-    analyses: &mut cfg::FunctionAnalyses,
-    tr: &mut trace::FuncTrace,
-) -> SsaMap {
-    let before = cached_or_scan(func, tr);
-    let map = construct_in(func, analyses);
-    if let Some(before) = before {
-        let after = func.body_stats();
-        let (i, l, s) = before.delta(&after);
-        tr.delta("ssa-construct", i, l, s);
-        tr.set_stats((after.instrs, after.loads, after.stores));
-    }
-    map
-}
-
-/// [`destruct_in`] with a `ssa-destruct` delta recorded when tracing is
-/// enabled.
-pub fn destruct_in_traced(
-    func: &mut ir::Function,
-    analyses: &mut cfg::FunctionAnalyses,
-    tr: &mut trace::FuncTrace,
-) -> usize {
-    let before = cached_or_scan(func, tr);
-    let removed = destruct_in(func, analyses);
-    if let Some(before) = before {
-        let after = func.body_stats();
-        let (i, l, s) = before.delta(&after);
-        tr.delta("ssa-destruct", i, l, s);
-        tr.set_stats((after.instrs, after.loads, after.stores));
-    }
-    removed
-}

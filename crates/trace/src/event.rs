@@ -144,7 +144,7 @@ impl PassEvent {
 }
 
 /// A [`PassEvent`] attributed to the function it happened in — the unit a
-/// [`crate::TraceSink`] consumes and a JSONL line encodes.
+/// [`crate::TraceLog`] holds and a JSONL line encodes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceRecord {
     /// Function name (without the `@`).

@@ -12,15 +12,15 @@
 //! * [`PassEvent`] — a remark or a per-pass delta counter (instructions
 //!   removed, loads/stores eliminated);
 //! * [`FuncTrace`] — the per-function event buffer each worker fills while
-//!   it carries a function through the fused pass chain. The `Off` variant
-//!   makes disabled tracing a no-op: one enum-discriminant test per hook,
-//!   no allocation, no formatting;
+//!   it carries a function through the pipeline. [`FuncTrace::stage`] runs
+//!   one stage over a function body and records its delta: the only place
+//!   a delta is computed, against a cached body-count snapshot that only a
+//!   stage reporting a change rescans. A disabled trace makes every hook a
+//!   no-op: one discriminant test, no allocation, no formatting;
 //! * [`TraceLog`] — the per-module aggregate, assembled in deterministic
 //!   function-index order after the parallel fan-out, serializable as
 //!   JSONL ([`TraceLog::to_jsonl`] / [`TraceLog::from_jsonl`]) and as
-//!   LLVM-style human-readable remarks ([`TraceLog::render_remarks`]);
-//! * [`TraceSink`] — a consumer trait for streaming the aggregated events
-//!   somewhere else (a file, a test collector, a metrics exporter).
+//!   LLVM-style human-readable remarks ([`TraceLog::render_remarks`]).
 //!
 //! Determinism contract: events are buffered per function inside the
 //! worker that owns the function (no cross-thread contention) and replayed
@@ -37,4 +37,4 @@ mod sink;
 pub use alloc_probe::{AllocStats, CountingAlloc};
 pub use event::{BlockReason, LoopRef, PassEvent, Remark, TraceRecord};
 pub use jsonl::JsonlError;
-pub use sink::{CollectSink, FuncTrace, NullSink, TraceLog, TraceSink};
+pub use sink::{FuncTrace, TraceLog};

@@ -1,47 +1,46 @@
-//! Event buffers and consumers.
+//! The per-function event buffer and the whole-module log.
 
 use crate::event::{PassEvent, Remark, TraceRecord};
 use crate::jsonl::{self, JsonlError};
 
+/// A body's static `(instrs, loads, stores)`: what a
+/// [`PassEvent::Delta`] is the before-minus-after of. A body type opts in
+/// to [`FuncTrace::stage`] with `impl From<&Body> for (usize, usize,
+/// usize)` (`ir::Function` does).
+type Counts = (usize, usize, usize);
+
 /// The per-function event buffer a worker fills while it carries one
-/// function through the fused pass chain.
+/// function through the pipeline's stages.
 ///
-/// The `Off` variant is the whole zero-cost story: every hook is
-/// `if !tr.enabled() { return }` — one enum-discriminant test, no
-/// allocation, no string formatting, no tag-name resolution. A disabled
-/// pipeline run never constructs a single event.
+/// A disabled trace ([`FuncTrace::off`]) holds no buffer, and that is the
+/// whole zero-cost story: every hook starts with one discriminant test
+/// and returns, with no allocation, no string formatting, no tag-name
+/// resolution. A disabled pipeline run never constructs a single event.
 #[derive(Debug, Default)]
-pub enum FuncTrace {
-    /// Tracing disabled; every emit is a no-op.
-    #[default]
-    Off,
-    /// Tracing enabled; events accumulate in chain order.
-    On {
-        /// The buffered events.
-        events: Vec<PassEvent>,
-        /// Cached `(instrs, loads, stores)` snapshot of the function as
-        /// of the last delta-recorded pass exit. Consecutive delta
-        /// passes chain through it — pass N's after-scan is pass N+1's
-        /// before-count — halving the body scans tracing costs. Any
-        /// stage that mutates the function without recording a delta
-        /// must call [`FuncTrace::invalidate_stats`].
-        stats: Option<(usize, usize, usize)>,
-    },
+pub struct FuncTrace(Option<Buffer>);
+
+/// What an enabled [`FuncTrace`] holds.
+#[derive(Debug, Default)]
+struct Buffer {
+    /// The buffered events, in stage order.
+    events: Vec<PassEvent>,
+    /// The function's counts as of the last [`FuncTrace::stage`] exit
+    /// (the *snapshot*). Consecutive stages chain through it — stage N's
+    /// after-count is stage N+1's before-count — so tracing scans a body
+    /// at most once per stage that changed it.
+    stats: Option<Counts>,
 }
 
 impl FuncTrace {
     /// A disabled trace.
     pub fn off() -> FuncTrace {
-        FuncTrace::Off
+        FuncTrace(None)
     }
 
     /// An enabled, empty trace. The vector is lazily grown; an enabled
     /// trace over a function no pass touches stays allocation-free.
     pub fn on() -> FuncTrace {
-        FuncTrace::On {
-            events: Vec::new(),
-            stats: None,
-        }
+        FuncTrace(Some(Buffer::default()))
     }
 
     /// True when events are being collected. Passes must guard any work
@@ -49,76 +48,70 @@ impl FuncTrace {
     /// behind this, which is what keeps disabled tracing free.
     #[inline]
     pub fn enabled(&self) -> bool {
-        matches!(self, FuncTrace::On { .. })
+        self.0.is_some()
     }
 
     /// Records a structured remark.
     #[inline]
     pub fn remark(&mut self, pass: &'static str, remark: Remark) {
-        if let FuncTrace::On { events, .. } = self {
-            events.push(PassEvent::Remark { pass, remark });
+        if let Some(buf) = &mut self.0 {
+            buf.events.push(PassEvent::Remark { pass, remark });
         }
     }
 
-    /// Records a per-pass delta (before-minus-after static counts). An
-    /// all-zero delta is dropped: a pass that changed nothing says
-    /// nothing.
+    /// Runs one pipeline stage over `body` and records its
+    /// before-minus-after [`PassEvent::Delta`] under `pass`: the one place
+    /// a delta is computed. `run` gets the body and this trace (for
+    /// remarks) and returns its result plus whether it may have changed
+    /// the body. The body is counted through its `(instrs, loads,
+    /// stores)` conversion (for `ir::Function`, its `body_stats`).
+    ///
+    /// With tracing off this is a direct call. With it on, the
+    /// before-count is the snapshot the previous stage left, or a scan if
+    /// there is none. The body is rescanned afterwards only when `run`
+    /// reports a change; otherwise the snapshot stands, so a stage may
+    /// report "unchanged" only when it left the body untouched. An
+    /// all-zero delta is dropped (a stage that changed nothing says
+    /// nothing), and the after-count becomes the new snapshot.
     #[inline]
-    pub fn delta(
+    pub fn stage<B, R>(
         &mut self,
         pass: &'static str,
-        instrs_removed: i64,
-        loads_removed: i64,
-        stores_removed: i64,
-    ) {
-        if let FuncTrace::On { events, .. } = self {
-            if instrs_removed != 0 || loads_removed != 0 || stores_removed != 0 {
-                events.push(PassEvent::Delta {
+        body: &mut B,
+        run: impl FnOnce(&mut B, &mut FuncTrace) -> (R, bool),
+    ) -> R
+    where
+        for<'b> &'b B: Into<Counts>,
+    {
+        let before = match &self.0 {
+            None => return run(body, self).0,
+            Some(buf) => buf.stats.unwrap_or_else(|| (&*body).into()),
+        };
+        let (result, changed) = run(body, self);
+        let after = if changed { (&*body).into() } else { before };
+        if let Some(buf) = &mut self.0 {
+            if after != before {
+                let removed = |before: usize, after: usize| before as i64 - after as i64;
+                buf.events.push(PassEvent::Delta {
                     pass,
-                    instrs_removed,
-                    loads_removed,
-                    stores_removed,
+                    instrs_removed: removed(before.0, after.0),
+                    loads_removed: removed(before.1, after.1),
+                    stores_removed: removed(before.2, after.2),
                 });
             }
+            buf.stats = Some(after);
         }
-    }
-
-    /// The cached `(instrs, loads, stores)` snapshot, if one is current.
-    #[inline]
-    pub fn cached_stats(&self) -> Option<(usize, usize, usize)> {
-        match self {
-            FuncTrace::Off => None,
-            FuncTrace::On { stats, .. } => *stats,
-        }
-    }
-
-    /// Replaces the cached snapshot with the function's state as just
-    /// scanned by a delta-recording stage.
-    #[inline]
-    pub fn set_stats(&mut self, snapshot: (usize, usize, usize)) {
-        if let FuncTrace::On { stats, .. } = self {
-            *stats = Some(snapshot);
-        }
-    }
-
-    /// Drops the cached snapshot. Required after any mutation that did
-    /// not record a delta, or the next delta would be computed against a
-    /// stale baseline.
-    #[inline]
-    pub fn invalidate_stats(&mut self) {
-        if let FuncTrace::On { stats, .. } = self {
-            *stats = None;
-        }
+        result
     }
 
     /// Drains the buffered events, leaving the trace enabled-and-empty
-    /// (or `Off`, if it was off).
+    /// (or off, if it was off).
     pub fn take_events(&mut self) -> Vec<PassEvent> {
-        match self {
-            FuncTrace::Off => Vec::new(),
-            FuncTrace::On { events, stats } => {
-                *stats = None;
-                std::mem::take(events)
+        match &mut self.0 {
+            None => Vec::new(),
+            Some(buf) => {
+                buf.stats = None;
+                std::mem::take(&mut buf.events)
             }
         }
     }
@@ -127,58 +120,25 @@ impl FuncTrace {
     /// this before the fused chain runs so it can carve out exactly the
     /// chain's event suffix for caching.
     pub fn event_count(&self) -> usize {
-        match self {
-            FuncTrace::Off => 0,
-            FuncTrace::On { events, .. } => events.len(),
-        }
+        self.0.as_ref().map_or(0, |buf| buf.events.len())
     }
 
     /// Clones the events from index `from` to the end — the suffix a
     /// cached function's chain trip appended past an
     /// [`event_count`](Self::event_count) snapshot.
     pub fn events_from(&self, from: usize) -> Vec<PassEvent> {
-        match self {
-            FuncTrace::Off => Vec::new(),
-            FuncTrace::On { events, .. } => events.get(from..).unwrap_or_default().to_vec(),
+        match &self.0 {
+            None => Vec::new(),
+            Some(buf) => buf.events.get(from..).unwrap_or_default().to_vec(),
         }
     }
 
     /// Appends pre-recorded events (a cached chain suffix being replayed
     /// into a live trace). No-op when the trace is off.
     pub fn append_events(&mut self, replayed: Vec<PassEvent>) {
-        if let FuncTrace::On { events, .. } = self {
-            events.extend(replayed);
+        if let Some(buf) = &mut self.0 {
+            buf.events.extend(replayed);
         }
-    }
-}
-
-/// A consumer of aggregated trace records: feed it a [`TraceLog`] through
-/// [`TraceLog::replay`], or individual records directly. Implementations
-/// decide what "consume" means — collect, write, export.
-pub trait TraceSink {
-    /// Consumes one record.
-    fn record(&mut self, record: &TraceRecord);
-}
-
-/// A sink that drops everything.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _record: &TraceRecord) {}
-}
-
-/// A sink that collects records in arrival order (tests, in-process
-/// consumers).
-#[derive(Debug, Default, Clone)]
-pub struct CollectSink {
-    /// The collected records.
-    pub records: Vec<TraceRecord>,
-}
-
-impl TraceSink for CollectSink {
-    fn record(&mut self, record: &TraceRecord) {
-        self.records.push(record.clone());
     }
 }
 
@@ -241,13 +201,6 @@ impl TraceLog {
     /// True if `func`'s chain events came from the incremental cache.
     pub fn is_cached(&self, func: &str) -> bool {
         self.cached.iter().any(|f| f == func)
-    }
-
-    /// Streams every record into `sink`, in order.
-    pub fn replay(&self, sink: &mut dyn TraceSink) {
-        for r in &self.records {
-            sink.record(r);
-        }
     }
 
     /// Iterates the structured remarks (deltas skipped), with their pass
@@ -313,55 +266,96 @@ impl TraceLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{BlockReason, LoopRef};
+
+    /// A stand-in body: one op per char, `l` a load, `s` a store.
+    struct Body(String);
+
+    impl From<&Body> for Counts {
+        fn from(b: &Body) -> Counts {
+            let count = |c| b.0.chars().filter(|&x| x == c).count();
+            (b.0.len(), count('l'), count('s'))
+        }
+    }
+
+    /// Drops the body's store and reports a change.
+    fn dce(b: &mut Body, _: &mut FuncTrace) -> ((), bool) {
+        b.0 = b.0.replace('s', "");
+        ((), true)
+    }
+
+    fn snapshot(tr: &FuncTrace) -> Option<Counts> {
+        tr.0.as_ref().and_then(|buf| buf.stats)
+    }
+
+    fn delta(pass: &'static str, instrs: i64, loads: i64, stores: i64) -> PassEvent {
+        PassEvent::Delta {
+            pass,
+            instrs_removed: instrs,
+            loads_removed: loads,
+            stores_removed: stores,
+        }
+    }
 
     #[test]
     fn off_trace_records_nothing() {
         let mut tr = FuncTrace::off();
         assert!(!tr.enabled());
         tr.remark("promote", Remark::Spilled { reg: 1, round: 1 });
-        tr.delta("dce", 3, 1, 0);
+        let mut body = Body("cslr".into());
+        let got = tr.stage("dce", &mut body, |b, tr| {
+            assert!(!tr.enabled());
+            (7, dce(b, tr).1)
+        });
+        assert_eq!((got, body.0.as_str()), (7, "clr"), "the stage ran");
+        assert_eq!(snapshot(&tr), None);
         assert!(tr.take_events().is_empty());
     }
 
     #[test]
     fn zero_deltas_are_dropped() {
         let mut tr = FuncTrace::on();
-        tr.delta("lvn", 0, 0, 0);
-        tr.delta("dce", 2, 0, 1);
+        let mut body = Body("cslr".into());
+        // Rewrites an op in place: a change, but an all-zero delta.
+        tr.stage("lvn", &mut body, |b, _| {
+            b.0 = b.0.replace('c', "x");
+            ((), true)
+        });
+        tr.stage("dce", &mut body, dce);
         let events = tr.take_events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].pass(), "dce");
     }
 
     #[test]
-    fn replay_feeds_sinks_in_order() {
-        let mut log = TraceLog::new();
-        log.extend_func(
-            "main",
-            vec![
-                PassEvent::Delta {
-                    pass: "dce",
-                    instrs_removed: 1,
-                    loads_removed: 0,
-                    stores_removed: 0,
-                },
-                PassEvent::Remark {
-                    pass: "promote",
-                    remark: Remark::Blocked {
-                        tag: "g".into(),
-                        in_loop: LoopRef {
-                            header: 2,
-                            depth: 1,
-                        },
-                        reason: BlockReason::AmbiguousRef,
-                    },
-                },
-            ],
-        );
-        let mut sink = CollectSink::default();
-        log.replay(&mut sink);
-        assert_eq!(sink.records, log.records);
-        assert_eq!(log.remarks().count(), 1);
+    fn a_changed_stage_rescans_and_updates_the_snapshot() {
+        let mut tr = FuncTrace::on();
+        let mut body = Body("cslr".into());
+        tr.stage("dce", &mut body, dce);
+        assert_eq!(snapshot(&tr), Some((3, 1, 0)));
+        // Lift insertion: negative counts, measured from the new snapshot.
+        tr.stage("promote", &mut body, |b, _| {
+            b.0 = format!("lc{}s", b.0);
+            ((), true)
+        });
+        assert_eq!(snapshot(&tr), Some((6, 2, 1)));
+        let want = vec![delta("dce", 1, 0, 1), delta("promote", -3, -1, -1)];
+        assert_eq!(tr.take_events(), want);
+    }
+
+    #[test]
+    fn an_unchanged_stage_reuses_the_snapshot_without_rescanning() {
+        let mut tr = FuncTrace::on();
+        let mut body = Body("cslr".into());
+        tr.stage("normalize", &mut body, |_, _| ((), true));
+        assert_eq!(snapshot(&tr), Some((4, 1, 1)));
+        // A stage that edits the body but reports no change: nothing is
+        // rescanned, so the snapshot and the event list stand.
+        tr.stage("lvn", &mut body, |b, tr| ((), !dce(b, tr).1));
+        assert_eq!(snapshot(&tr), Some((4, 1, 1)));
+        assert_eq!(tr.event_count(), 0);
+        // The next stage that rescans measures from the reused snapshot,
+        // so the hidden edit lands on it.
+        tr.stage("clean", &mut body, |_, _| ((), true));
+        assert_eq!(tr.take_events(), vec![delta("clean", 1, 0, 1)]);
     }
 }

@@ -26,7 +26,7 @@ fn main() {
         "\nLive measurement of `{}` (this runs the 2x2 experiment):\n",
         b.name
     );
-    let rows = measure_program(b.name, b.source);
+    let rows = measure_program(b.name, b.source).expect("suite program compiles and runs");
     for metric in [Metric::TotalOps, Metric::Stores, Metric::Loads] {
         println!("{}", driver::render_figure(metric, &rows));
     }
