@@ -206,28 +206,41 @@ mod tests {
     fn warm_edit_pair_is_a_single_function_edit() {
         let pair = warm_edit_pair();
         assert_ne!(pair.base, pair.edited, "the edit changes the text");
-        for (label, src) in [("base", pair.base), ("edited", pair.edited.as_str())] {
-            let module = minic::compile(src).unwrap_or_else(|e| panic!("{label}: {e}"));
-            ir::validate(&module).unwrap_or_else(|e| panic!("{label}: invalid IL: {e}"));
-            let out = vm::Vm::run_main(&module, vm::VmOptions::default())
-                .unwrap_or_else(|e| panic!("{label} failed to run: {e}"));
-            assert_eq!(out.exit_code, 0, "{label} exits cleanly");
-        }
-        // Same function set, same context: the edit lives inside one body.
-        let base_fp = minic::source_fingerprint(pair.base);
-        let edit_fp = minic::source_fingerprint(&pair.edited);
-        assert_eq!(
-            base_fp.context, edit_fp.context,
-            "globals and signatures untouched"
-        );
-        let names = |fp: &minic::SourceFingerprint| -> Vec<String> {
-            fp.funcs.iter().map(|f| f.name.clone()).collect()
+        let [base, edited] =
+            [("base", pair.base), ("edited", pair.edited.as_str())].map(|(label, src)| {
+                let module = minic::compile(src).unwrap_or_else(|e| panic!("{label}: {e}"));
+                ir::validate(&module).unwrap_or_else(|e| panic!("{label}: invalid IL: {e}"));
+                let out = vm::Vm::run_main(&module, vm::VmOptions::default())
+                    .unwrap_or_else(|e| panic!("{label} failed to run: {e}"));
+                assert_eq!(out.exit_code, 0, "{label} exits cleanly");
+                module
+            });
+        // Same functions, signatures and globals: the edit lives inside
+        // one body, and only that body's canonical hash moves.
+        let shape = |m: &ir::Module| {
+            let funcs: Vec<(String, usize)> =
+                m.funcs.iter().map(|f| (f.name.clone(), f.arity)).collect();
+            let globals: Vec<(String, usize)> = m
+                .tags
+                .iter()
+                .filter(|(_, t)| t.kind == ir::TagKind::Global)
+                .map(|(_, t)| (t.name.clone(), t.size))
+                .collect();
+            (funcs, globals)
         };
         assert_eq!(
-            names(&base_fp),
-            names(&edit_fp),
-            "no function added or removed"
+            shape(&base),
+            shape(&edited),
+            "no function or global changed"
         );
+        let changed: Vec<&str> = base
+            .funcs
+            .iter()
+            .zip(&edited.funcs)
+            .filter(|(b, e)| ir::hash::body_hash(&base, b) != ir::hash::body_hash(&edited, e))
+            .map(|(b, _)| b.name.as_str())
+            .collect();
+        assert_eq!(changed, ["next_byte"], "exactly one body changed");
     }
 
     #[test]

@@ -28,6 +28,7 @@
 //! row carries a `cpu_summed` flag so consumers (and the benchmark
 //! JSON) cannot silently compare the two kinds of number.
 
+use crate::incremental::FuncCache;
 use crate::parallel::WorkerPool;
 use crate::scratch::PassScratch;
 use analysis::{tarjan_sccs, AnalysisLevel, CallGraph};
@@ -396,24 +397,12 @@ pub fn run_pipeline_in(
     run_pipeline_core(module, config, pool, None).0
 }
 
-/// The incremental context a cache-backed run threads through the core:
-/// the session's function cache plus (when compiling from source) the
-/// raw-text fingerprint that lets unchanged functions skip the canonical
-/// body-hash walk.
-pub(crate) struct IncrementalRun<'a> {
-    /// The session's persistent per-function cache.
-    pub cache: &'a mut crate::incremental::FuncCache,
-    /// Raw-text hints for the module being compiled, if it came from
-    /// MiniC source this compile.
-    pub source: Option<&'a minic::SourceFingerprint>,
-}
-
 /// The one pipeline body behind both the plain and the incremental entry
 /// points, returning the structured [`TraceLog`] beside the report. The
 /// log is empty unless `config.trace` is set; when it is, events are
 /// buffered per function inside the worker that owns the function and
 /// assembled in function-index order, so the log is byte-identical at any
-/// pool size. With `incr` set, functions whose fingerprints match the
+/// pool size. With `cache` set, functions whose fingerprints match the
 /// cache are spliced instead of recompiled and the fused fan-out covers
 /// only the residual set; the sequential epilogue (spill commit, counter
 /// and trace assembly in function-index order) is identical either way,
@@ -422,7 +411,7 @@ pub(crate) fn run_pipeline_core(
     module: &mut Module,
     config: &PipelineConfig,
     pool: &WorkerPool,
-    mut incr: Option<IncrementalRun<'_>>,
+    mut cache: Option<&mut FuncCache>,
 ) -> (PipelineReport, TraceLog) {
     let v = config.validate_each_pass;
     let mut report = PipelineReport::default();
@@ -486,22 +475,20 @@ pub(crate) fn run_pipeline_core(
     // counters and trace suffix replayed), and leave only the misses for
     // the fused fan-out.
     let mut spliced: Vec<Option<FuncOutcome>> = module.funcs.iter().map(|_| None).collect();
-    let mut fingerprints = None;
+    let mut fingerprints = Vec::new();
     let mut incr_report = None;
-    if let Some(run) = incr.as_mut() {
-        run.cache.begin_compile();
+    if let Some(cache) = cache.as_deref_mut() {
+        cache.begin_compile();
         let summaries = analysis::modref_summary_hashes(module, &outcome.modref);
         let h_config = crate::incremental::config_hash(config);
-        let fps = crate::incremental::compute_fingerprints(
-            module, run.cache, &summaries, &recursive, h_config, run.source,
-        );
+        fingerprints =
+            crate::incremental::compute_fingerprints(module, &summaries, &recursive, h_config);
         let mut rep = crate::incremental::IncrementalReport {
             funcs_total: module.funcs.len(),
             ..Default::default()
         };
-        for i in 0..module.funcs.len() {
-            let (fp, h_body) = fps.per_func[i];
-            match run.cache.splice(module, i, fp) {
+        for (i, &(fp, h_body)) in fingerprints.iter().enumerate() {
+            match cache.splice(module, i, fp) {
                 Some((o, events)) => {
                     traces[i].append_events(events);
                     spliced[i] = Some(o);
@@ -509,18 +496,17 @@ pub(crate) fn run_pipeline_core(
                 }
                 None => {
                     rep.funcs_recompiled += 1;
-                    if run.cache.peek_body_hash(&module.funcs[i].name) == Some(h_body) {
+                    if cache.peek_body_hash(&module.funcs[i].name) == Some(h_body) {
                         rep.summary_invalidated += 1;
                     }
                 }
             }
         }
-        fingerprints = Some(fps);
         incr_report = Some(rep);
     }
     // Event counts before the chain runs: the suffix past each mark is
     // exactly what the chain appends, which is what the cache memoizes.
-    let chain_marks: Vec<usize> = if incr.is_some() {
+    let chain_marks: Vec<usize> = if cache.is_some() {
         traces.iter().map(|t| t.event_count()).collect()
     } else {
         Vec::new()
@@ -561,13 +547,11 @@ pub(crate) fn run_pipeline_core(
         let o = o.expect("every function has a chain or cache outcome");
         // Memoize fresh chain output before the spill commit rewrites the
         // provisional tags out of the body.
-        if let Some(run) = incr.as_mut() {
+        if let Some(cache) = cache.as_deref_mut() {
             if !hit[fi] {
-                let fps = fingerprints.as_ref().expect("fingerprints computed");
-                let (fp, h_body) = fps.per_func[fi];
+                let (fp, h_body) = fingerprints[fi];
                 let events = traces[fi].events_from(chain_marks[fi]);
-                run.cache
-                    .store(module, fi, fp, h_body, fps.hints[fi], &o, events);
+                cache.store(module, fi, fp, h_body, &o, events);
             }
         }
         report.strengthened += o.strengthened;
@@ -628,10 +612,10 @@ pub(crate) fn run_pipeline_core(
         })
         .collect();
     validate_if(module, v, "fused per-function chain");
-    if let Some(run) = incr.as_mut() {
+    if let Some(cache) = cache {
         let rep = incr_report.as_mut().expect("incremental report started");
-        rep.evictions = run.cache.evict_to_budget();
-        rep.cache_bytes = run.cache.bytes();
+        rep.evictions = cache.evict_to_budget();
+        rep.cache_bytes = cache.bytes();
     }
     report.incremental = incr_report;
     // Assemble the log in function-index order — the determinism

@@ -36,7 +36,7 @@
 use crate::error::Error;
 use crate::incremental::{FuncCache, DEFAULT_CACHE_BUDGET};
 use crate::parallel::{resolve_threads, WorkerPool};
-use crate::pipeline::{run_pipeline_core, IncrementalRun, PipelineConfig, PipelineReport};
+use crate::pipeline::{run_pipeline_core, PipelineConfig, PipelineReport};
 use analysis::AnalysisLevel;
 use ir::Module;
 use regalloc::AllocOptions;
@@ -100,8 +100,7 @@ impl Session {
     /// the report and trace log. The module is validated afterwards; a
     /// validation failure is returned as [`Error::Validate`] rather than
     /// a panic. On an incremental session the module's functions are
-    /// fingerprinted against the session cache (without raw-text hints —
-    /// those need the source, see [`compile`](Self::compile)).
+    /// fingerprinted against the session cache.
     ///
     /// # Errors
     ///
@@ -109,7 +108,19 @@ impl Session {
     /// allocator's register file is too small for the module, or
     /// [`Error::Validate`] if the pipeline produced invalid IL.
     pub fn optimize(&self, module: &mut Module) -> Result<(PipelineReport, TraceLog), Error> {
-        self.optimize_with_source(module, None)
+        self.check_registers(module)?;
+        let (report, log) = match &self.cache {
+            Some(cache) => {
+                // A poisoned lock only means an earlier compile panicked;
+                // the cache is mutated sequentially in the epilogue, one
+                // whole entry at a time, so whatever it holds is valid.
+                let mut cache = cache.lock().unwrap_or_else(|p| p.into_inner());
+                run_pipeline_core(module, &self.config, &self.pool, Some(&mut cache))
+            }
+            None => run_pipeline_core(module, &self.config, &self.pool, None),
+        };
+        ir::validate(module)?;
+        Ok((report, log))
     }
 
     /// Checks that the allocator's register file can hold `module`: at
@@ -141,34 +152,6 @@ impl Session {
         Ok(())
     }
 
-    fn optimize_with_source(
-        &self,
-        module: &mut Module,
-        source: Option<&minic::SourceFingerprint>,
-    ) -> Result<(PipelineReport, TraceLog), Error> {
-        self.check_registers(module)?;
-        let (report, log) = match &self.cache {
-            Some(cache) => {
-                // A poisoned lock only means an earlier compile panicked;
-                // the cache is mutated sequentially in the epilogue, one
-                // whole entry at a time, so whatever it holds is valid.
-                let mut cache = cache.lock().unwrap_or_else(|p| p.into_inner());
-                run_pipeline_core(
-                    module,
-                    &self.config,
-                    &self.pool,
-                    Some(IncrementalRun {
-                        cache: &mut cache,
-                        source,
-                    }),
-                )
-            }
-            None => run_pipeline_core(module, &self.config, &self.pool, None),
-        };
-        ir::validate(module)?;
-        Ok((report, log))
-    }
-
     /// Compiles MiniC source through the full pipeline.
     ///
     /// # Errors
@@ -188,10 +171,7 @@ impl Session {
                 guard
             })
             .compile(src)?;
-        // Raw-text hints let unchanged functions skip even the canonical
-        // body-hash walk on incremental sessions.
-        let source = self.cache.is_some().then(|| minic::source_fingerprint(src));
-        let (report, trace) = self.optimize_with_source(&mut module, source.as_ref())?;
+        let (report, trace) = self.optimize(&mut module)?;
         Ok(Compilation {
             module,
             report,
@@ -242,7 +222,7 @@ fn registers_needed(func: &ir::Function, limit: usize) -> usize {
 
 /// Fluent builder for [`Session`], starting from the paper's default arm:
 /// MOD/REF analysis, scalar promotion, the optimizer, and a 32-register
-/// allocator. `max_steps`/`max_depth` configure the VM.
+/// allocator. `max_steps` configures the VM.
 ///
 /// ```
 /// use analysis::AnalysisLevel;
@@ -370,12 +350,6 @@ impl SessionBuilder {
     /// Sets the VM's execution step budget.
     pub fn max_steps(mut self, steps: u64) -> Self {
         self.vm.max_steps = steps;
-        self
-    }
-
-    /// Sets the VM's call-depth budget.
-    pub fn max_depth(mut self, depth: usize) -> Self {
-        self.vm.max_depth = depth;
         self
     }
 

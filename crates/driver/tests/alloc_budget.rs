@@ -42,8 +42,7 @@ const STEADY_STATE_ALLOC_BUDGET: u64 = 2_600;
 /// Upper bound on allocator calls for one steady-state *front-end*
 /// compile of the whole suite (lex + parse + lower on a warm
 /// [`minic::Frontend`]). Measured at ~1.6k after the interned front end
-/// landed (vs ~8.7k through the since-deleted `String`/`Box` front end);
-/// mirrors the `--max-frontend-allocs` CI gate.
+/// landed (vs ~8.7k through the since-deleted `String`/`Box` front end).
 const FRONTEND_ALLOC_BUDGET: u64 = 2_500;
 
 #[test]

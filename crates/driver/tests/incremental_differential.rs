@@ -273,8 +273,8 @@ fn tiny_cache_budget_still_compiles_correctly() {
 
 #[test]
 fn optimize_entry_point_uses_the_cache_without_hints() {
-    // `Session::optimize` has no source text, so fingerprints come from
-    // the canonical IR walk alone — hits must still happen.
+    // `Session::optimize` takes a module lowered elsewhere; it keys the
+    // cache exactly as `Session::compile` does, so repeats must hit.
     let warm = incremental_session(1);
     let src = "int g; int main() { g = 41; print_int(g + 1); return 0; }";
     let mut m1 = minic::compile(src).expect("lowering");

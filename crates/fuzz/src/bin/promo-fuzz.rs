@@ -147,7 +147,10 @@ fn main() -> ExitCode {
         summary.skipped,
         summary.failures.len(),
         if summary.edits_checked > 0 {
-            format!(", {} edit-mode mutants", summary.edits_checked)
+            format!(
+                ", {} edit-mode mutants, {} cache hits, {} evictions",
+                summary.edits_checked, summary.cache_hits, summary.evictions
+            )
         } else {
             String::new()
         },

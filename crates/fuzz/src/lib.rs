@@ -102,6 +102,10 @@ pub struct CampaignSummary {
     /// Mutated programs checked in edit mode (matrix + incremental
     /// differential each).
     pub edits_checked: u64,
+    /// Functions the edit mode's warm session spliced from its cache.
+    pub cache_hits: u64,
+    /// Entries the edit mode's warm session evicted from its cache.
+    pub evictions: u64,
     /// Oracle violations.
     pub failures: Vec<CampaignFailure>,
     /// Aggregate construct coverage across all generated programs.
@@ -118,7 +122,7 @@ pub struct CampaignSummary {
 /// reported in the summary, not as errors.
 pub fn run_campaign(options: &CampaignOptions) -> io::Result<CampaignSummary> {
     let oracle = Oracle::new(options.oracle.clone());
-    let edit_oracle = (options.edits > 0).then(|| EditOracle::new(&options.oracle));
+    let mut edit_oracle = (options.edits > 0).then(|| EditOracle::new(&options.oracle));
     let started = Instant::now();
     let mut summary = CampaignSummary::default();
     for i in 0..options.count {
@@ -135,7 +139,7 @@ pub fn run_campaign(options: &CampaignOptions) -> io::Result<CampaignSummary> {
         match oracle.check(&source) {
             Verdict::Pass => {
                 summary.passed += 1;
-                if let Some(edit_oracle) = &edit_oracle {
+                if let Some(edit_oracle) = &mut edit_oracle {
                     run_edits(options, &oracle, edit_oracle, seed, program, &mut summary)?;
                 }
             }
@@ -159,6 +163,10 @@ pub fn run_campaign(options: &CampaignOptions) -> io::Result<CampaignSummary> {
             }
         }
     }
+    if let Some(edit_oracle) = edit_oracle {
+        summary.cache_hits = edit_oracle.cache_hits;
+        summary.evictions = edit_oracle.evictions;
+    }
     Ok(summary)
 }
 
@@ -171,7 +179,7 @@ pub fn run_campaign(options: &CampaignOptions) -> io::Result<CampaignSummary> {
 fn run_edits(
     options: &CampaignOptions,
     oracle: &Oracle,
-    edit_oracle: &EditOracle,
+    edit_oracle: &mut EditOracle,
     seed: u64,
     program: ast::Program,
     summary: &mut CampaignSummary,

@@ -111,13 +111,6 @@ pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// A `HashSet` keyed through [`FxHasher`].
 pub type FxHashSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
 
-/// Hashes a byte string with the deterministic Fx mixer.
-pub fn fx_hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h = FxHasher::new();
-    h.write(bytes);
-    h.finish()
-}
-
 /// Combines two hashes order-dependently.
 pub fn fx_mix(a: u64, b: u64) -> u64 {
     let mut h = FxHasher::new();
@@ -521,8 +514,13 @@ B0:
 
     #[test]
     fn fx_hash_is_deterministic_and_length_aware() {
-        assert_eq!(fx_hash_bytes(b"main"), fx_hash_bytes(b"main"));
-        assert_ne!(fx_hash_bytes(b"ab"), fx_hash_bytes(b"ab\0"));
+        let bytes = |b: &[u8]| {
+            let mut h = FxHasher::new();
+            h.write(b);
+            h.finish()
+        };
+        assert_eq!(bytes(b"main"), bytes(b"main"));
+        assert_ne!(bytes(b"ab"), bytes(b"ab\0"));
         assert_ne!(fx_mix(1, 2), fx_mix(2, 1));
     }
 }

@@ -37,7 +37,6 @@
 
 pub mod ast;
 mod error;
-mod fingerprint;
 mod frontend;
 mod intern;
 mod lexer;
@@ -46,7 +45,6 @@ mod parser;
 mod token;
 
 pub use error::{FrontError, Phase};
-pub use fingerprint::{source_fingerprint, FuncSpan, SourceFingerprint};
 pub use frontend::{compile, Frontend};
 pub use intern::{Interner, Symbol};
 pub use token::{Pos, Tok, Token};

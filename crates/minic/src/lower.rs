@@ -823,13 +823,16 @@ impl<'p> Lowerer<'p> {
                     ty: elem,
                 })
             }
-            other => err(
-                pos,
-                format!(
-                    "expression is not assignable: {:?}",
-                    std::mem::discriminant(&other)
-                ),
-            ),
+            ExprKind::IntLit(_) | ExprKind::FloatLit(_) => {
+                err(pos, "expression is not assignable: a literal")
+            }
+            ExprKind::Unary(..) | ExprKind::Binary(..) => {
+                err(pos, "expression is not assignable: an operator's result")
+            }
+            ExprKind::Assign(..) => err(pos, "expression is not assignable: an assignment"),
+            ExprKind::Call(..) => err(pos, "expression is not assignable: a call"),
+            ExprKind::AddrOf(_) => err(pos, "expression is not assignable: an address"),
+            ExprKind::Malloc(_) => err(pos, "expression is not assignable: a malloc"),
         }
     }
 

@@ -2,7 +2,7 @@
 //! every suite program in turn on the same recycled interner, token
 //! buffer and AST pools, must print exactly the unoptimized IL whose
 //! FNV-1a digests are recorded in `tests/golden/frontend_digest.txt`; fed
-//! nine malformed sources after that, it must report exactly the recorded
+//! ten malformed sources after that, it must report exactly the recorded
 //! diagnostic text. A front-end change that renumbers tags or registers,
 //! leaks state from one program into the next, or moves an error position
 //! shows up here as a named row. `crates/fuzz/tests/frontend_digest.rs`
@@ -18,7 +18,7 @@ use std::path::Path;
 
 /// One source per front-end phase and error kind: lex, parse and
 /// semantic errors, each of which must keep its position and message.
-const MALFORMED: [&str; 9] = [
+const MALFORMED: [&str; 10] = [
     "int main() { return 1e; }",
     "int main() { int x = 99999999999999999999; }",
     "int main() { @ }",
@@ -28,6 +28,7 @@ const MALFORMED: [&str; 9] = [
     "int x; int x; int main() { return 0; }",
     "void f() {} int main() { return f(); }",
     "int main() { break; }",
+    "int main() { 1 = 2; return 0; }",
 ];
 
 #[test]
