@@ -1,9 +1,13 @@
 //! Byte-identical output on generated programs, pinned: each of 200
-//! seeded programs, compiled with tracing on under the default and the
-//! 8-register arm, must print exactly the optimized IL and the JSONL
-//! remark stream whose FNV-1a digests are recorded in
+//! seeded programs, compiled with tracing on under the default, the
+//! 8-register and the 4-register arm, must print exactly the optimized IL
+//! and the JSONL remark stream whose FNV-1a digests are recorded in
 //! `tests/golden/il_digest.txt`. The seeds start at the benchmark's
-//! `0xBE9C`, so they are programs the suite never exercises.
+//! `0xBE9C`, so they are programs the suite never exercises. The
+//! 4-register `starved` arm is the allocator's heavy-pressure pin: nearly
+//! every program spills or rematerializes there, so it covers the spill,
+//! rematerialization and blocked-simplify paths far more densely than
+//! `tight`.
 //!
 //! After a deliberate change to the generator or the pipeline, rewrite the
 //! file with `PROMO_BLESS_COUNTS=1 cargo test -p promo-fuzz --test
@@ -26,6 +30,13 @@ fn arms() -> Vec<(&'static str, Session)> {
             "tight",
             one(Session::builder().regalloc(Some(AllocOptions {
                 num_regs: 8,
+                max_rounds: 512,
+            }))),
+        ),
+        (
+            "starved",
+            one(Session::builder().regalloc(Some(AllocOptions {
+                num_regs: 4,
                 max_rounds: 512,
             }))),
         ),
