@@ -60,7 +60,8 @@ fn main() {
         });
         time_case(&format!("passes/{name}/regalloc"), || {
             let mut m = analyzed.clone();
-            regalloc::allocate(&mut m, &regalloc::AllocOptions::default());
+            regalloc::allocate(&mut m, &regalloc::AllocOptions::default())
+                .expect("allocation converges");
         });
     }
 }

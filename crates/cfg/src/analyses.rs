@@ -25,7 +25,7 @@
 use crate::dataflow::DataflowStats;
 use crate::dom::{DomScratch, DomTree};
 use crate::graph::Cfg;
-use crate::liveness::{liveness_sparse_into, LiveScratch, LiveSummaries, Liveness};
+use crate::liveness::{liveness_sparse_into, LiveScratch, LiveSummaries, Liveness, RegSet};
 use crate::loops::{LoopForest, LoopId};
 use ir::{BlockId, Function};
 use std::collections::BTreeSet;
@@ -404,6 +404,16 @@ impl FunctionAnalyses {
     pub fn liveness<'a>(&'a mut self, func: &Function) -> &'a Liveness {
         self.ensure_live(func);
         &self.live.as_ref().expect("ensured").1
+    }
+
+    /// Every register the body mentions, as a definition or a use,
+    /// written into `out` (resized for `func.next_reg`). Read off the
+    /// per-block use/def summaries that liveness keeps, so at a body
+    /// version whose liveness is already solved it reads no instruction.
+    pub fn occurring_regs(&mut self, func: &Function, out: &mut RegSet) {
+        self.ensure_live(func);
+        out.reset(func.next_reg as usize);
+        self.live_summaries.union_into(out);
     }
 
     /// CFG + liveness together (the allocator's working set).

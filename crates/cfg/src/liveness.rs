@@ -176,6 +176,16 @@ impl LiveSummaries {
         }
     }
 
+    /// Unions every block's summaries into `out`: the registers the
+    /// function mentions. A use that is not upward-exposed follows a
+    /// definition in its block, so the definitions cover it.
+    pub(crate) fn union_into(&self, out: &mut RegSet) {
+        for (u, d) in self.use_s.iter().zip(&self.def_s) {
+            out.union_with(u);
+            out.union_with(d);
+        }
+    }
+
     /// Rescans every block of `func`, reusing the per-block sets in place.
     pub fn rescan_all(&mut self, func: &Function) {
         let nregs = func.next_reg as usize;

@@ -28,6 +28,9 @@ pub enum Error {
         /// floor.
         func: Option<String>,
     },
+    /// The register allocator gave up on a function: it names the
+    /// function, the register count and the round bound it reached.
+    Alloc(regalloc::NotConverged),
 }
 
 impl fmt::Display for Error {
@@ -47,6 +50,7 @@ impl fmt::Display for Error {
                 }
                 write!(f, ", got {num_regs}")
             }
+            Error::Alloc(e) => write!(f, "{e}"),
         }
     }
 }
@@ -57,6 +61,7 @@ impl std::error::Error for Error {
             Error::Front(e) => Some(e),
             Error::Validate(e) => Some(e),
             Error::Vm(e) => Some(e),
+            Error::Alloc(e) => Some(e),
             Error::Registers { .. } => None,
         }
     }
@@ -71,6 +76,12 @@ impl From<minic::FrontError> for Error {
 impl From<ir::ValidateError> for Error {
     fn from(e: ir::ValidateError) -> Self {
         Error::Validate(e)
+    }
+}
+
+impl From<regalloc::NotConverged> for Error {
+    fn from(e: regalloc::NotConverged) -> Self {
+        Error::Alloc(e)
     }
 }
 

@@ -34,7 +34,7 @@ use crate::scratch::PassScratch;
 use analysis::{tarjan_sccs, AnalysisLevel, CallGraph};
 use ir::{FuncId, Module};
 use promote::{PointerReport, PromotionReport, ScalarReport};
-use regalloc::{AllocOptions, AllocReport, PendingSpill};
+use regalloc::{AllocOptions, AllocReport, NotConverged, PendingSpill};
 use std::time::{Duration, Instant};
 use trace::{AllocStats, FuncTrace, TraceLog};
 
@@ -165,6 +165,12 @@ pub struct PipelineReport {
     pub cleaned: usize,
     /// Register allocation activity.
     pub alloc: Option<AllocReport>,
+    /// The first function, in function order, that register allocation
+    /// gave up on. The module is still valid IL, but that function holds
+    /// virtual registers; [`crate::Session`] reports it as
+    /// [`crate::Error::Alloc`], and callers of [`run_pipeline_in`] must
+    /// check it themselves.
+    pub alloc_failure: Option<NotConverged>,
     /// Per-pass wall-clock timings (scheduling-dependent; excluded from
     /// determinism comparisons).
     pub timings: PassTimings,
@@ -218,7 +224,7 @@ pub(crate) struct FuncOutcome {
     pub(crate) licm_moved: usize,
     pub(crate) dce_removed: usize,
     pub(crate) cleaned: usize,
-    pub(crate) alloc: Option<(AllocReport, Vec<PendingSpill>)>,
+    pub(crate) alloc: Option<(Result<AllocReport, NotConverged>, Vec<PendingSpill>)>,
     pub(crate) timings: Vec<StageRow>,
 }
 
@@ -571,12 +577,19 @@ pub(crate) fn run_pipeline_core(
         if let Some((r, pending)) = o.alloc {
             regalloc::commit_spills(module, FuncId(fi as u32), pending);
             let total = alloc_total.get_or_insert_with(AllocReport::default);
-            total.coalesced += r.coalesced;
-            total.spilled += r.spilled;
-            total.rematerialized += r.rematerialized;
-            total.spill_loads += r.spill_loads;
-            total.spill_stores += r.spill_stores;
-            total.rounds += r.rounds;
+            match r {
+                Ok(r) => {
+                    total.coalesced += r.coalesced;
+                    total.spilled += r.spilled;
+                    total.rematerialized += r.rematerialized;
+                    total.spill_loads += r.spill_loads;
+                    total.spill_stores += r.spill_stores;
+                    total.rounds += r.rounds;
+                }
+                Err(e) => {
+                    report.alloc_failure.get_or_insert(e);
+                }
+            }
         }
         for (name, d, a) in o.timings {
             match rows[barrier_rows..].iter_mut().find(|(n, _, _)| *n == name) {

@@ -105,11 +105,12 @@ impl Session {
     /// # Errors
     ///
     /// Returns [`Error::Registers`] (before anything runs) if the
-    /// allocator's register file is too small for the module, or
-    /// [`Error::Validate`] if the pipeline produced invalid IL.
+    /// allocator's register file is too small for the module,
+    /// [`Error::Alloc`] if allocation did not converge on some function,
+    /// or [`Error::Validate`] if the pipeline produced invalid IL.
     pub fn optimize(&self, module: &mut Module) -> Result<(PipelineReport, TraceLog), Error> {
         self.check_registers(module)?;
-        let (report, log) = match &self.cache {
+        let (mut report, log) = match &self.cache {
             Some(cache) => {
                 // A poisoned lock only means an earlier compile panicked;
                 // the cache is mutated sequentially in the epilogue, one
@@ -119,6 +120,9 @@ impl Session {
             }
             None => run_pipeline_core(module, &self.config, &self.pool, None),
         };
+        if let Some(e) = report.alloc_failure.take() {
+            return Err(e.into());
+        }
         ir::validate(module)?;
         Ok((report, log))
     }

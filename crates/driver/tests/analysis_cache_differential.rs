@@ -232,7 +232,8 @@ fn cached_artifacts_match_fresh_builds_after_every_pass() {
             &mut fa,
             &mut regalloc::AllocScratch::default(),
             &mut FuncTrace::off(),
-        );
+        )
+        .expect("allocation converges");
         assert_cache_fresh(f, &mut fa, case, "regalloc");
         opt::clean_function_in(f, &mut fa, &mut opt::CleanScratch::default());
         assert_cache_fresh(f, &mut fa, case, "clean(final)");

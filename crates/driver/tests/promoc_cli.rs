@@ -157,3 +157,78 @@ int main() { print_int(f(1, 2, 3)); return 0; }
     let run = promoc("arity", source, "run", &["--regs", "2"]);
     assert_rejected(&run, "3 registers for @f");
 }
+
+/// Reduced from generated program 49220: at 4 registers each spill round
+/// of `@f2` re-spills the temporary the previous round rematerialized,
+/// until the round bound stops it.
+const NONCONVERGING_AT_4: &str = "int g0 = 2;
+int g1 = 4;
+int f0(int d, int a, int b) {
+    return 0;
+}
+int f2(int a, int b) {
+    g1 = ((-(0 - 1)) < f0(6, 1, 9));
+    if ((!f0(5, 13, b))) {
+        g0 = (a <= (b == a));
+    }
+    return 0;
+}
+int main() {
+    print_int(f2(1, 2));
+    return 0;
+}
+";
+
+#[test]
+fn an_allocation_that_does_not_converge_is_reported() {
+    let run = promoc("livelock", NONCONVERGING_AT_4, "run", &["--regs", "4"]);
+    assert_rejected(&run, "@f2 onto 4 registers did not converge");
+    assert_eq!(run.stderr.lines().count(), 1, "{}", run.stderr);
+    // One register more, and the same program compiles and runs.
+    let run = promoc("livelock5", NONCONVERGING_AT_4, "run", &["--regs", "5"]);
+    assert_eq!(run.code, Some(0), "stderr: {}", run.stderr);
+    assert_eq!(run.stdout, "0\n");
+}
+
+#[test]
+fn a_malloc_the_vm_cannot_hold_is_reported() {
+    let source = "int main() {
+    int *p;
+    p = malloc(4611686018427387904);
+    p[0] = 1;
+    print_int(p[0]);
+    return 0;
+}
+";
+    let run = promoc("huge-malloc", source, "run", &[]);
+    assert_rejected(&run, "out of memory: malloc of 4611686018427387904 cells");
+}
+
+#[test]
+fn pointer_arithmetic_wraps_in_every_build() {
+    // a + big + big + 2 wraps back onto a[0]; a debug build used to
+    // panic with "attempt to add with overflow".
+    let source = "int a[4];
+int main() {
+    int *p;
+    int big;
+    big = 9223372036854775807;
+    a[0] = 7;
+    p = a;
+    p = p + big;
+    p = p + big;
+    p = p + 2;
+    print_int(*p);
+    return 0;
+}
+";
+    for flags in [
+        &[][..],
+        &["--no-opt"],
+        &["--analysis", "pointer", "--ptr-promote"],
+    ] {
+        let run = promoc("ptr-wrap", source, "run", flags);
+        assert_eq!(run.code, Some(0), "{flags:?}: {}", run.stderr);
+        assert_eq!(run.stdout, "7\n", "{flags:?}");
+    }
+}

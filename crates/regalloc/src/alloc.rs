@@ -27,29 +27,34 @@
 use crate::matrix::BitMatrix;
 use cfg::{for_each_instr_backwards_in, Cfg, FunctionAnalyses, Liveness, RegSet};
 use ir::{BlockId, FuncId, Function, Instr, Module, Reg, RewriteBuf, TagId, TagKind, TagTable};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
+use std::fmt;
+
+/// "No entry" in the dense per-register tables.
+const NONE: u32 = u32::MAX;
 
 /// Reusable allocator state for [`allocate_function_in`]: the
 /// interference graph and coalescer's class adjacency (the two big
-/// [`BitMatrix`] builds), every per-round simplify/select vector, and the
-/// [`RewriteBuf`] the spill inserter rebuilds blocks through. One of these
-/// lives per pipeline worker; in the steady state a round allocates
-/// nothing but the (rare, deliberately `BTreeSet`-based) spill bookkeeping.
+/// [`BitMatrix`] builds), every per-round simplify/select table, the
+/// dense spill bookkeeping, and the [`RewriteBuf`] the spill inserter
+/// rebuilds blocks through. One of these lives per pipeline worker; in the
+/// steady state a round allocates only where the body grows and where a
+/// spill tag is named.
 pub struct AllocScratch {
     graph: BitMatrix,
     graph_version: Option<u64>,
     class_adj: BitMatrix,
+    significant: Vec<u64>,
     parent: Vec<u32>,
     copies: Vec<(Reg, Reg)>,
     other_adj: Vec<u32>,
     dirty: Vec<BlockId>,
     costs: Vec<f64>,
-    degree: Vec<usize>,
-    removed: Vec<bool>,
-    stack: Vec<u32>,
-    work: Vec<u32>,
+    simplify: Simplify,
     color: Vec<Option<u32>>,
-    used_colors: Vec<bool>,
+    used_colors: Vec<u64>,
+    spill: SpillTables,
     shadows: Vec<Reg>,
     used_regs: Vec<u32>,
     remap_tmp: Vec<Reg>,
@@ -63,22 +68,250 @@ impl Default for AllocScratch {
             graph: BitMatrix::new(0),
             graph_version: None,
             class_adj: BitMatrix::new(0),
+            significant: Vec::new(),
             parent: Vec::new(),
             copies: Vec::new(),
             other_adj: Vec::new(),
             dirty: Vec::new(),
             costs: Vec::new(),
-            degree: Vec::new(),
-            removed: Vec::new(),
-            stack: Vec::new(),
-            work: Vec::new(),
+            simplify: Simplify::default(),
             color: Vec::new(),
             used_colors: Vec::new(),
+            spill: SpillTables::default(),
             shadows: Vec::new(),
             used_regs: Vec::new(),
             remap_tmp: Vec::new(),
             occurs: RegSet::new(0),
             rw: RewriteBuf::new(),
+        }
+    }
+}
+
+/// Simplify's trivially colorable nodes: the work-list registers not yet
+/// removed whose degree is below K. The next pick is the lowest member,
+/// the register an ascending scan of the work list would find first.
+#[derive(Default)]
+struct LowSet {
+    words: Vec<u64>,
+    /// No word below this one has a member.
+    first: usize,
+}
+
+impl LowSet {
+    fn reset(&mut self, n: usize) {
+        self.words.clear();
+        self.words.resize(n.div_ceil(64), 0);
+        self.first = 0;
+    }
+
+    fn insert(&mut self, r: u32) {
+        let w = r as usize / 64;
+        self.words[w] |= 1 << (r % 64);
+        self.first = self.first.min(w);
+    }
+
+    fn pop_first(&mut self) -> Option<u32> {
+        while let Some(&w) = self.words.get(self.first) {
+            if w != 0 {
+                self.words[self.first] = w & (w - 1);
+                return Some((self.first * 64) as u32 + w.trailing_zeros());
+            }
+            self.first += 1;
+        }
+        None
+    }
+}
+
+/// One entry of simplify's spill heap, ordered field by field: the least
+/// entry is the cheapest candidate per neighbor among the
+/// non-temporaries, ties to the lowest register, and a spill temporary
+/// only once no other node is left. The key is the cost/degree quotient's
+/// bit pattern, which for a non-negative `f64` orders as the value does.
+/// `degree` is the degree the key was computed at; a node that has lost
+/// neighbors since is re-keyed when its entry reaches the top. Keys only
+/// grow as degrees fall, so a stale entry surfaces no later than its true
+/// key would, and the first fresh top is the true minimum.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct Blocked {
+    temp: bool,
+    key: u64,
+    reg: u32,
+    degree: usize,
+}
+
+impl Blocked {
+    fn new(reg: u32, temp: bool, costs: &[f64], degree: &[usize]) -> Reverse<Blocked> {
+        let d = degree[reg as usize];
+        Reverse(Blocked {
+            temp,
+            key: (costs[reg as usize] / (d.max(1) as f64)).to_bits(),
+            reg,
+            degree: d,
+        })
+    }
+}
+
+/// Simplify's working state: the degree of every node as the graph
+/// shrinks, the removal flags, the low-degree set, the spill heap and the
+/// removal stack that select pops.
+#[derive(Default)]
+struct Simplify {
+    degree: Vec<usize>,
+    removed: Vec<bool>,
+    low: LowSet,
+    /// A min-heap: [`BinaryHeap`] pops its maximum.
+    blocked: BinaryHeap<Reverse<Blocked>>,
+    stack: Vec<u32>,
+}
+
+impl Simplify {
+    /// Removes every register of `work` (registers at or above
+    /// `precolored`) from `g` onto `self.stack`. Each pick is the lowest
+    /// register of degree < `k`; when there is none, it is the least
+    /// cost/degree among the non-temporaries left, ties to the lowest
+    /// register, and among the temporaries (`no_spill`) only when no other
+    /// node is left. `fill_costs` is called at most once, at the first
+    /// such blocked pick, to fill `costs`.
+    #[allow(clippy::too_many_arguments)]
+    fn run(
+        &mut self,
+        g: &BitMatrix,
+        work: &RegSet,
+        precolored: u32,
+        k: usize,
+        no_spill: &[bool],
+        costs: &mut Vec<f64>,
+        fill_costs: impl FnOnce(&mut Vec<f64>),
+    ) {
+        let Simplify {
+            degree,
+            removed,
+            low,
+            blocked,
+            stack,
+        } = self;
+        let n = g.len();
+        degree.clear();
+        degree.extend((0..n as u32).map(|r| g.degree(r)));
+        removed.clear();
+        removed.resize(n, false);
+        low.reset(n);
+        // Work nodes left with degree >= k.
+        let mut high = 0;
+        for r in work.iter().map(|r| r.0).filter(|&r| r >= precolored) {
+            if degree[r as usize] < k {
+                low.insert(r);
+            } else {
+                high += 1;
+            }
+        }
+        blocked.clear();
+        stack.clear();
+        let mut fill_costs = Some(fill_costs);
+        loop {
+            if high == 0 {
+                // Every node left is in the low set and stays there, so
+                // the remaining picks are its members in ascending order
+                // and no degree matters any more.
+                while let Some(r) = low.pop_first() {
+                    stack.push(r);
+                }
+                return;
+            }
+            let r = match low.pop_first() {
+                Some(r) => r,
+                None => {
+                    // Potential spill, pushed optimistically. The costs are
+                    // needed only from here on.
+                    if let Some(fill) = fill_costs.take() {
+                        fill(costs);
+                        blocked.extend(
+                            work.iter()
+                                .map(|r| r.0)
+                                .filter(|&r| r >= precolored && !removed[r as usize])
+                                .map(|r| Blocked::new(r, no_spill[r as usize], costs, degree)),
+                        );
+                    }
+                    high -= 1;
+                    pop_blocked(blocked, removed, degree, costs)
+                }
+            };
+            removed[r as usize] = true;
+            stack.push(r);
+            for n in g.row_iter(r) {
+                let d = &mut degree[n as usize];
+                if *d == k && n >= precolored && !removed[n as usize] && work.contains(Reg(n)) {
+                    low.insert(n);
+                    high -= 1;
+                }
+                *d = d.saturating_sub(1);
+            }
+        }
+    }
+}
+
+/// Takes simplify's blocked pick off the spill heap: discards the entries
+/// of nodes already removed and re-keys those whose degree fell since
+/// they were pushed, until a fresh entry is on top.
+fn pop_blocked(
+    heap: &mut BinaryHeap<Reverse<Blocked>>,
+    removed: &[bool],
+    degree: &[usize],
+    costs: &[f64],
+) -> u32 {
+    loop {
+        let Reverse(top) = heap.pop().expect("a node remains, so it has an entry");
+        let r = top.reg as usize;
+        if removed[r] {
+            continue;
+        }
+        if top.degree != degree[r] {
+            heap.push(Blocked::new(top.reg, top.temp, costs, degree));
+            continue;
+        }
+        return top.reg;
+    }
+}
+
+/// The spill bookkeeping of one function, in tables indexed by register
+/// number and walked in ascending register order.
+#[derive(Default)]
+struct SpillTables {
+    /// This round's spill victims, ascending.
+    victims: Vec<u32>,
+    /// Per register: a victim's rematerializable definition (an index
+    /// into `remat_defs`), [`NONE`] while no definition of a victim has
+    /// been seen, or [`MANY`] for a register that is not a victim or
+    /// cannot be rematerialized.
+    remat: Vec<u32>,
+    remat_defs: Vec<Instr>,
+    /// Per register: the provisional spill tag of a victim, else [`NONE`].
+    tag: Vec<u32>,
+    /// Per register: is it a temporary that spill code or
+    /// rematerialization created? Those are spill candidates only when
+    /// nothing else is left, or allocation would not terminate.
+    no_spill: Vec<bool>,
+}
+
+/// Not a rematerializable victim: not a victim at all, or one with
+/// several definitions or a definition that is not constant-like.
+const MANY: u32 = NONE - 1;
+
+impl SpillTables {
+    /// The instruction that recomputes `r`, if `r` is a rematerializable
+    /// victim.
+    fn remat_def(&self, r: Reg) -> Option<&Instr> {
+        match self.remat.get(r.index()) {
+            Some(&i) if i < MANY => Some(&self.remat_defs[i as usize]),
+            _ => None,
+        }
+    }
+
+    /// The provisional spill tag of `r`, if `r` is spilled this round.
+    fn tag_of(&self, r: Reg) -> Option<TagId> {
+        match self.tag.get(r.index()) {
+            Some(&t) if t != NONE => Some(TagId(t)),
+            _ => None,
         }
     }
 }
@@ -134,6 +367,32 @@ pub struct PendingSpill {
     /// The name the real tag must be interned under.
     pub name: String,
 }
+
+/// Allocation gave up on a function: each of `max_rounds` simplify/select
+/// rounds left a register uncolored. Under a starved register file a round
+/// can spill the temporary the previous round's rematerialization created
+/// and rematerialize it again; the round bound is what stops that.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NotConverged {
+    /// The function allocation gave up on.
+    pub func: String,
+    /// The register count it was allocated onto.
+    pub num_regs: usize,
+    /// The round bound it reached ([`AllocOptions::max_rounds`]).
+    pub max_rounds: usize,
+}
+
+impl fmt::Display for NotConverged {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "register allocation of @{} onto {} registers did not converge within {} rounds",
+            self.func, self.num_regs, self.max_rounds
+        )
+    }
+}
+
+impl std::error::Error for NotConverged {}
 
 /// Builds the interference graph as a dense [`BitMatrix`]: parameters
 /// interfere pairwise, and every definition interferes with everything
@@ -251,6 +510,7 @@ fn coalesce_once(
     k: usize,
     g: &BitMatrix,
     class_adj: &mut BitMatrix,
+    significant: &mut Vec<u64>,
     parent: &mut Vec<u32>,
     copies: &mut Vec<(Reg, Reg)>,
     other_adj: &mut Vec<u32>,
@@ -258,17 +518,6 @@ fn coalesce_once(
 ) -> usize {
     let nregs = func.next_reg as usize;
     let precolored = func.arity as u32;
-    // Union-find over registers.
-    parent.clear();
-    parent.extend(0..nregs as u32);
-    fn find(parent: &mut [u32], mut x: u32) -> u32 {
-        while parent[x as usize] != x {
-            parent[x as usize] = parent[parent[x as usize] as usize];
-            x = parent[x as usize];
-        }
-        x
-    }
-    let mut merged = 0;
     // Collect copies.
     copies.clear();
     copies.extend(
@@ -280,9 +529,27 @@ fn coalesce_once(
                 _ => None,
             }),
     );
+    if copies.is_empty() {
+        return 0;
+    }
+    // Union-find over registers.
+    parent.clear();
+    parent.extend(0..nregs as u32);
+    fn find(parent: &mut [u32], mut x: u32) -> u32 {
+        while parent[x as usize] != x {
+            parent[x as usize] = parent[parent[x as usize] as usize];
+            x = parent[x as usize];
+        }
+        x
+    }
+    let mut merged = 0;
     // Track adjacency unions as we merge (approximation: recompute the
-    // union of original neighbor sets of the merged classes).
-    class_adj.copy_from(g);
+    // union of original neighbor sets of the merged classes). Until the
+    // first merge the class adjacency equals `g`, so it is copied only
+    // then: the sweep that merges nothing copies no matrix. `significant`
+    // marks its nodes of degree >= k, so both tests below are word-wise.
+    let mut forked = false;
+    g.significant_into(k, significant);
     for ci in 0..copies.len() {
         let (dst, src) = copies[ci];
         let a = find(parent, dst.0);
@@ -294,21 +561,23 @@ fn coalesce_once(
         if a < precolored && b < precolored {
             continue;
         }
-        if class_adj.contains(a, b) || g.contains(a, b) {
+        let adj = if forked { &*class_adj } else { g };
+        if adj.contains(a, b) || g.contains(a, b) {
             continue;
         }
         // Conservative-coalescing tests: Briggs (the merged node must have
         // < k neighbors of significant degree) or George (every neighbor
         // of one side either already interferes with the other side or is
         // trivially colorable).
-        let briggs = class_adj.briggs_union_ok(a, b, k);
-        let george = |x: u32, y: u32| {
-            class_adj
-                .row_iter(x)
-                .all(|t| class_adj.degree(t) < k || class_adj.contains(y, t))
-        };
-        if !briggs && !george(a, b) && !george(b, a) {
+        if !adj.briggs_union_ok(a, b, k, significant)
+            && !adj.george_ok(a, b, significant)
+            && !adj.george_ok(b, a, significant)
+        {
             continue;
+        }
+        if !forked {
+            class_adj.copy_from(g);
+            forked = true;
         }
         // Merge b into a, preferring a precolored representative.
         let (rep, other) = if b < precolored { (b, a) } else { (a, b) };
@@ -318,6 +587,14 @@ fn coalesce_once(
         for &n in other_adj.iter() {
             class_adj.remove_edge(n, other);
             class_adj.insert_edge(n, rep);
+        }
+        for t in other_adj.iter().copied().chain([rep, other]) {
+            let (w, bit) = (t as usize / 64, 1 << (t % 64));
+            if class_adj.degree(t) >= k {
+                significant[w] |= bit;
+            } else {
+                significant[w] &= !bit;
+            }
         }
         merged += 1;
     }
@@ -354,62 +631,68 @@ fn coalesce_once(
     merged
 }
 
+/// Whether `instr` is cheaper to recompute at each use than to reload.
+fn is_constant_like(instr: &Instr) -> bool {
+    matches!(
+        instr,
+        Instr::IConst { .. } | Instr::FConst { .. } | Instr::FuncAddr { .. } | Instr::Lea { .. }
+    )
+}
+
 /// A victim whose sole definition is constant-like is *rematerialized*:
 /// each use gets a fresh recomputation instead of a memory reload. This is
 /// the Chaitin/Briggs treatment of never-killed values and is essential
 /// for honest spill counts — most high-degree values in optimized code are
-/// loop-hoisted constants and addresses.
+/// loop-hoisted constants and addresses. Rematerialized victims leave
+/// `s.victims`; returns how many there were.
 fn try_rematerialize(
     func: &mut Function,
-    victims: &mut BTreeSet<u32>,
-    temps: &mut BTreeSet<u32>,
-    dirty: &mut BTreeSet<u32>,
+    s: &mut SpillTables,
+    used: &mut Vec<u32>,
+    remap: &mut Vec<Reg>,
+    dirty: &mut Vec<BlockId>,
 ) -> usize {
-    // Map victim -> its defining instruction if it has exactly one def and
-    // that def is constant-like.
-    let mut def_count: BTreeMap<u32, usize> = BTreeMap::new();
-    let mut def_instr: BTreeMap<u32, Instr> = BTreeMap::new();
-    for block in &func.blocks {
-        for instr in &block.instrs {
-            if let Some(d) = instr.def() {
-                if victims.contains(&d.0) {
-                    *def_count.entry(d.0).or_default() += 1;
-                    def_instr.insert(d.0, instr.clone());
-                }
-            }
+    // A victim is rematerializable if it has exactly one definition and
+    // that definition is constant-like.
+    s.remat.clear();
+    s.remat.resize(func.next_reg as usize, MANY);
+    for &v in &s.victims {
+        s.remat[v as usize] = NONE;
+    }
+    s.remat_defs.clear();
+    for instr in func.blocks.iter().flat_map(|b| &b.instrs) {
+        if let Some(d) = instr.def().filter(|d| s.remat[d.index()] != MANY) {
+            let slot = &mut s.remat[d.index()];
+            *slot = if *slot == NONE && is_constant_like(instr) {
+                s.remat_defs.push(instr.clone());
+                (s.remat_defs.len() - 1) as u32
+            } else {
+                MANY
+            };
         }
     }
-    let rematable: BTreeMap<u32, Instr> = def_instr
-        .into_iter()
-        .filter(|(v, i)| {
-            def_count.get(v) == Some(&1)
-                && matches!(
-                    i,
-                    Instr::IConst { .. }
-                        | Instr::FConst { .. }
-                        | Instr::FuncAddr { .. }
-                        | Instr::Lea { .. }
-                )
-        })
-        .collect();
-    if rematable.is_empty() {
+    let n = s
+        .victims
+        .iter()
+        .filter(|&&v| s.remat[v as usize] < MANY)
+        .count();
+    if n == 0 {
         return 0;
     }
     for bi in 0..func.blocks.len() {
+        let mut touched = false;
         let mut i = 0;
         while i < func.blocks[bi].instrs.len() {
             let instr = &func.blocks[bi].instrs[i];
             // Leave the original definitions alone (they become dead and
             // are cheap).
-            if let Some(d) = instr.def() {
-                if rematable.contains_key(&d.0) && instr == &rematable[&d.0] {
-                    i += 1;
-                    continue;
-                }
+            if instr.def().is_some_and(|d| s.remat_def(d).is_some()) {
+                i += 1;
+                continue;
             }
-            let mut used: Vec<u32> = Vec::new();
+            used.clear();
             instr.visit_uses(|r| {
-                if rematable.contains_key(&r.0) && !used.contains(&r.0) {
+                if s.remat_def(r).is_some() && !used.contains(&r.0) {
                     used.push(r.0);
                 }
             });
@@ -417,54 +700,49 @@ fn try_rematerialize(
                 i += 1;
                 continue;
             }
-            let mut remap: BTreeMap<u32, Reg> = BTreeMap::new();
-            dirty.insert(bi as u32);
-            for &v in &used {
+            touched = true;
+            remap.clear();
+            for &v in used.iter() {
                 let tmp = Reg(func.next_reg);
                 func.next_reg += 1;
-                temps.insert(tmp.0);
-                let mut clone = rematable[&v].clone();
+                let mut clone = s.remat_def(Reg(v)).expect("rematerializable").clone();
                 if let Some(d) = clone.def_mut() {
                     *d = tmp;
                 }
                 func.blocks[bi].instrs.insert(i, clone);
                 i += 1;
-                remap.insert(v, tmp);
+                remap.push(tmp);
             }
-            let instr = &mut func.blocks[bi].instrs[i];
-            instr.visit_uses_mut(|r| {
-                if let Some(t) = remap.get(&r.0) {
-                    *r = *t;
+            func.blocks[bi].instrs[i].visit_uses_mut(|r| {
+                if let Some(pos) = used.iter().position(|&v| v == r.0) {
+                    *r = remap[pos];
                 }
             });
             i += 1;
         }
-    }
-    // Drop the original definitions: every use now has a fresh
-    // recomputation, so they are dead — and a dead def is not merely
-    // wasteful. It keeps its node (and full degree) in the interference
-    // graph, so select can pick it as the victim again next round, and
-    // rematerialization would "handle" it without touching the body:
-    // allocation livelocks re-spilling the same register forever.
-    for (bi, block) in func.blocks.iter_mut().enumerate() {
+        // Drop the original definitions: every use now has a fresh
+        // recomputation, so they are dead — and a dead def is not merely
+        // wasteful. It keeps its node (and full degree) in the interference
+        // graph, so select can pick it as the victim again next round, and
+        // rematerialization would "handle" it without touching the body:
+        // allocation livelocks re-spilling the same register forever.
+        let block = &mut func.blocks[bi];
         let before = block.instrs.len();
         block
             .instrs
-            .retain(|instr| !matches!(instr.def(), Some(d) if rematable.get(&d.0) == Some(instr)));
-        if block.instrs.len() != before {
-            dirty.insert(bi as u32);
+            .retain(|instr| !instr.def().is_some_and(|d| s.remat_def(d).is_some()));
+        if touched || block.instrs.len() != before {
+            dirty.push(BlockId(bi as u32));
         }
     }
-    let n = rematable.len();
-    for v in rematable.keys() {
-        victims.remove(v);
-    }
+    let remat = &s.remat;
+    s.victims.retain(|&v| remat[v as usize] >= MANY);
     n
 }
 
-/// Inserts spill code for `victims`; returns (loads, stores) inserted and
-/// the short-range temporaries created (which must never be spill
-/// candidates themselves, or allocation would not terminate).
+/// Inserts spill code for `s.victims`; returns the (loads, stores)
+/// inserted. Every register it creates is a short-range temporary (the
+/// caller marks them in `s.no_spill`).
 ///
 /// Spill tags are *not* interned here: each victim gets a provisional id
 /// recorded in `pending`, so the caller (or the driver's parallel commit)
@@ -472,82 +750,88 @@ fn try_rematerialize(
 #[allow(clippy::too_many_arguments)]
 fn insert_spill_code(
     func: &mut Function,
-    victims: &BTreeSet<u32>,
+    s: &mut SpillTables,
     spill_base: usize,
     pending: &mut Vec<PendingSpill>,
-    dirty: &mut BTreeSet<u32>,
+    dirty: &mut Vec<BlockId>,
     rw: &mut RewriteBuf,
     used_regs: &mut Vec<u32>,
     remap_tmp: &mut Vec<Reg>,
-) -> (usize, usize, BTreeSet<u32>) {
+) -> (usize, usize) {
+    if s.victims.is_empty() {
+        return (0, 0);
+    }
     // One spill tag per victim, named sequentially over all spill tags this
     // function has ever received (pre-existing `spill_base` plus the ones
     // requested so far), so names stay unique across spill rounds.
-    let mut tags = BTreeMap::new();
-    for &v in victims {
+    s.tag.clear();
+    s.tag.resize(func.next_reg as usize, NONE);
+    for &v in &s.victims {
         let name = format!("{}.spill{}", func.name, spill_base + pending.len());
         let provisional = TagId(PROVISIONAL_SPILL_BASE + pending.len() as u32);
         pending.push(PendingSpill { provisional, name });
-        tags.insert(v, provisional);
+        s.tag[v as usize] = provisional.0;
     }
+    let s = &*s;
     let arity = func.arity as u32;
     let mut loads = 0;
     let mut stores = 0;
-    let mut temps: BTreeSet<u32> = BTreeSet::new();
-    // Spilled parameters are stored once on entry; one splice preserves the
-    // order the old per-element `insert(0, ..)` loop produced (descending
-    // victim number at the block head).
+    // Spilled parameters are stored once on entry, in descending victim
+    // number at the block head.
     let entry = func.entry;
-    let spilled_params = victims.iter().rev().filter(|&&v| v < arity).count();
+    let params = || {
+        s.victims
+            .iter()
+            .rev()
+            .filter(|&&v| v < arity)
+            .map(|&v| Reg(v))
+    };
+    let spilled_params = params().count();
     if spilled_params > 0 {
         func.block_mut(entry).instrs.splice(
             0..0,
-            victims
-                .iter()
-                .rev()
-                .filter(|&&v| v < arity)
-                .map(|&v| Instr::SStore {
-                    src: Reg(v),
-                    tag: tags[&v],
-                }),
+            params().map(|v| Instr::SStore {
+                src: v,
+                tag: s.tag_of(v).expect("victim"),
+            }),
         );
         stores += spilled_params;
-        dirty.insert(entry.0);
+        dirty.push(entry);
     }
     // Rebuild each block in one retain-style sweep: reloads go out before
     // the rewritten instruction, the post-def store right after it.
     let mut next_reg = func.next_reg;
     for bi in 0..func.blocks.len() {
+        let mut touched = false;
         rw.rebuild(&mut func.blocks[bi], |mut instr, out| {
             // Pass the entry stores just inserted through untouched.
             if let Instr::SStore { src, tag } = &instr {
-                if tags.get(&src.0) == Some(tag) {
+                if s.tag_of(*src) == Some(*tag) {
                     out.push(instr);
                     return;
                 }
             }
             used_regs.clear();
             instr.visit_uses(|r| {
-                if victims.contains(&r.0) && !used_regs.contains(&r.0) {
+                if s.tag_of(r).is_some() && !used_regs.contains(&r.0) {
                     used_regs.push(r.0);
                 }
             });
-            let def = instr.def().filter(|d| victims.contains(&d.0));
+            let def = instr.def().and_then(|d| s.tag_of(d));
             if used_regs.is_empty() && def.is_none() {
                 out.push(instr);
                 return;
             }
-            dirty.insert(bi as u32);
+            touched = true;
             // Loads before: one fresh temp per distinct spilled use.
             remap_tmp.clear();
             for &v in used_regs.iter() {
                 let tmp = Reg(next_reg);
                 next_reg += 1;
-                temps.insert(tmp.0);
                 remap_tmp.push(tmp);
                 out.push(Instr::SLoad {
                     dst: tmp,
-                    tag: tags[&v],
+                    tag: s.tag_of(Reg(v)).expect("victim"),
                 });
                 loads += 1;
             }
@@ -557,26 +841,32 @@ fn insert_spill_code(
                 }
             });
             match def {
-                Some(d) => {
+                Some(tag) => {
                     let tmp = Reg(next_reg);
                     next_reg += 1;
-                    temps.insert(tmp.0);
                     *instr.def_mut().expect("def checked") = tmp;
                     out.push(instr);
                     // A terminator cannot define a register, so storing
                     // after is always legal.
-                    out.push(Instr::SStore {
-                        src: tmp,
-                        tag: tags[&d.0],
-                    });
+                    out.push(Instr::SStore { src: tmp, tag });
                     stores += 1;
                 }
                 None => out.push(instr),
             }
         });
+        if touched {
+            dirty.push(BlockId(bi as u32));
+        }
     }
     func.next_reg = next_reg;
-    (loads, stores, temps)
+    (loads, stores)
+}
+
+/// The lowest color below `k` that the mask `used` leaves free.
+fn first_free_color(used: &[u64], k: usize) -> Option<u32> {
+    let (w, word) = used.iter().enumerate().find(|(_, &w)| w != u64::MAX)?;
+    let c = w * 64 + (!word).trailing_zeros() as usize;
+    (c < k).then_some(c as u32)
 }
 
 /// Allocates one function onto `opts.num_regs` registers, using only a
@@ -588,10 +878,22 @@ fn insert_spill_code(
 /// [`trace::Remark::Spilled`] with the simplify/select round that
 /// demanded it.
 ///
+/// Each round coalesces (until the first spill), then simplifies: it
+/// removes the lowest register of degree < K while there is one, and only
+/// when none is left does it compute spill costs (and the loop forest they
+/// read) and push the rest onto a heap ordered by cost per neighbor. Select
+/// colors in reverse removal order; what it cannot color is
+/// rematerialized or spilled, and the next round starts over.
+///
+/// # Errors
+///
+/// Returns [`NotConverged`] if allocation has not converged within
+/// `opts.max_rounds` rounds. The body is then valid IL that still holds
+/// virtual registers, and `pending` names its spill tags so far.
+///
 /// # Panics
 ///
-/// Panics if the function's arity exceeds the register count or if
-/// allocation fails to converge within `opts.max_rounds`.
+/// Panics if the function's arity exceeds the register count.
 #[allow(clippy::too_many_arguments)]
 pub fn allocate_function_in(
     tags: &TagTable,
@@ -602,22 +904,21 @@ pub fn allocate_function_in(
     analyses: &mut FunctionAnalyses,
     scratch: &mut AllocScratch,
     tr: &mut trace::FuncTrace,
-) -> AllocReport {
+) -> Result<AllocReport, NotConverged> {
     let AllocScratch {
         graph,
         graph_version,
         class_adj,
+        significant,
         parent,
         copies,
         other_adj,
         dirty,
         costs,
-        degree,
-        removed,
-        stack,
-        work,
+        simplify,
         color,
         used_colors,
+        spill,
         shadows,
         used_regs,
         remap_tmp,
@@ -641,7 +942,7 @@ pub fn allocate_function_in(
         .iter()
         .filter(|(_, t)| matches!(t.kind, TagKind::Spill { owner } if owner == func_id.0))
         .count();
-    let mut no_spill: BTreeSet<u32> = BTreeSet::new();
+    spill.no_spill.clear();
     loop {
         report.rounds += 1;
         // Decouple parameter values from their fixed incoming registers:
@@ -693,11 +994,13 @@ pub fn allocate_function_in(
                 analyses.note_body_changed_blocks(dirty.drain(..));
             }
         }
-        assert!(
-            report.rounds <= opts.max_rounds,
-            "@{}: register allocation did not converge",
-            func.name
-        );
+        if report.rounds > opts.max_rounds {
+            return Err(NotConverged {
+                func: func.name.clone(),
+                num_regs: k,
+                max_rounds: opts.max_rounds,
+            });
+        }
         // Coalesce until stable — but only before any spill round.
         // Iterating coalescing against spilling can oscillate (a merge
         // makes the graph uncolorable, spill code re-enables the merge,
@@ -707,7 +1010,17 @@ pub fn allocate_function_in(
             debug_assert!(dirty.is_empty());
             loop {
                 ensure_graph(graph_version, graph, occurs, func, analyses);
-                let c = coalesce_once(func, k, graph, class_adj, parent, copies, other_adj, dirty);
+                let c = coalesce_once(
+                    func,
+                    k,
+                    graph,
+                    class_adj,
+                    significant,
+                    parent,
+                    copies,
+                    other_adj,
+                    dirty,
+                );
                 report.coalesced += c;
                 if c == 0 {
                     break;
@@ -719,94 +1032,43 @@ pub fn allocate_function_in(
         // the current body: ensure_graph() is a no-op there and the build
         // is shared with simplify/select below.
         ensure_graph(graph_version, graph, occurs, func, analyses);
-        spill_costs(func, analyses, costs);
         let g = &*graph;
         let precolored = func.arity as u32;
         let nregs = func.next_reg as usize;
-        // Registers that actually occur.
-        occurs.reset(nregs);
-        for block in &func.blocks {
-            for instr in &block.instrs {
-                if let Some(d) = instr.def() {
-                    occurs.insert(d);
-                }
-                instr.visit_uses(|r| {
-                    occurs.insert(r);
-                });
-            }
-        }
+        // The registers that occur, from the liveness summaries the graph
+        // build just used. The rest are parameters or never mentioned.
+        analyses.occurring_regs(func, occurs);
         for p in 0..precolored {
             occurs.insert(Reg(p));
         }
-        // Simplify.
-        degree.clear();
-        degree.extend((0..nregs as u32).map(|r| g.degree(r)));
-        removed.clear();
-        removed.resize(nregs, false);
-        stack.clear();
-        work.clear();
-        work.extend(occurs.iter().map(|r| r.0).filter(|&r| r >= precolored));
-        let mut remaining = work.len();
-        while remaining > 0 {
-            // Prefer a trivially colorable node.
-            let pick = work
-                .iter()
-                .copied()
-                .filter(|&r| !removed[r as usize])
-                .find(|&r| degree[r as usize] < k)
-                .or_else(|| {
-                    // Potential spill: cheapest cost/degree among regs that
-                    // are not themselves spill temporaries, pushed
-                    // optimistically; fall back to any node if only temps
-                    // remain.
-                    let candidate = |rs: &mut dyn Iterator<Item = u32>| {
-                        rs.min_by(|&a, &b| {
-                            let ca = costs[a as usize] / (degree[a as usize].max(1) as f64);
-                            let cb = costs[b as usize] / (degree[b as usize].max(1) as f64);
-                            ca.partial_cmp(&cb).expect("costs are finite")
-                        })
-                    };
-                    candidate(
-                        &mut work
-                            .iter()
-                            .copied()
-                            .filter(|&r| !removed[r as usize] && !no_spill.contains(&r)),
-                    )
-                    .or_else(|| {
-                        candidate(&mut work.iter().copied().filter(|&r| !removed[r as usize]))
-                    })
-                });
-            let r = pick.expect("remaining > 0 implies a node exists");
-            removed[r as usize] = true;
-            stack.push(r);
-            remaining -= 1;
-            for n in g.row_iter(r) {
-                degree[n as usize] = degree[n as usize].saturating_sub(1);
-            }
-        }
+        // Simplify. A round that never blocks never computes spill
+        // costs, so it never builds the loop forest they read.
+        spill.no_spill.resize(nregs, false);
+        simplify.run(g, occurs, precolored, k, &spill.no_spill, costs, |costs| {
+            spill_costs(func, analyses, costs)
+        });
         // Select.
         color.clear();
         color.resize(nregs, None);
         for p in 0..precolored {
             color[p as usize] = Some(p);
         }
-        let mut spilled: BTreeSet<u32> = BTreeSet::new();
-        while let Some(r) = stack.pop() {
-            used_colors.clear();
-            used_colors.resize(k, false);
+        spill.victims.clear();
+        used_colors.clear();
+        used_colors.resize(k.div_ceil(64), 0);
+        while let Some(r) = simplify.stack.pop() {
+            used_colors.fill(0);
             for n in g.row_iter(r) {
                 if let Some(c) = color[n as usize] {
-                    used_colors[c as usize] = true;
+                    used_colors[c as usize / 64] |= 1 << (c % 64);
                 }
             }
-            match (0..k as u32).find(|&c| !used_colors[c as usize]) {
+            match first_free_color(used_colors, k) {
                 Some(c) => color[r as usize] = Some(c),
-                None => {
-                    spilled.insert(r);
-                }
+                None => spill.victims.push(r),
             }
         }
-        if spilled.is_empty() {
+        if spill.victims.is_empty() {
             // Rewrite to physical registers.
             for block in &mut func.blocks {
                 for instr in &mut block.instrs {
@@ -825,16 +1087,13 @@ pub fn allocate_function_in(
             func.next_reg = k as u32;
             // The physical-register rewrite is the last body change.
             analyses.note_body_changed();
-            return report;
+            return Ok(report);
         }
-        let mut spilled = spilled;
-        let mut temps = BTreeSet::new();
-        let mut dirty: BTreeSet<u32> = BTreeSet::new();
-        report.rematerialized += try_rematerialize(func, &mut spilled, &mut temps, &mut dirty);
-        let (rw, used_regs, remap_tmp) = (&mut *rw, &mut *used_regs, &mut *remap_tmp);
-        report.spilled += spilled.len();
+        spill.victims.sort_unstable();
+        report.rematerialized += try_rematerialize(func, spill, used_regs, remap_tmp, dirty);
+        report.spilled += spill.victims.len();
         if tr.enabled() {
-            for &r in &spilled {
+            for &r in &spill.victims {
                 tr.remark(
                     "regalloc",
                     trace::Remark::Spilled {
@@ -844,14 +1103,15 @@ pub fn allocate_function_in(
                 );
             }
         }
-        let (l, s, spill_temps) = insert_spill_code(
-            func, &spilled, spill_base, pending, &mut dirty, rw, used_regs, remap_tmp,
+        let (l, s) = insert_spill_code(
+            func, spill, spill_base, pending, dirty, rw, used_regs, remap_tmp,
         );
-        temps.extend(spill_temps);
-        no_spill.extend(temps);
+        // Every register rematerialization and spill code created is a
+        // temporary.
+        spill.no_spill.resize(func.next_reg as usize, true);
         report.spill_loads += l;
         report.spill_stores += s;
-        analyses.note_body_changed_blocks(dirty.into_iter().map(BlockId));
+        analyses.note_body_changed_blocks(dirty.drain(..));
     }
 }
 
@@ -886,7 +1146,12 @@ pub fn commit_spills(module: &mut Module, func_id: FuncId, pending: Vec<PendingS
 }
 
 /// Allocates every function in the module.
-pub fn allocate(module: &mut Module, opts: &AllocOptions) -> AllocReport {
+///
+/// # Errors
+///
+/// Returns the first function's [`NotConverged`], in function order; the
+/// functions before it are allocated and the rest are untouched.
+pub fn allocate(module: &mut Module, opts: &AllocOptions) -> Result<AllocReport, NotConverged> {
     let mut total = AllocReport::default();
     let mut scratch = AllocScratch::default();
     for fi in 0..module.funcs.len() {
@@ -902,6 +1167,7 @@ pub fn allocate(module: &mut Module, opts: &AllocOptions) -> AllocReport {
             &mut trace::FuncTrace::off(),
         );
         commit_spills(module, FuncId(fi as u32), pending);
+        let r = r?;
         total.coalesced += r.coalesced;
         total.spilled += r.spilled;
         total.rematerialized += r.rematerialized;
@@ -913,5 +1179,204 @@ pub fn allocate(module: &mut Module, opts: &AllocOptions) -> AllocReport {
         ir::validate(module).is_ok(),
         "allocation produced invalid IL"
     );
-    total
+    Ok(total)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A graph over `n` nodes with the given undirected edges.
+    fn graph(n: usize, edges: &[(u32, u32)]) -> BitMatrix {
+        let mut g = BitMatrix::new(n);
+        for &(a, b) in edges {
+            g.insert_edge(a, b);
+        }
+        g
+    }
+
+    fn all(n: usize) -> RegSet {
+        let mut s = RegSet::new(n);
+        for r in 0..n as u32 {
+            s.insert(Reg(r));
+        }
+        s
+    }
+
+    /// Simplify's removal order, and whether it asked for spill costs.
+    fn simplify(
+        g: &BitMatrix,
+        work: &RegSet,
+        precolored: u32,
+        k: usize,
+        costs: &[f64],
+        no_spill: &[bool],
+    ) -> (Vec<u32>, bool) {
+        let mut s = Simplify::default();
+        let mut filled = false;
+        let mut c = Vec::new();
+        s.run(g, work, precolored, k, no_spill, &mut c, |c| {
+            filled = true;
+            c.extend_from_slice(costs);
+        });
+        (s.stack, filled)
+    }
+
+    /// The allocator's simplify before the low-degree bitset and the
+    /// spill heap: a scan of the ascending work list for the first node
+    /// of degree < k, else `min_by` cost/degree over the non-temporaries,
+    /// else over everything left.
+    fn linear_scan(
+        g: &BitMatrix,
+        work: &[u32],
+        k: usize,
+        costs: &[f64],
+        no_spill: &[bool],
+    ) -> Vec<u32> {
+        let mut degree: Vec<usize> = (0..g.len() as u32).map(|r| g.degree(r)).collect();
+        let mut removed = vec![false; g.len()];
+        let mut stack = Vec::new();
+        while stack.len() < work.len() {
+            let left = || work.iter().copied().filter(|&r| !removed[r as usize]);
+            let ratio = |r: u32| costs[r as usize] / (degree[r as usize].max(1) as f64);
+            let cheapest = |rs: &mut dyn Iterator<Item = u32>| {
+                rs.min_by(|&a, &b| ratio(a).partial_cmp(&ratio(b)).expect("finite"))
+            };
+            let r = left()
+                .find(|&r| degree[r as usize] < k)
+                .or_else(|| cheapest(&mut left().filter(|&r| !no_spill[r as usize])))
+                .or_else(|| cheapest(&mut left()))
+                .expect("a node is left");
+            removed[r as usize] = true;
+            stack.push(r);
+            for n in g.row_iter(r) {
+                degree[n as usize] = degree[n as usize].saturating_sub(1);
+            }
+        }
+        stack
+    }
+
+    #[test]
+    fn equal_cost_per_degree_ties_go_to_the_lowest_register() {
+        // K4 at k = 2: every node is blocked. Nodes 0, 1 and 3 tie at
+        // cost/degree 1 (node 2 costs twice as much), so 0 goes first;
+        // then 1 and 3 tie again at 1.5, and 1 goes.
+        let g = graph(4, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
+        let costs = [3.0, 3.0, 6.0, 3.0];
+        let (order, costed) = simplify(&g, &all(4), 0, 2, &costs, &[false; 4]);
+        assert_eq!(order, [0, 1, 2, 3]);
+        assert!(costed);
+        // Ties between different costs and degrees with the same ratio
+        // break the same way: 4/4 against 2/2, the lower register wins
+        // whichever side it is on.
+        let g = graph(5, &[(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]);
+        let (order, _) = simplify(&g, &all(5), 0, 2, &[4.0, 4.0, 9.0, 9.0, 9.0], &[false; 5]);
+        assert_eq!(order[0], 0, "0 (4/4) and 1 (4/4) tie; 0 is lower");
+        let (order, _) = simplify(&g, &all(5), 0, 2, &[8.0, 4.0, 9.0, 9.0, 9.0], &[false; 5]);
+        assert_eq!(order[0], 1, "1 (4/4) beats 0 (8/4)");
+    }
+
+    #[test]
+    fn a_blocked_node_that_lost_a_neighbor_is_rekeyed() {
+        // k = 2. 0 goes first (1/2). It takes a neighbor from 1, whose
+        // cost/degree rises from 3/3 = 1.0 to 3/2 = 1.5, above 2's
+        // unchanged 2.4/2 = 1.2: the stale key would pick 1, the true
+        // one picks 2. The triangle {1, 3, 4} then blocks again at 1.5.
+        let g = graph(5, &[(0, 1), (0, 3), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]);
+        let costs = [1.0, 3.0, 2.4, 8.0, 9.0];
+        let no_spill = [false; 5];
+        let (order, _) = simplify(&g, &all(5), 0, 2, &costs, &no_spill);
+        assert_eq!(order, [0, 2, 1, 3, 4]);
+        assert_eq!(
+            order,
+            linear_scan(&g, &[0, 1, 2, 3, 4], 2, &costs, &no_spill)
+        );
+    }
+
+    #[test]
+    fn temporaries_are_victims_only_when_nothing_else_is_left() {
+        // A triangle at k = 2: the one non-temporary goes first, however
+        // expensive; then the temporaries fall below k.
+        let g = graph(3, &[(0, 1), (0, 2), (1, 2)]);
+        let (order, _) = simplify(&g, &all(3), 0, 2, &[1.0, 5.0, 1.0], &[true, false, true]);
+        assert_eq!(order, [1, 0, 2]);
+        // All temporaries: the cheapest of them.
+        let (order, _) = simplify(&g, &all(3), 0, 2, &[3.0, 1.0, 2.0], &[true; 3]);
+        assert_eq!(order, [1, 0, 2]);
+    }
+
+    #[test]
+    fn spill_costs_are_computed_only_when_simplify_blocks() {
+        // A path is always colorable at k = 2: no blocked pick, no costs.
+        let g = graph(4, &[(0, 1), (1, 2), (2, 3)]);
+        let (order, costed) = simplify(&g, &all(4), 0, 2, &[0.0; 4], &[false; 4]);
+        assert_eq!(order, [0, 1, 2, 3]);
+        assert!(!costed);
+        // Precolored nodes are never removed but still count as
+        // neighbors: with 0 and 1 precolored, 2 and 3 start at degree 3.
+        let g = graph(4, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
+        let (order, costed) = simplify(&g, &all(4), 2, 3, &[0.0, 0.0, 2.0, 1.0], &[false; 4]);
+        assert_eq!(order, [3, 2]);
+        assert!(costed);
+    }
+
+    #[test]
+    fn simplify_matches_the_linear_scan_on_random_graphs_with_ties() {
+        let mut state = 0x5EED_0F_A110Cu64;
+        let mut next = |m: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % m
+        };
+        for case in 0..2000 {
+            let n = 1 + next(90) as usize;
+            let precolored = next(4).min(n as u64) as u32;
+            let k = 1 + next(6) as usize;
+            // Registers that occur: every precolored one, most others.
+            let occurs: Vec<bool> = (0..n as u32)
+                .map(|r| r < precolored || next(8) != 0)
+                .collect();
+            let density = 1 + next(10);
+            let mut edges = Vec::new();
+            for a in 0..n as u32 {
+                for b in a + 1..n as u32 {
+                    if occurs[a as usize] && occurs[b as usize] && next(10) < density {
+                        edges.push((a, b));
+                    }
+                }
+            }
+            let g = graph(n, &edges);
+            // A few cost levels, zero included, so ratios tie often.
+            let costs: Vec<f64> = (0..n)
+                .map(|_| [0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 10.0][next(7) as usize])
+                .collect();
+            let no_spill: Vec<bool> = (0..n).map(|_| next(4) == 0).collect();
+            let mut work = RegSet::new(n);
+            let mut list = Vec::new();
+            for r in 0..n as u32 {
+                if occurs[r as usize] {
+                    work.insert(Reg(r));
+                    if r >= precolored {
+                        list.push(r);
+                    }
+                }
+            }
+            let (order, _) = simplify(&g, &work, precolored, k, &costs, &no_spill);
+            assert_eq!(
+                order,
+                linear_scan(&g, &list, k, &costs, &no_spill),
+                "case {case}: n={n} k={k} precolored={precolored}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_first_free_color_respects_k() {
+        assert_eq!(first_free_color(&[0b1011], 4), Some(2));
+        assert_eq!(first_free_color(&[0b1111], 4), None);
+        assert_eq!(first_free_color(&[u64::MAX, 0b1], 70), Some(65));
+        assert_eq!(first_free_color(&[u64::MAX, 0b11_1111], 70), None);
+        assert_eq!(first_free_color(&[u64::MAX], 64), None);
+    }
 }

@@ -12,6 +12,9 @@
 //! analysis cache, scratch and trace (which receives `Spilled` remarks;
 //! the driver records the allocator's before-minus-after delta around the
 //! call), then interns each function's spill tags with [`commit_spills`].
+//! A function that does not converge within
+//! [`AllocOptions::max_rounds`] comes back as a [`NotConverged`] error,
+//! never a panic.
 //!
 //! ```
 //! use regalloc::{allocate, AllocOptions};
@@ -22,7 +25,7 @@
 //!         return a + b * c;
 //!     }
 //! "#)?;
-//! let report = allocate(&mut module, &AllocOptions::default());
+//! let report = allocate(&mut module, &AllocOptions::default())?;
 //! assert_eq!(report.spilled, 0);
 //! // Every function now uses at most 32 registers.
 //! assert!(module.funcs.iter().all(|f| f.next_reg <= 32));
@@ -36,7 +39,7 @@ mod matrix;
 
 pub use alloc::{
     allocate, allocate_function_in, commit_spills, interference_graph, interference_graph_in,
-    AllocOptions, AllocReport, AllocScratch, PendingSpill, PROVISIONAL_SPILL_BASE,
+    AllocOptions, AllocReport, AllocScratch, NotConverged, PendingSpill, PROVISIONAL_SPILL_BASE,
 };
 pub use cfg::{for_each_instr_backwards, liveness, Cfg, Liveness, RegSet};
 pub use matrix::BitMatrix;

@@ -3,13 +3,14 @@
 //! The allocator's interference graph used to be a `Vec<BTreeSet<u32>>` —
 //! pointer-chasing and a node allocation per edge, in the hottest pass of
 //! the whole pipeline (regalloc is the largest pass of the per-function
-//! chain: about a third of it on the suite at 32 registers, in a
-//! `promo-benchmark --workload suite --trace 1` run, and more when
-//! registers are scarce). [`BitMatrix`] replaces it with one flat `Vec<u64>`
-//! of `n` rows (`n` = virtual-register count): membership is a bit test,
-//! "union a live set into a row" is a word-wise OR (the same kernel style
-//! as `ir::DenseTagSet`), and Briggs/George coalescing tests walk words
-//! instead of tree nodes.
+//! chain: about a quarter of `driver.pipeline_us` on the suite at 32
+//! registers and nearly two fifths at 8, in `promo-benchmark --trace 1`
+//! runs). [`BitMatrix`] replaces it with one flat `Vec<u64>` of `n` rows
+//! (`n` = virtual-register count): membership is a bit test, "union a
+//! live set into a row" is a word-wise OR (the same kernel style as
+//! `ir::DenseTagSet`), and the Briggs/George coalescing tests are word
+//! operations against a mask of the significant nodes instead of walks
+//! over tree nodes.
 //!
 //! Construction runs in two phases. While building, rows are filled with
 //! *directed* bits via the raw word ops ([`or_row_words`], [`set_raw`],
@@ -201,27 +202,47 @@ impl BitMatrix {
         }
     }
 
+    /// Writes the nodes of degree ≥ `k` into `out`, one bit per node in
+    /// the layout of a row: the significance mask the coalescing tests
+    /// take. The caller keeps it current across symmetric edits.
+    pub fn significant_into(&self, k: usize, out: &mut Vec<u64>) {
+        out.clear();
+        out.resize(self.stride, 0);
+        for (t, &d) in self.deg.iter().enumerate() {
+            if d as usize >= k {
+                out[t / 64] |= 1 << (t % 64);
+            }
+        }
+    }
+
     /// The Briggs conservative-coalescing test: true if the union of
-    /// `a`'s and `b`'s rows contains fewer than `k` nodes of degree ≥ `k`
-    /// (counting degrees in this matrix). Word-wise union, early exit.
-    pub fn briggs_union_ok(&self, a: u32, b: u32, k: usize) -> bool {
+    /// `a`'s and `b`'s rows contains fewer than `k` nodes of
+    /// `significant` (the nodes of degree ≥ `k`, from
+    /// [`significant_into`](Self::significant_into)). Word-wise, with an
+    /// early exit.
+    pub fn briggs_union_ok(&self, a: u32, b: u32, k: usize, significant: &[u64]) -> bool {
         let sa = a as usize * self.stride;
         let sb = b as usize * self.stride;
-        let mut significant = 0usize;
-        for wi in 0..self.stride {
-            let mut w = self.bits[sa + wi] | self.bits[sb + wi];
-            while w != 0 {
-                let t = wi * 64 + w.trailing_zeros() as usize;
-                w &= w - 1;
-                if self.deg[t] as usize >= k {
-                    significant += 1;
-                    if significant >= k {
-                        return false;
-                    }
-                }
+        let mut count = 0usize;
+        for (wi, &sig) in significant.iter().enumerate() {
+            count += ((self.bits[sa + wi] | self.bits[sb + wi]) & sig).count_ones() as usize;
+            if count >= k {
+                return false;
             }
         }
         true
+    }
+
+    /// The George conservative-coalescing test: true if every neighbor of
+    /// `x` is either outside `significant` or already a neighbor of `y`.
+    /// Word-wise.
+    pub fn george_ok(&self, x: u32, y: u32, significant: &[u64]) -> bool {
+        let sx = x as usize * self.stride;
+        let sy = y as usize * self.stride;
+        significant
+            .iter()
+            .enumerate()
+            .all(|(wi, &sig)| self.bits[sx + wi] & sig & !self.bits[sy + wi] == 0)
     }
 }
 
@@ -307,7 +328,53 @@ mod tests {
         }
         // Union of rows 1 and 2 = {0}; node 0 has degree 4 >= 2 -> one
         // significant neighbor, which is < k only for k > 1.
-        assert!(m.briggs_union_ok(1, 2, 2), "1 significant < k=2");
-        assert!(!m.briggs_union_ok(1, 2, 1), "1 significant >= k=1");
+        let mut sig = Vec::new();
+        m.significant_into(2, &mut sig);
+        assert!(m.briggs_union_ok(1, 2, 2, &sig), "1 significant < k=2");
+        m.significant_into(1, &mut sig);
+        assert!(!m.briggs_union_ok(1, 2, 1, &sig), "1 significant >= k=1");
+    }
+
+    /// The per-neighbor forms of both coalescing tests, as the allocator
+    /// used to evaluate them.
+    fn briggs_model(m: &BitMatrix, a: u32, b: u32, k: usize) -> bool {
+        let union = (0..m.len() as u32).filter(|&t| m.contains(a, t) || m.contains(b, t));
+        union.filter(|&t| m.degree(t) >= k).count() < k
+    }
+
+    fn george_model(m: &BitMatrix, x: u32, y: u32, k: usize) -> bool {
+        m.row_iter(x).all(|t| m.degree(t) < k || m.contains(y, t))
+    }
+
+    #[test]
+    fn word_wise_coalescing_tests_match_the_per_neighbor_forms() {
+        let mut state = 0xB816_65u64;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let mut sig = Vec::new();
+        for _ in 0..300 {
+            let n = 2 + next(150) as usize;
+            let mut m = BitMatrix::new(n);
+            let density = 1 + next(8);
+            for a in 0..n as u32 {
+                for b in a + 1..n as u32 {
+                    if next(10) < density {
+                        m.insert_edge(a, b);
+                    }
+                }
+            }
+            for k in [1, 2, 3, 5, 8, 32] {
+                m.significant_into(k, &mut sig);
+                for _ in 0..20 {
+                    let (a, b) = (next(n as u64) as u32, next(n as u64) as u32);
+                    assert_eq!(m.briggs_union_ok(a, b, k, &sig), briggs_model(&m, a, b, k));
+                    assert_eq!(m.george_ok(a, b, &sig), george_model(&m, a, b, k));
+                }
+            }
+        }
     }
 }

@@ -8,7 +8,7 @@ fn check(src: &str, opts: &AllocOptions) -> (vm::Outcome, vm::Outcome, regalloc:
     let mut m = minic::compile(src).expect("compile");
     analysis::analyze(&mut m, analysis::AnalysisLevel::ModRef);
     let before = Vm::run_main(&m, VmOptions::default()).expect("run before");
-    let report = allocate(&mut m, opts);
+    let report = allocate(&mut m, opts).expect("allocation converges");
     ir::validate(&m).expect("valid after allocation");
     let after = Vm::run_main(&m, VmOptions::default()).expect("run after");
     assert_eq!(before.output, after.output, "behaviour preserved");
@@ -130,7 +130,7 @@ int main() {
         num_regs: 8,
         ..Default::default()
     };
-    allocate(&mut m, &opts);
+    allocate(&mut m, &opts).expect("allocation converges");
     for f in &m.funcs {
         assert!(f.next_reg <= 8, "@{} uses {} registers", f.name, f.next_reg);
     }
@@ -192,7 +192,7 @@ fn dead_rematerializable_def_does_not_livelock() {
         num_regs: 4,
         max_rounds: 8,
     };
-    let report = allocate(&mut m, &opts);
+    let report = allocate(&mut m, &opts).expect("allocation converges");
     assert!(
         report.rematerialized >= 1,
         "the dead constant must be the spill victim (got {report:?})"

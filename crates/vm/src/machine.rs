@@ -22,6 +22,13 @@ use std::cmp::Ordering;
 use std::error::Error;
 use std::fmt;
 
+/// The most heap cells one run may hold: the sum of every `malloc` so
+/// far, since heap objects are never freed. 2^20 cells is over 25,000
+/// times the largest heap of the benchmark suite (which never calls
+/// `malloc`) and of the first 1,000 CI fuzz-campaign programs (40 cells),
+/// and at 24 bytes a cell it keeps a runaway program's heap under 25 MiB.
+pub const MAX_HEAP_CELLS: u64 = 1 << 20;
+
 /// Execution limits and switches.
 #[derive(Debug, Clone)]
 pub struct VmOptions {
@@ -62,6 +69,9 @@ pub enum VmError {
     StackOverflow(usize),
     /// `main` is missing or a function fell off its end.
     Malformed(String),
+    /// A `malloc` the VM cannot hold: it would take the run's heap past
+    /// [`MAX_HEAP_CELLS`], or its cells' storage cannot be reserved.
+    OutOfMemory(String),
 }
 
 impl fmt::Display for VmError {
@@ -76,6 +86,7 @@ impl fmt::Display for VmError {
             VmError::StepLimit(n) => write!(f, "step limit of {n} exceeded"),
             VmError::StackOverflow(n) => write!(f, "call depth limit of {n} exceeded"),
             VmError::Malformed(m) => write!(f, "malformed program: {m}"),
+            VmError::OutOfMemory(m) => write!(f, "out of memory: {m}"),
         }
     }
 }
@@ -184,6 +195,8 @@ pub struct Vm {
     invocations: Vec<u64>,
     /// Operations charged so far: the segments entered, in full.
     steps: u64,
+    /// Cells allocated by `malloc` so far (all still live).
+    heap_cells: u64,
     output: Vec<String>,
     depth: usize,
 }
@@ -296,6 +309,7 @@ impl Vm {
             phi_values: Vec::new(),
             invocations: vec![0; code.funcs.len()],
             steps: 0,
+            heap_cells: 0,
             output: Vec::new(),
             depth: 0,
         };
@@ -346,6 +360,30 @@ impl Vm {
             });
             ObjRef { id, gen: 0 }
         }
+    }
+
+    /// A `malloc` of `cells` cells: refused, not attempted, when it would
+    /// take the heap past [`MAX_HEAP_CELLS`] or its storage cannot be
+    /// reserved.
+    fn alloc_heap(&mut self, cells: u64) -> Exec<ObjRef> {
+        if cells > MAX_HEAP_CELLS - self.heap_cells {
+            return Err(VmError::OutOfMemory(format!(
+                "malloc of {cells} cells with {} already allocated exceeds the \
+                 {MAX_HEAP_CELLS}-cell heap",
+                self.heap_cells
+            ))
+            .into());
+        }
+        let r = self.alloc_object(0);
+        let data = &mut self.objects[r.id.index()].data;
+        if data.try_reserve_exact(cells as usize).is_err() {
+            return Err(
+                VmError::OutOfMemory(format!("cannot reserve storage for {cells} cells")).into(),
+            );
+        }
+        data.resize(cells as usize, Value::Uninit);
+        self.heap_cells += cells;
+        Ok(r)
     }
 
     fn free_object(&mut self, r: ObjRef) {
@@ -630,8 +668,10 @@ impl Vm {
                         .into())
                     }
                 };
+                // Wrapping, like the integer ops: an out-of-range offset
+                // is caught when the pointer is dereferenced.
                 regs[dst as usize] = Value::Ptr(Ptr {
-                    off: p.off + off,
+                    off: p.off.wrapping_add(off),
                     ..p
                 });
             }
@@ -642,7 +682,7 @@ impl Vm {
                 if n < 0 {
                     return Err(VmError::TypeError(format!("negative alloc size {n}")).into());
                 }
-                let r = self.alloc_object(n as usize);
+                let r = self.alloc_heap(n as u64)?;
                 regs[dst as usize] = Value::Ptr(Ptr {
                     obj: r.id,
                     gen: r.gen,

@@ -63,7 +63,8 @@ fn passes() -> Vec<Pass> {
             opt::clean(m);
         }),
         ("regalloc", |m| {
-            regalloc::allocate(m, &regalloc::AllocOptions::default());
+            regalloc::allocate(m, &regalloc::AllocOptions::default())
+                .expect("allocation converges");
         }),
         ("regalloc-tight", |m| {
             regalloc::allocate(
@@ -72,7 +73,8 @@ fn passes() -> Vec<Pass> {
                     num_regs: 6,
                     ..Default::default()
                 },
-            );
+            )
+            .expect("allocation converges");
         }),
         ("ssa-roundtrip", |m| {
             for f in &mut m.funcs {
