@@ -24,9 +24,10 @@ use std::fmt;
 
 /// The most heap cells one run may hold: the sum of every `malloc` so
 /// far, since heap objects are never freed. 2^20 cells is over 25,000
-/// times the largest heap of the benchmark suite (which never calls
-/// `malloc`) and of the first 1,000 CI fuzz-campaign programs (40 cells),
-/// and at 24 bytes a cell it keeps a runaway program's heap under 25 MiB.
+/// times the largest heap the programs here use (the benchmark suite never
+/// calls `malloc`; the first 1,000 CI fuzz-campaign programs and the edit
+/// campaign's 400 use at most 40 cells), and at 24 bytes a cell it keeps
+/// a runaway program's heap under 25 MiB.
 pub const MAX_HEAP_CELLS: u64 = 1 << 20;
 
 /// Execution limits and switches.
