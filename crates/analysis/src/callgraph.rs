@@ -4,6 +4,7 @@
 //! call graph in reverse topological order, exactly as described in §4 of
 //! the paper; functions inside one SCC share a tag set.
 
+use crate::modref::SiteTargets;
 use ir::{Callee, FuncId, Instr, Module};
 use std::collections::BTreeSet;
 
@@ -20,10 +21,10 @@ pub struct CallGraph {
 }
 
 impl CallGraph {
-    /// Builds the call graph. Indirect calls are resolved to
-    /// `indirect_targets` if provided (from points-to analysis), otherwise
-    /// conservatively to every addressed function.
-    pub fn build(module: &Module, indirect_targets: Option<&[BTreeSet<FuncId>]>) -> CallGraph {
+    /// Builds the call graph. An indirect call resolves to its entry in
+    /// `sites` (from a pointer analysis); without one it conservatively
+    /// targets every addressed function.
+    pub fn build(module: &Module, sites: Option<&SiteTargets>) -> CallGraph {
         let n = module.funcs.len();
         let mut addressed_funcs = BTreeSet::new();
         for func in &module.funcs {
@@ -45,12 +46,10 @@ impl CallGraph {
                             Callee::Direct(g) => {
                                 callees[fi].insert(*g);
                             }
-                            Callee::Indirect(_) => {
+                            Callee::Indirect(r) => {
                                 has_indirect_call[fi] = true;
-                                match indirect_targets {
-                                    Some(t) => callees[fi].extend(t[fi].iter().copied()),
-                                    None => callees[fi].extend(addressed_funcs.iter().copied()),
-                                }
+                                let site = sites.and_then(|s| s.get(&(fi as u32, *r)));
+                                callees[fi].extend(site.unwrap_or(&addressed_funcs));
                             }
                             Callee::Intrinsic(_) => {}
                         }

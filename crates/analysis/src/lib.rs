@@ -6,7 +6,9 @@
 //! an ablation — a Steensgaard-style unification analysis. Each analysis
 //! runs over and then *rewrites* the tag sets in an [`ir::Module`]; the
 //! promoter and the optimizer read only the tag sets, so swapping analysis
-//! levels is exactly the experiment of Figures 5–7.
+//! levels is exactly the experiment of Figures 5–7. Both pointer analyses
+//! return a [`PointerFacts`], and [`PointerFacts::install`] is the only
+//! place their results reach the IL.
 //!
 //! ```
 //! use analysis::{analyze, AnalysisLevel};
@@ -24,6 +26,7 @@
 #![warn(missing_docs)]
 
 mod callgraph;
+mod facts;
 mod modref;
 mod points_to;
 mod steensgaard;
@@ -31,15 +34,13 @@ mod strength;
 mod summary;
 
 pub use callgraph::{tarjan_sccs, CallGraph, Sccs};
+pub use facts::{PointerFacts, Pts};
 pub use modref::{
     compute_and_apply, compute_and_apply_with_sites, limit_pointer_ops, ModRef, SiteTargets,
     Visibility,
 };
-pub use points_to::{
-    analyze as points_to_analyze, analyze_with as points_to_analyze_with, apply as points_to_apply,
-    PointsTo, Target,
-};
-pub use steensgaard::{analyze as steensgaard_analyze, apply as steensgaard_apply, Steensgaard};
+pub use points_to::{analyze as points_to_analyze, analyze_with as points_to_analyze_with};
+pub use steensgaard::analyze as steensgaard_analyze;
 pub use strength::singleton_is_unique_cell;
 pub use summary::modref_summary_hashes;
 
@@ -194,18 +195,9 @@ pub fn analyze_traced(
             let modref = compute_and_apply(module, &graph);
             (graph, modref)
         }
-        AnalysisLevel::PointsTo => {
-            let pt = points_to_analyze_with(module, &mut dataflow);
-            points_to_apply(module, &pt);
-            // Sharper call graph from resolved function pointers, then the
-            // paper's "MOD/REF analysis is then repeated" — with per-site
-            // indirect-call precision.
-            let targets = pt.indirect_targets(module);
-            let sites = pt.site_targets(module);
-            let graph = CallGraph::build(module, Some(&targets));
-            let modref = compute_and_apply_with_sites(module, &graph, Some(&sites));
-            (graph, modref)
-        }
+        // The paper's "MOD/REF analysis is then repeated" with the
+        // sharper tag sets and per-site indirect-call targets.
+        AnalysisLevel::PointsTo => points_to_analyze_with(module, &mut dataflow).install(module),
         AnalysisLevel::PointsToSsa => {
             // The paper's formulation: per-SSA-name points-to. Convert,
             // analyze at what is now SSA-name granularity, install the
@@ -224,27 +216,14 @@ pub fn analyze_traced(
                 let tr = traces.as_deref_mut().map_or(&mut off, |ts| &mut ts[fi]);
                 tr.stage("ssa-construct", f, |f, _| (ssa::construct_in(f, fa), true));
             }
-            let pt = points_to_analyze_with(module, &mut dataflow);
-            points_to_apply(module, &pt);
-            let targets = pt.indirect_targets(module);
-            let sites = pt.site_targets(module);
-            let graph = CallGraph::build(module, Some(&targets));
-            let modref = compute_and_apply_with_sites(module, &graph, Some(&sites));
+            let installed = points_to_analyze_with(module, &mut dataflow).install(module);
             for (fi, (f, fa)) in module.funcs.iter_mut().zip(&mut caches).enumerate() {
                 let tr = traces.as_deref_mut().map_or(&mut off, |ts| &mut ts[fi]);
                 tr.stage("ssa-destruct", f, |f, _| (ssa::destruct_in(f, fa), true));
             }
-            (graph, modref)
+            installed
         }
-        AnalysisLevel::Steensgaard => {
-            let st = steensgaard_analyze(module);
-            steensgaard_apply(module, &st);
-            let targets = st.indirect_targets(module);
-            let sites = st.site_targets(module);
-            let graph = CallGraph::build(module, Some(&targets));
-            let modref = compute_and_apply_with_sites(module, &graph, Some(&sites));
-            (graph, modref)
-        }
+        AnalysisLevel::Steensgaard => steensgaard_analyze(module).install(module),
     };
     let stats = collect_stats(module);
     AnalysisOutcome {

@@ -14,108 +14,34 @@
 //! precision that the paper's experiments depend on — the substitution is
 //! recorded in `DESIGN.md`.
 
+use crate::facts::{PointerFacts, Pts};
 use cfg::DataflowStats;
-use ir::{Callee, DenseTagSet, FuncId, Instr, Module, Reg, TagId};
+use ir::{Callee, DenseTagSet, FuncId, Instr, Module, Reg};
 use std::collections::{BTreeSet, VecDeque};
 
-/// An abstract pointer target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Target {
-    /// The storage named by a tag.
-    Tag(TagId),
-    /// A function (for function pointers / indirect calls).
-    Func(FuncId),
-}
-
-/// The result of points-to analysis.
-#[derive(Debug, Clone)]
-pub struct PointsTo {
-    /// Per function, per register: the set of targets the register may
-    /// point to.
-    pub reg_pts: Vec<Vec<BTreeSet<Target>>>,
-    /// Per tag: the targets that pointers *stored in* that storage may
-    /// point to.
-    pub tag_pts: Vec<BTreeSet<Target>>,
-}
-
-impl PointsTo {
-    /// The tags register `r` of function `f` may address.
-    pub fn reg_tags(&self, f: FuncId, r: Reg) -> DenseTagSet {
-        self.reg_pts[f.index()][r.index()]
-            .iter()
-            .filter_map(|t| match t {
-                Target::Tag(t) => Some(*t),
-                Target::Func(_) => None,
-            })
-            .collect()
-    }
-
-    /// The functions register `r` of function `f` may target.
-    pub fn reg_funcs(&self, f: FuncId, r: Reg) -> BTreeSet<FuncId> {
-        self.reg_pts[f.index()][r.index()]
-            .iter()
-            .filter_map(|t| match t {
-                Target::Func(g) => Some(*g),
-                Target::Tag(_) => None,
-            })
-            .collect()
-    }
-
-    /// Per-call-site indirect targets, keyed by `(caller index, target
-    /// register)` — the precision MOD/REF installation needs.
-    pub fn site_targets(&self, module: &Module) -> crate::SiteTargets {
-        let mut out = crate::SiteTargets::new();
-        for (fi, func) in module.funcs.iter().enumerate() {
-            for block in &func.blocks {
-                for instr in &block.instrs {
-                    if let Instr::Call {
-                        callee: Callee::Indirect(r),
-                        ..
-                    } = instr
-                    {
-                        out.insert((fi as u32, *r), self.reg_funcs(FuncId(fi as u32), *r));
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Indirect-call target sets per function (union over that function's
-    /// indirect call sites), for rebuilding a sharper call graph.
-    pub fn indirect_targets(&self, module: &Module) -> Vec<BTreeSet<FuncId>> {
-        let mut out = vec![BTreeSet::new(); module.funcs.len()];
-        for (fi, func) in module.funcs.iter().enumerate() {
-            for block in &func.blocks {
-                for instr in &block.instrs {
-                    if let Instr::Call {
-                        callee: Callee::Indirect(r),
-                        ..
-                    } = instr
-                    {
-                        out[fi].extend(self.reg_funcs(FuncId(fi as u32), *r));
-                    }
-                }
-            }
-        }
-        out
-    }
-}
-
 /// Runs the analysis to a fixpoint with the demand-driven solver.
-pub fn analyze(module: &Module) -> PointsTo {
+pub fn analyze(module: &Module) -> PointerFacts {
     analyze_with(module, &mut DataflowStats::default())
 }
 
-/// Empty points-to sets for every register and tag of `module`.
-fn empty_sets(module: &Module) -> PointsTo {
-    PointsTo {
-        reg_pts: module
-            .funcs
-            .iter()
-            .map(|f| vec![BTreeSet::new(); f.next_reg as usize])
-            .collect(),
-        tag_pts: vec![BTreeSet::new(); module.tags.len()],
+/// The solver's sets: per function and register, and per tag for the
+/// pointers *stored in* that tag's storage.
+struct Sets {
+    regs: Vec<Vec<Pts>>,
+    cells: Vec<Pts>,
+}
+
+impl Sets {
+    /// Empty points-to sets for every register and tag of `module`.
+    fn new(module: &Module) -> Sets {
+        Sets {
+            regs: module
+                .funcs
+                .iter()
+                .map(|f| vec![Pts::default(); f.next_reg as usize])
+                .collect(),
+            cells: vec![Pts::default(); module.tags.len()],
+        }
     }
 }
 
@@ -127,9 +53,16 @@ fn empty_sets(module: &Module) -> PointsTo {
 /// those sets later grows, only the subscribed functions are re-swept. A
 /// function also re-sweeps itself while its own register sets are still
 /// growing (intra-function chains and loops).
-pub fn analyze_with(module: &Module, stats: &mut DataflowStats) -> PointsTo {
+pub fn analyze_with(module: &Module, stats: &mut DataflowStats) -> PointerFacts {
+    PointerFacts {
+        regs: solve(module, stats).regs,
+    }
+}
+
+/// [`analyze_with`]'s solver; its per-tag cells are kept for the tests.
+fn solve(module: &Module, stats: &mut DataflowStats) -> Sets {
     let nf = module.funcs.len();
-    let mut pt = empty_sets(module);
+    let mut sets = Sets::new(module);
     let mut deps = Deps::new(module);
     // Seed every function once, in index order (deterministic).
     for fi in 0..nf {
@@ -145,12 +78,12 @@ pub fn analyze_with(module: &Module, stats: &mut DataflowStats) -> PointsTo {
         for block in &module.funcs[fi].blocks {
             for instr in &block.instrs {
                 stats.transfer_evals += 1;
-                flow(module, &mut pt, &mut deps, fi, instr);
+                flow(module, &mut sets, &mut deps, fi, instr);
             }
         }
     }
     stats.worklist_pushes += deps.pushes;
-    pt
+    sets
 }
 
 /// Dynamic dependencies for the demand-driven solver: who has to re-run
@@ -200,7 +133,7 @@ impl Deps {
         self.queue.push_back(f);
     }
 
-    /// The current sweep read `tag_pts[t]`.
+    /// The current sweep read `cells[t]`.
     fn note_tag_read(&mut self, t: usize) {
         self.tag_readers[t].insert(self.current);
     }
@@ -210,14 +143,14 @@ impl Deps {
         self.ret_readers[g].insert(self.current);
     }
 
-    /// `tag_pts[t]` grew: re-run everyone who ever read it.
+    /// `cells[t]` grew: re-run everyone who ever read it.
     fn tag_grew(&mut self, t: usize) {
         for f in self.tag_readers[t].clone() {
             self.enqueue(f);
         }
     }
 
-    /// `reg_pts[g][r]` grew: `g`'s own transfers may read it, and if it is
+    /// `regs[g][r]` grew: `g`'s own transfers may read it, and if it is
     /// a return register, so may every caller of `g`.
     fn reg_grew(&mut self, g: usize, r: usize) {
         self.enqueue(g);
@@ -232,119 +165,71 @@ impl Deps {
 /// Applies one instruction's transfer function; returns true if anything
 /// grew. Growth and reads are reported to `deps` so the demand-driven
 /// solver knows what to re-run.
-fn flow(module: &Module, pt: &mut PointsTo, deps: &mut Deps, fi: usize, instr: &Instr) -> bool {
-    fn add(dst: &mut BTreeSet<Target>, items: &BTreeSet<Target>) -> bool {
-        let before = dst.len();
-        dst.extend(items.iter().copied());
-        dst.len() != before
-    }
-    fn add_one(dst: &mut BTreeSet<Target>, t: Target) -> bool {
-        dst.insert(t)
-    }
-    let regs = |pt: &PointsTo, r: Reg| pt.reg_pts[fi][r.index()].clone();
-    match instr {
-        Instr::Lea { dst, tag } => {
-            let grew = add_one(&mut pt.reg_pts[fi][dst.index()], Target::Tag(*tag));
-            if grew {
-                deps.reg_grew(fi, dst.index());
-            }
-            grew
-        }
-        Instr::Alloc { dst, site, .. } => {
-            let grew = add_one(&mut pt.reg_pts[fi][dst.index()], Target::Tag(*site));
-            if grew {
-                deps.reg_grew(fi, dst.index());
-            }
-            grew
-        }
-        Instr::FuncAddr { dst, func } => {
-            let grew = add_one(&mut pt.reg_pts[fi][dst.index()], Target::Func(*func));
-            if grew {
-                deps.reg_grew(fi, dst.index());
-            }
-            grew
-        }
-        Instr::Copy { dst, src } | Instr::Unary { dst, src, .. } => {
-            let s = regs(pt, *src);
-            let grew = add(&mut pt.reg_pts[fi][dst.index()], &s);
-            if grew {
-                deps.reg_grew(fi, dst.index());
-            }
-            grew
-        }
-        Instr::PtrAdd { dst, base, .. } => {
-            let s = regs(pt, *base);
-            let grew = add(&mut pt.reg_pts[fi][dst.index()], &s);
-            if grew {
-                deps.reg_grew(fi, dst.index());
-            }
-            grew
-        }
+fn flow(module: &Module, sets: &mut Sets, deps: &mut Deps, fi: usize, instr: &Instr) -> bool {
+    let reg = |sets: &Sets, r: &Reg| sets.regs[fi][r.index()].clone();
+    // An instruction that defines a register computes what flows into it;
+    // the tail below grows the register and notifies its readers.
+    let (dst, s) = match instr {
+        Instr::Lea { dst, tag } | Instr::Alloc { dst, site: tag, .. } => (
+            dst,
+            Pts {
+                tags: DenseTagSet::singleton(*tag),
+                funcs: BTreeSet::new(),
+            },
+        ),
+        Instr::FuncAddr { dst, func } => (
+            dst,
+            Pts {
+                tags: DenseTagSet::new(),
+                funcs: BTreeSet::from([*func]),
+            },
+        ),
+        Instr::Copy { dst, src }
+        | Instr::Unary { dst, src, .. }
+        | Instr::PtrAdd { dst, base: src, .. } => (dst, reg(sets, src)),
         Instr::Binary { dst, lhs, rhs, .. } => {
             // Conservative: arithmetic may smuggle a pointer through int
             // cells (MiniC permits pointer<->int flows).
-            let mut s = regs(pt, *lhs);
-            s.extend(regs(pt, *rhs));
-            let grew = add(&mut pt.reg_pts[fi][dst.index()], &s);
-            if grew {
-                deps.reg_grew(fi, dst.index());
-            }
-            grew
+            let mut s = reg(sets, lhs);
+            s.union_with(&sets.regs[fi][rhs.index()]);
+            (dst, s)
         }
         Instr::Phi { dst, args } => {
-            let mut s = BTreeSet::new();
+            let mut s = Pts::default();
             for (_, r) in args {
-                s.extend(regs(pt, *r));
+                s.union_with(&sets.regs[fi][r.index()]);
             }
-            let grew = add(&mut pt.reg_pts[fi][dst.index()], &s);
-            if grew {
-                deps.reg_grew(fi, dst.index());
-            }
-            grew
+            (dst, s)
         }
         Instr::SLoad { dst, tag } | Instr::CLoad { dst, tag } => {
             deps.note_tag_read(tag.index());
-            let s = pt.tag_pts[tag.index()].clone();
-            let grew = add(&mut pt.reg_pts[fi][dst.index()], &s);
-            if grew {
-                deps.reg_grew(fi, dst.index());
+            (dst, sets.cells[tag.index()].clone())
+        }
+        Instr::Load { dst, addr, .. } => {
+            let mut s = Pts::default();
+            for t in sets.regs[fi][addr.index()].tags.iter() {
+                deps.note_tag_read(t.index());
+                s.union_with(&sets.cells[t.index()]);
             }
-            grew
+            (dst, s)
         }
         Instr::SStore { src, tag } => {
-            let s = regs(pt, *src);
-            let grew = add(&mut pt.tag_pts[tag.index()], &s);
+            let grew = sets.cells[tag.index()].union_with(&sets.regs[fi][src.index()]);
             if grew {
                 deps.tag_grew(tag.index());
             }
-            grew
-        }
-        Instr::Load { dst, addr, .. } => {
-            let mut s = BTreeSet::new();
-            for t in regs(pt, *addr) {
-                if let Target::Tag(t) = t {
-                    deps.note_tag_read(t.index());
-                    s.extend(pt.tag_pts[t.index()].iter().copied());
-                }
-            }
-            let grew = add(&mut pt.reg_pts[fi][dst.index()], &s);
-            if grew {
-                deps.reg_grew(fi, dst.index());
-            }
-            grew
+            return grew;
         }
         Instr::Store { src, addr, .. } => {
-            let vals = regs(pt, *src);
+            let Sets { regs, cells } = sets;
             let mut changed = false;
-            for t in regs(pt, *addr) {
-                if let Target::Tag(t) = t {
-                    if add(&mut pt.tag_pts[t.index()], &vals) {
-                        deps.tag_grew(t.index());
-                        changed = true;
-                    }
+            for t in regs[fi][addr.index()].tags.iter() {
+                if cells[t.index()].union_with(&regs[fi][src.index()]) {
+                    deps.tag_grew(t.index());
+                    changed = true;
                 }
             }
-            changed
+            return changed;
         }
         Instr::Call {
             dst, callee, args, ..
@@ -352,21 +237,15 @@ fn flow(module: &Module, pt: &mut PointsTo, deps: &mut Deps, fi: usize, instr: &
             // Parameter binding and result flow, context-insensitively.
             let targets: Vec<FuncId> = match callee {
                 Callee::Direct(g) => vec![*g],
-                Callee::Indirect(r) => pt.reg_pts[fi][r.index()]
-                    .iter()
-                    .filter_map(|t| match t {
-                        Target::Func(g) => Some(*g),
-                        _ => None,
-                    })
-                    .collect(),
+                Callee::Indirect(r) => sets.regs[fi][r.index()].funcs.iter().copied().collect(),
                 Callee::Intrinsic(_) => return false,
             };
             let mut changed = false;
             for g in targets {
                 let callee_fn = module.func(g);
                 for (i, a) in args.iter().enumerate().take(callee_fn.arity) {
-                    let s = regs(pt, *a);
-                    if add(&mut pt.reg_pts[g.index()][i], &s) {
+                    let s = reg(sets, a);
+                    if sets.regs[g.index()][i].union_with(&s) {
                         deps.reg_grew(g.index(), i);
                         changed = true;
                     }
@@ -374,59 +253,33 @@ fn flow(module: &Module, pt: &mut PointsTo, deps: &mut Deps, fi: usize, instr: &
                 if let Some(d) = dst {
                     // Union of all values returned by g.
                     deps.note_ret_read(g.index());
-                    let mut rets = BTreeSet::new();
+                    let mut rets = Pts::default();
                     for block in &callee_fn.blocks {
                         if let Some(Instr::Ret { value: Some(r) }) = block.instrs.last() {
-                            rets.extend(pt.reg_pts[g.index()][r.index()].iter().copied());
+                            rets.union_with(&sets.regs[g.index()][r.index()]);
                         }
                     }
-                    if add(&mut pt.reg_pts[fi][d.index()], &rets) {
+                    if sets.regs[fi][d.index()].union_with(&rets) {
                         deps.reg_grew(fi, d.index());
                         changed = true;
                     }
                 }
             }
-            changed
+            return changed;
         }
-        _ => false,
+        _ => return false,
+    };
+    let grew = sets.regs[fi][dst.index()].union_with(&s);
+    if grew {
+        deps.reg_grew(fi, dst.index());
     }
-}
-
-/// Uses points-to results to shrink pointer-op tag sets in place.
-///
-/// Each `load`/`store` through register `r` gets
-/// `pts(r) ∩ current tag set`; an empty points-to set (a pointer the
-/// analysis never saw created) conservatively keeps the current set.
-pub fn apply(module: &mut Module, pt: &PointsTo) {
-    for fi in 0..module.funcs.len() {
-        let f = FuncId(fi as u32);
-        for bi in 0..module.funcs[fi].blocks.len() {
-            for ii in 0..module.funcs[fi].blocks[bi].instrs.len() {
-                let instr = &module.funcs[fi].blocks[bi].instrs[ii];
-                let (addr, old) = match instr {
-                    Instr::Load { addr, tags, .. } | Instr::Store { addr, tags, .. } => {
-                        (*addr, tags.clone())
-                    }
-                    _ => continue,
-                };
-                let pts = pt.reg_tags(f, addr);
-                if pts.is_empty() {
-                    continue;
-                }
-                let new = old.intersect_universe(&pts);
-                match &mut module.funcs[fi].blocks[bi].instrs[ii] {
-                    Instr::Load { tags, .. } | Instr::Store { tags, .. } => *tags = new,
-                    _ => unreachable!(),
-                }
-            }
-        }
-    }
+    grew
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ir::TagSet;
+    use ir::{TagId, TagSet};
 
     fn compile(src: &str) -> Module {
         minic::compile(src).expect("compile")
@@ -435,8 +288,8 @@ mod tests {
     /// The round-robin solver the demand-driven one replaced: sweep every
     /// instruction in the module until nothing grows. Its subscriptions
     /// are recorded but never consulted.
-    fn analyze_dense(module: &Module, stats: &mut DataflowStats) -> PointsTo {
-        let mut pt = empty_sets(module);
+    fn analyze_dense(module: &Module, stats: &mut DataflowStats) -> Sets {
+        let mut sets = Sets::new(module);
         let mut deps = Deps::new(module);
         let mut changed = true;
         while changed {
@@ -446,12 +299,12 @@ mod tests {
                 for block in &module.funcs[fi].blocks {
                     for instr in &block.instrs {
                         stats.transfer_evals += 1;
-                        changed |= flow(module, &mut pt, &mut deps, fi, instr);
+                        changed |= flow(module, &mut sets, &mut deps, fi, instr);
                     }
                 }
             }
         }
-        pt
+        sets
     }
 
     fn tag(m: &Module, name: &str) -> TagId {
@@ -486,8 +339,7 @@ int main() {
 }
 "#,
         );
-        let pt = analyze(&m);
-        apply(&mut m, &pt);
+        analyze(&m).install(&mut m);
         let x_tag = tag(&m, "main.x");
         let y_tag = tag(&m, "main.y");
         let main = m.func(m.main().unwrap());
@@ -520,8 +372,7 @@ int main() {
 }
 "#,
         );
-        let pt = analyze(&m);
-        apply(&mut m, &pt);
+        analyze(&m).install(&mut m);
         let s = first_store_tags(&m, "main");
         assert!(s.contains(tag(&m, "main.x")));
         assert!(s.contains(tag(&m, "main.y")));
@@ -540,8 +391,7 @@ int main() {
 }
 "#,
         );
-        let pt = analyze(&m);
-        apply(&mut m, &pt);
+        analyze(&m).install(&mut m);
         let s = first_store_tags(&m, "set");
         assert_eq!(s.as_singleton(), Some(tag(&m, "main.a")));
     }
@@ -559,8 +409,7 @@ int main() {
 }
 "#,
         );
-        let pt = analyze(&m);
-        apply(&mut m, &pt);
+        analyze(&m).install(&mut m);
         let main = m.func(m.main().unwrap());
         let stores: Vec<TagSet> = main
             .blocks
@@ -589,15 +438,14 @@ int main() {
 }
 "#,
         );
-        let pt = analyze(&m);
-        apply(&mut m, &pt);
+        analyze(&m).install(&mut m);
         let s = first_store_tags(&m, "main");
         assert_eq!(s.as_singleton(), Some(tag(&m, "g:target")));
     }
 
     #[test]
     fn function_pointers_resolve_indirect_calls() {
-        let m = compile(
+        let mut m = compile(
             r#"
 int f1(int x) { return x + 1; }
 int f2(int x) { return x + 2; }
@@ -608,13 +456,11 @@ int main() {
 }
 "#,
         );
-        let pt = analyze(&m);
-        let targets = pt.indirect_targets(&m);
+        let (graph, _) = analyze(&m).install(&mut m);
         let main = m.main().unwrap();
         let f1 = m.lookup_func("f1").unwrap();
         let f2 = m.lookup_func("f2").unwrap();
-        assert!(targets[main.index()].contains(&f1));
-        assert!(targets[main.index()].contains(&f2));
+        assert_eq!(graph.callees[main.index()], BTreeSet::from([f1, f2]));
     }
 
     #[test]
@@ -645,11 +491,11 @@ int main() {
 "#,
         );
         let mut sparse_stats = DataflowStats::default();
-        let sparse = analyze_with(&m, &mut sparse_stats);
+        let sparse = solve(&m, &mut sparse_stats);
         let mut dense_stats = DataflowStats::default();
         let dense = analyze_dense(&m, &mut dense_stats);
-        assert_eq!(sparse.reg_pts, dense.reg_pts);
-        assert_eq!(sparse.tag_pts, dense.tag_pts);
+        assert_eq!(sparse.regs, dense.regs);
+        assert_eq!(sparse.cells, dense.cells);
         assert!(
             sparse_stats.transfer_evals < dense_stats.transfer_evals,
             "sparse {} >= dense {}",
@@ -671,8 +517,7 @@ int main() {
 }
 "#,
         );
-        let pt = analyze(&m);
-        apply(&mut m, &pt);
+        analyze(&m).install(&mut m);
         let s = first_store_tags(&m, "main");
         assert_eq!(s.as_singleton(), Some(tag(&m, "g:slot")));
     }
@@ -713,14 +558,14 @@ int main() {
         for (i, src) in programs.iter().enumerate() {
             let module = compile(src);
             let mut stats = DataflowStats::default();
-            let sparse = analyze_with(&module, &mut stats);
+            let sparse = solve(&module, &mut stats);
             let dense = analyze_dense(&module, &mut stats);
             assert_eq!(
-                sparse.reg_pts, dense.reg_pts,
+                sparse.regs, dense.regs,
                 "program {i}: register points-to sets diverged"
             );
             assert_eq!(
-                sparse.tag_pts, dense.tag_pts,
+                sparse.cells, dense.cells,
                 "program {i}: tag points-to sets diverged"
             );
         }

@@ -5,7 +5,8 @@
 //! between plain MOD/REF and the inclusion-based points-to analysis, to
 //! measure how much promotion benefit each notch of precision buys.
 
-use ir::{Callee, DenseTagSet, FuncId, Instr, Module, Reg, TagId};
+use crate::facts::{PointerFacts, Pts};
+use ir::{Callee, DenseTagSet, FuncId, Instr, Module, TagId};
 use std::collections::BTreeSet;
 
 /// Union-find node index.
@@ -74,71 +75,8 @@ impl Uf {
     }
 }
 
-/// The result of the unification analysis.
-#[derive(Debug, Clone)]
-pub struct Steensgaard {
-    /// For each function and register: tags the register may address.
-    reg_tags: Vec<Vec<DenseTagSet>>,
-    /// For each function and register: functions the register may target.
-    reg_funcs: Vec<Vec<BTreeSet<FuncId>>>,
-}
-
-impl Steensgaard {
-    /// The tags register `r` of `f` may address.
-    pub fn reg_tags(&self, f: FuncId, r: Reg) -> &DenseTagSet {
-        &self.reg_tags[f.index()][r.index()]
-    }
-
-    /// The functions register `r` of `f` may target.
-    pub fn reg_funcs(&self, f: FuncId, r: Reg) -> &BTreeSet<FuncId> {
-        &self.reg_funcs[f.index()][r.index()]
-    }
-
-    /// Per-call-site indirect targets (see
-    /// [`crate::SiteTargets`]).
-    pub fn site_targets(&self, module: &Module) -> crate::SiteTargets {
-        let mut out = crate::SiteTargets::new();
-        for (fi, func) in module.funcs.iter().enumerate() {
-            for block in &func.blocks {
-                for instr in &block.instrs {
-                    if let Instr::Call {
-                        callee: Callee::Indirect(r),
-                        ..
-                    } = instr
-                    {
-                        out.insert(
-                            (fi as u32, *r),
-                            self.reg_funcs(FuncId(fi as u32), *r).clone(),
-                        );
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Indirect-call target sets per function.
-    pub fn indirect_targets(&self, module: &Module) -> Vec<BTreeSet<FuncId>> {
-        let mut out = vec![BTreeSet::new(); module.funcs.len()];
-        for (fi, func) in module.funcs.iter().enumerate() {
-            for block in &func.blocks {
-                for instr in &block.instrs {
-                    if let Instr::Call {
-                        callee: Callee::Indirect(r),
-                        ..
-                    } = instr
-                    {
-                        out[fi].extend(self.reg_funcs(FuncId(fi as u32), *r).iter().copied());
-                    }
-                }
-            }
-        }
-        out
-    }
-}
-
 /// Runs the unification analysis.
-pub fn analyze(module: &Module) -> Steensgaard {
+pub fn analyze(module: &Module) -> PointerFacts {
     let mut uf = Uf::new();
     // One node per tag...
     let tag_node: Vec<Node> = (0..module.tags.len()).map(|_| uf.fresh()).collect();
@@ -158,8 +96,15 @@ pub fn analyze(module: &Module) -> Steensgaard {
         .collect();
 
     // A single pass establishes all constraints (unification is symmetric
-    // and order-independent), except indirect calls, which are iterated.
-    for round in 0..3 {
+    // and order-independent) except those of indirect calls, whose target
+    // sets grow as classes merge. So the passes repeat until one resolves
+    // no new target. Target sets only grow, so a pass that resolves as
+    // many targets as the one before saw the same targets at every call
+    // site: every unification it made had been made already, and the
+    // classes are final.
+    let mut resolved_before = None;
+    loop {
+        let mut resolved = 0;
         for (fi, func) in module.funcs.iter().enumerate() {
             for block in &func.blocks {
                 for instr in &block.instrs {
@@ -230,6 +175,7 @@ pub fn analyze(module: &Module) -> Steensgaard {
                                 Callee::Direct(g) => vec![*g],
                                 Callee::Indirect(r) => {
                                     let p = uf.pt(reg_node[fi][r.index()]);
+                                    resolved += uf.funcs[p].len();
                                     uf.funcs[p].iter().copied().collect()
                                 }
                                 Callee::Intrinsic(_) => continue,
@@ -259,7 +205,10 @@ pub fn analyze(module: &Module) -> Steensgaard {
                 }
             }
         }
-        let _ = round;
+        if resolved_before == Some(resolved) {
+            break;
+        }
+        resolved_before = Some(resolved);
     }
 
     // Read out: tags per class.
@@ -268,61 +217,26 @@ pub fn analyze(module: &Module) -> Steensgaard {
         let r = uf.find(n);
         class_tags.entry(r).or_default().insert(TagId(ti as u32));
     }
-    let mut reg_tags = Vec::with_capacity(module.funcs.len());
-    let mut reg_funcs = Vec::with_capacity(module.funcs.len());
-    for (fi, func) in module.funcs.iter().enumerate() {
-        let mut tags_row = Vec::with_capacity(func.next_reg as usize);
-        let mut funcs_row = Vec::with_capacity(func.next_reg as usize);
-        for r in 0..func.next_reg as usize {
-            let node = reg_node[fi][r];
-            let root = uf.find(node);
-            match uf.pts[root] {
-                Some(p) => {
+    let regs = reg_node
+        .iter()
+        .map(|nodes| {
+            nodes
+                .iter()
+                .map(|&node| {
+                    let root = uf.find(node);
+                    let Some(p) = uf.pts[root] else {
+                        return Pts::default();
+                    };
                     let pr = uf.find(p);
-                    tags_row.push(class_tags.get(&pr).cloned().unwrap_or_default());
-                    funcs_row.push(uf.funcs[pr].clone());
-                }
-                None => {
-                    tags_row.push(DenseTagSet::new());
-                    funcs_row.push(BTreeSet::new());
-                }
-            }
-        }
-        reg_tags.push(tags_row);
-        reg_funcs.push(funcs_row);
-    }
-    Steensgaard {
-        reg_tags,
-        reg_funcs,
-    }
-}
-
-/// Shrinks pointer-op tag sets with the unification results (same contract
-/// as [`crate::points_to::apply`]).
-pub fn apply(module: &mut Module, st: &Steensgaard) {
-    for fi in 0..module.funcs.len() {
-        let f = FuncId(fi as u32);
-        for bi in 0..module.funcs[fi].blocks.len() {
-            for ii in 0..module.funcs[fi].blocks[bi].instrs.len() {
-                let instr = &module.funcs[fi].blocks[bi].instrs[ii];
-                let (addr, old) = match instr {
-                    Instr::Load { addr, tags, .. } | Instr::Store { addr, tags, .. } => {
-                        (*addr, tags.clone())
+                    Pts {
+                        tags: class_tags.get(&pr).cloned().unwrap_or_default(),
+                        funcs: uf.funcs[pr].clone(),
                     }
-                    _ => continue,
-                };
-                let pts = st.reg_tags(f, addr);
-                if pts.is_empty() {
-                    continue;
-                }
-                let new = old.intersect_universe(pts);
-                match &mut module.funcs[fi].blocks[bi].instrs[ii] {
-                    Instr::Load { tags, .. } | Instr::Store { tags, .. } => *tags = new,
-                    _ => unreachable!(),
-                }
-            }
-        }
-    }
+                })
+                .collect()
+        })
+        .collect();
+    PointerFacts { regs }
 }
 
 #[cfg(test)]
@@ -364,7 +278,7 @@ int main() {
                 _ => None,
             })
             .expect("store");
-        let tags = st.reg_tags(main, addr);
+        let tags = &st.regs[main.index()][addr.index()].tags;
         let x = m.tags.lookup("main.x").unwrap();
         let y = m.tags.lookup("main.y").unwrap();
         assert!(
@@ -374,7 +288,7 @@ int main() {
 
         // The inclusion-based analysis is strictly more precise here.
         let pt = crate::points_to::analyze(&m);
-        let precise = pt.reg_tags(main, addr);
+        let precise = &pt.regs[main.index()][addr.index()].tags;
         assert!(precise.contains(x));
         assert!(!precise.contains(y));
     }
@@ -397,7 +311,7 @@ int main() {
         let st = analyze(&m);
         let main = m.main().unwrap();
         let f = m.func(main);
-        let addrs: Vec<Reg> = f
+        let addrs: Vec<ir::Reg> = f
             .blocks
             .iter()
             .flat_map(|b| &b.instrs)
@@ -408,14 +322,15 @@ int main() {
             .collect();
         let x = m.tags.lookup("main.x").unwrap();
         let y = m.tags.lookup("main.y").unwrap();
-        assert!(st.reg_tags(main, addrs[0]).contains(x));
-        assert!(!st.reg_tags(main, addrs[0]).contains(y));
-        assert!(st.reg_tags(main, addrs[1]).contains(y));
+        let tags = |r: ir::Reg| &st.regs[main.index()][r.index()].tags;
+        assert!(tags(addrs[0]).contains(x));
+        assert!(!tags(addrs[0]).contains(y));
+        assert!(tags(addrs[1]).contains(y));
     }
 
     #[test]
     fn function_pointer_targets() {
-        let m = compile(
+        let mut m = compile(
             r#"
 int a(int x) { return x; }
 int b(int x) { return x; }
@@ -425,10 +340,38 @@ int main() {
 }
 "#,
         );
-        let st = analyze(&m);
-        let targets = st.indirect_targets(&m);
+        let (graph, _) = analyze(&m).install(&mut m);
         let main = m.main().unwrap();
-        assert!(targets[main.index()].contains(&m.lookup_func("a").unwrap()));
-        assert!(!targets[main.index()].contains(&m.lookup_func("b").unwrap()));
+        let a = m.lookup_func("a").unwrap();
+        assert_eq!(graph.callees[main.index()], BTreeSet::from([a]));
+    }
+
+    #[test]
+    fn indirect_calls_resolve_to_a_fixpoint() {
+        // `d4` is reached only through a chain of four indirect calls.
+        // Callees precede their callers here, so each call resolves one
+        // pass after the one before it: `d4`'s parameter meets `&x` only
+        // in the fourth pass.
+        let m = compile(
+            r#"
+int x;
+int y;
+int d4(int *p) { *p = *p + 1; return 0; }
+int c3(func f, int *p) { return f(p); }
+int c2(func f, func g, int *p) { return f(g, p); }
+int c1(func f, func g, func h, int *p) { return f(g, h, p); }
+int main() {
+    func a = c1;
+    d4(&y);
+    a(c2, c3, d4, &x);
+    return 0;
+}
+"#,
+        );
+        let st = analyze(&m);
+        let d4 = m.lookup_func("d4").unwrap();
+        let p = &st.regs[d4.index()][0].tags;
+        assert!(p.contains(m.tags.lookup("g:x").unwrap()), "{p:?}");
+        assert!(p.contains(m.tags.lookup("g:y").unwrap()), "{p:?}");
     }
 }
