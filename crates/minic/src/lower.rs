@@ -666,7 +666,7 @@ impl<'p> Lowerer<'p> {
     fn lower_expr_maybe_void(&mut self, ctx: &mut FuncCtx, e: ExprId) -> Result<()> {
         let node = self.program.expr(e);
         if let ExprKind::Call(callee, args) = node.kind {
-            self.lower_call(ctx, callee, args, node.pos, true)?;
+            self.lower_call(ctx, callee, args, node.pos)?;
             Ok(())
         } else {
             self.lower_expr(ctx, e).map(|_| ())
@@ -720,12 +720,10 @@ impl<'p> Lowerer<'p> {
                 }
                 Ok((r, target_ty))
             }
-            ExprKind::Call(callee, args) => {
-                match self.lower_call(ctx, callee, args, pos, false)? {
-                    Some(rt) => Ok(rt),
-                    None => err(pos, "void call used as a value"),
-                }
-            }
+            ExprKind::Call(callee, args) => match self.lower_call(ctx, callee, args, pos)? {
+                Some(rt) => Ok(rt),
+                None => err(pos, "void call used as a value"),
+            },
             ExprKind::Index(..) | ExprKind::Deref(_) => {
                 let lv = self.lower_lvalue(ctx, e)?;
                 self.read_lvalue(ctx, lv, pos)
@@ -1135,9 +1133,7 @@ impl<'p> Lowerer<'p> {
         callee: ExprId,
         args: ExprList,
         pos: Pos,
-        stmt_context: bool,
     ) -> Result<Option<(Reg, Type)>> {
-        let _ = stmt_context;
         let ExprKind::Ident(name) = self.program.expr(callee).kind else {
             // Calling a computed expression: must be func-typed.
             let (r, ty) = self.lower_expr(ctx, callee)?;

@@ -375,18 +375,23 @@ fn function_pointers() {
     assert_eq!(
         output(
             r#"
+int g;
 int twice(int x) { return 2 * x; }
 int thrice(int x) { return 3 * x; }
+void bump() { g = g + 1; }
 int main() {
     func f = twice;
     print_int(f(10));
     f = &thrice;
     print_int(f(10));
+    f = bump;
+    f();
+    print_int(g);
     return 0;
 }
 "#
         ),
-        vec!["20", "30"]
+        vec!["20", "30", "1"]
     );
 }
 

@@ -549,12 +549,11 @@ impl Vm {
                             },
                             Callee::Intrinsic(i) => self.intrinsic(i, args, regs)?,
                         };
+                        // The front end gives every indirect call a result
+                        // register; a void callee leaves it `Uninit`, so only
+                        // a computation on it faults.
                         if site.dst != NONE {
-                            regs[site.dst as usize] = result.ok_or_else(|| {
-                                Stop::from(VmError::Malformed(
-                                    "void callee used for its result".into(),
-                                ))
-                            })?;
+                            regs[site.dst as usize] = result.unwrap_or(Value::Uninit);
                         }
                         seg += 1;
                         continue 'seg;

@@ -237,6 +237,50 @@ B0:
 }
 
 #[test]
+fn void_callee_leaves_an_indirect_result_uninit() {
+    // The front end gives every indirect call a result register. A void
+    // callee leaves it uninitialized: the call itself runs...
+    let bump = r#"
+tag "g:g" global size=1
+global "g:g" zero
+func @bump(0) {
+B0:
+  r0 = sload "g:g"
+  r1 = iconst 1
+  r2 = add r0, r1
+  sstore r2, "g:g"
+  ret
+}
+"#;
+    let out = run(&format!(
+        r#"{bump}
+func @main(0) result {{
+B0:
+  r0 = funcaddr @bump
+  r1 = call *r0() mods{{}} refs{{}}
+  r2 = sload "g:g"
+  ret r2
+}}
+"#
+    ));
+    assert_eq!(out.exit_code, 1);
+    // ...and only a computation on the missing result faults.
+    let e = run_err(&format!(
+        r#"{bump}
+func @main(0) result {{
+B0:
+  r0 = funcaddr @bump
+  r1 = call *r0() mods{{}} refs{{}}
+  r2 = iconst 1
+  r3 = add r1, r2
+  ret r3
+}}
+"#
+    ));
+    assert_eq!(e, VmError::TypeError("add on uninit and int".into()));
+}
+
+#[test]
 fn exit_intrinsic_stops_early() {
     let out = run(r#"
 func @main(0) {
