@@ -44,7 +44,7 @@ fn main() {
         opt::strengthen(&mut analyzed);
         time_case(&format!("passes/{name}/promotion"), || {
             let mut m = analyzed.clone();
-            promote::promote_module(&mut m, &promote::PromotionOptions::default());
+            promote::promote_module(&mut m);
         });
         time_case(&format!("passes/{name}/lvn"), || {
             let mut m = analyzed.clone();

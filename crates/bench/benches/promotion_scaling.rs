@@ -69,7 +69,7 @@ fn main() {
         let module = synthetic(seq, 2, 8);
         time_case(&format!("promotion_scaling/loops/{seq}"), || {
             let mut m = module.clone();
-            promote::promote_module(&mut m, &promote::PromotionOptions::default());
+            promote::promote_module(&mut m);
         });
     }
     // Sweep nesting depth.
@@ -77,7 +77,7 @@ fn main() {
         let module = synthetic(4, depth, 8);
         time_case(&format!("promotion_scaling/depth/{depth}"), || {
             let mut m = module.clone();
-            promote::promote_module(&mut m, &promote::PromotionOptions::default());
+            promote::promote_module(&mut m);
         });
     }
     // Sweep tag count.
@@ -85,7 +85,7 @@ fn main() {
         let module = synthetic(8, 2, tags);
         time_case(&format!("promotion_scaling/tags/{tags}"), || {
             let mut m = module.clone();
-            promote::promote_module(&mut m, &promote::PromotionOptions::default());
+            promote::promote_module(&mut m);
         });
     }
 }

@@ -2,13 +2,13 @@
 //!
 //! Usage: `cargo run --release -p promo-bench --bin figures [program]`
 
-use bench_harness::{figure_text, measure_suite};
-use driver::Metric;
+use bench_harness::measure_suite;
+use driver::{render_figure, Metric};
 
 fn main() {
     let only = std::env::args().nth(1);
     let rows = measure_suite(only.as_deref());
     for metric in [Metric::TotalOps, Metric::Stores, Metric::Loads] {
-        println!("{}", figure_text(metric, &rows));
+        println!("{}", render_figure(metric, &rows));
     }
 }

@@ -4,13 +4,11 @@
 //!
 //! | binary | regenerates |
 //! |--------|-------------|
-//! | `figure5` | Figure 5 — total operations |
-//! | `figure6` | Figure 6 — stores executed |
-//! | `figure7` | Figure 7 — loads executed |
-//! | `figures` | all three figures in one run |
+//! | `figures` | Figures 5, 6 and 7 — total operations, stores and loads executed |
 //! | `pointer_promotion_report` | §3.3's scalar-vs-pointer-based comparison |
 //! | `anomalies` | the dhrystone / bison / water degradation stories |
 //! | `ablation` | analysis-precision ablation (extension) |
+//! | `pressure_ablation` | the §7 pressure throttle on `water` across register files (extension) |
 
 #![warn(missing_docs)]
 
@@ -20,7 +18,7 @@ pub mod timing;
 
 use analysis::AnalysisLevel;
 use driver::prelude::*;
-use driver::{measure_program, MeasurementRow, Metric};
+use driver::{measure_program, MeasurementRow};
 
 /// Compiles and executes one configuration through the Session API.
 ///
@@ -54,11 +52,6 @@ pub fn measure_suite(only: Option<&str>) -> Vec<MeasurementRow> {
         .into_iter()
         .flatten()
         .collect()
-}
-
-/// Renders one figure for previously measured rows.
-pub fn figure_text(metric: Metric, rows: &[MeasurementRow]) -> String {
-    driver::render_figure(metric, rows)
 }
 
 /// A row of the §3.3 comparison: scalar promotion vs scalar+pointer-based.

@@ -350,15 +350,6 @@ impl FunctionAnalyses {
         &self.dom.as_ref().expect("ensured").1
     }
 
-    /// CFG + dominator tree together.
-    pub fn cfg_dom<'a>(&'a mut self, func: &Function) -> (&'a Cfg, &'a DomTree) {
-        self.ensure_dom(func);
-        (
-            &self.cfg.as_ref().expect("ensured").1,
-            &self.dom.as_ref().expect("ensured").1,
-        )
-    }
-
     /// CFG + loop forest together (what loop discovery passes need).
     pub fn cfg_forest<'a>(&'a mut self, func: &Function) -> (&'a Cfg, &'a LoopForest) {
         self.ensure_forest(func);

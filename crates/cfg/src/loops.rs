@@ -44,11 +44,6 @@ impl Loop {
     pub fn contains(&self, b: BlockId) -> bool {
         self.blocks.contains(&b)
     }
-
-    /// Distinct exit-edge targets.
-    pub fn exit_targets(&self) -> BTreeSet<BlockId> {
-        self.exit_edges.iter().map(|&(_, t)| t).collect()
-    }
 }
 
 /// All natural loops of one function, with nesting structure.
@@ -267,16 +262,6 @@ impl LoopForest {
             .iter()
             .position(|l| l.header == h)
             .map(|i| LoopId(i as u32))
-    }
-
-    /// Maximum number of exit edges over all loops (the paper's parameter
-    /// `X` in the complexity analysis).
-    pub fn max_exits(&self) -> usize {
-        self.loops
-            .iter()
-            .map(|l| l.exit_edges.len())
-            .max()
-            .unwrap_or(0)
     }
 }
 

@@ -3,7 +3,9 @@
 //! A [`FuncCache`] memoizes each function's trip through the fused
 //! intra-procedural pass chain across compiles of the *same*
 //! [`crate::Session`]. The key is a 64-bit **fingerprint** of everything
-//! the chain's output can depend on:
+//! the chain's output can depend on that can differ between two compiles
+//! of one session (the session's configuration cannot, so it is not part
+//! of the key):
 //!
 //! * the function's canonical post-lowering body ([`ir::hash::body_hash`]
 //!   — structural, resolved through tag and function *names*, so arena
@@ -15,8 +17,7 @@
 //!   ([`analysis::modref_summary_hashes`] — this is what propagates a
 //!   *callee's* behaviour change up the call graph, per
 //!   [`analysis::CallGraph::callers`], even when the caller's own body
-//!   is untouched),
-//! * the output-affecting [`crate::PipelineConfig`] fields, and
+//!   is untouched), and
 //! * whether the function sits on a call-graph cycle.
 //!
 //! On a hit the cached function body is *spliced* back into the module:
@@ -32,13 +33,11 @@
 //! Entries are evicted least-recently-used when the cache exceeds its
 //! byte budget ([`crate::SessionBuilder::cache_budget`]).
 
-use crate::pipeline::{FuncOutcome, PipelineConfig};
-use analysis::AnalysisLevel;
-use ir::hash::{body_hash, fx_mix, FxHasher};
+use crate::pipeline::FuncOutcome;
+use ir::hash::{body_hash, fx_mix};
 use ir::{DenseTagSet, Function, Instr, Module, TagId, TagSet};
 use regalloc::PROVISIONAL_SPILL_BASE;
 use std::collections::HashMap;
-use std::hash::Hasher;
 use trace::PassEvent;
 
 /// Default cache byte budget: plenty for every in-tree workload while
@@ -58,8 +57,8 @@ pub struct IncrementalReport {
     pub cache_hits: usize,
     /// Misses whose own body hash was unchanged — the function was
     /// recompiled only because an interprocedural fact changed under it
-    /// (a callee's MOD/REF summary, a referenced tag's attributes) or
-    /// the configuration changed.
+    /// (a callee's MOD/REF summary, a referenced tag's attributes, its
+    /// recursion flag).
     pub summary_invalidated: usize,
     /// Entries evicted by the byte budget after this compile.
     pub evictions: usize,
@@ -81,11 +80,11 @@ impl IncrementalReport {
 /// One memoized function: the chain's output plus everything needed to
 /// replay it into a later compile of a (possibly edited) module.
 struct CacheEntry {
-    /// Full fingerprint (body + facts + summary + config + recursion).
+    /// Full fingerprint (body + facts + summary + recursion).
     fp: u64,
     /// The body component alone, kept separate so a miss can be
     /// classified: same body but different `fp` means an interprocedural
-    /// fact or config change invalidated the function.
+    /// fact change invalidated the function.
     h_body: u64,
     /// Post-chain body with provisional spill ids still in place (the
     /// spill commit is replayed per compile so tag ids come out in
@@ -97,9 +96,8 @@ struct CacheEntry {
     /// Names of every function id the body references.
     func_names: Vec<(u32, String)>,
     /// Chain counters, allocation report, and pending spills to replay.
-    /// The stored per-pass timing rows are *not* replayed into warm
-    /// reports — a hit spends none of that time — but ride along for
-    /// inspection.
+    /// Stored without its per-pass timing rows: a hit spends none of that
+    /// time, so a warm report must not count it.
     outcome: FuncOutcome,
     /// The chain's trace-event suffix (empty when the config traces
     /// nothing), replayed verbatim so warm remark streams match cold.
@@ -112,26 +110,16 @@ struct CacheEntry {
 
 /// The per-session function cache. See the module docs for the
 /// fingerprint definition and splice semantics.
-pub struct FuncCache {
+pub(crate) struct FuncCache {
     entries: HashMap<String, CacheEntry>,
     byte_budget: usize,
     bytes: usize,
     tick: u64,
 }
 
-impl std::fmt::Debug for FuncCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FuncCache")
-            .field("entries", &self.entries.len())
-            .field("bytes", &self.bytes)
-            .field("byte_budget", &self.byte_budget)
-            .finish()
-    }
-}
-
 impl FuncCache {
     /// An empty cache with the given eviction budget in bytes.
-    pub fn new(byte_budget: usize) -> FuncCache {
+    pub(crate) fn new(byte_budget: usize) -> FuncCache {
         FuncCache {
             entries: HashMap::new(),
             byte_budget,
@@ -140,18 +128,8 @@ impl FuncCache {
         }
     }
 
-    /// Number of cached functions.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Approximate bytes held.
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         self.bytes
     }
 
@@ -185,10 +163,7 @@ impl FuncCache {
         }
         let body = remap_body(entry, module)?;
         entry.last_used = tick;
-        let mut outcome = entry.outcome.clone();
-        // A spliced function spends no chain time *this* compile; replaying
-        // the stored rows would overstate the warm run's per-pass cost.
-        outcome.timings.clear();
+        let outcome = entry.outcome.clone();
         let events = entry.events.clone();
         module.funcs[fi] = body;
         Some((outcome, events))
@@ -234,7 +209,10 @@ impl FuncCache {
             approx_bytes: approx_entry_bytes(func, &tag_names, &func_names, &events),
             tag_names,
             func_names,
-            outcome: outcome.clone(),
+            outcome: FuncOutcome {
+                timings: Vec::new(),
+                ..outcome.clone()
+            },
             events,
             last_used: self.tick,
         };
@@ -388,58 +366,13 @@ fn remap_instr(
     }
 }
 
-/// Digest of the [`PipelineConfig`] fields that can change compiled
-/// output or the replayed report/trace. Scheduling and instrumentation
-/// knobs that are documented output-identical (`threads`,
-/// `validate_each_pass`) are deliberately excluded so flipping them keeps
-/// the cache warm.
-pub(crate) fn config_hash(config: &PipelineConfig) -> u64 {
-    let mut h = FxHasher::new();
-    h.write_u8(match config.analysis {
-        AnalysisLevel::AddressTaken => 0,
-        AnalysisLevel::ModRef => 1,
-        AnalysisLevel::Steensgaard => 2,
-        AnalysisLevel::PointsTo => 3,
-        AnalysisLevel::PointsToSsa => 4,
-    });
-    h.write_u8(config.promote as u8);
-    h.write_u8(config.pointer_promote as u8);
-    match config.promotion_cap {
-        Some(cap) => {
-            h.write_u8(1);
-            h.write_usize(cap);
-        }
-        None => h.write_u8(0),
-    }
-    h.write_u8(config.optimize as u8);
-    match &config.regalloc {
-        Some(opts) => {
-            h.write_u8(1);
-            h.write_usize(opts.num_regs);
-            h.write_usize(opts.max_rounds);
-        }
-        None => h.write_u8(0),
-    }
-    // Entries store the trace-event suffix of the compile that created
-    // them; a trace-off entry replayed into a trace-on compile would
-    // silently drop remarks.
-    h.write_u8(config.trace as u8);
-    h.finish()
-}
-
 /// The full per-function fingerprint. `summary` is the function's own
 /// transitive MOD/REF digest, which folds in every callee's memory
 /// behaviour — the dependency-aware half of invalidation.
-pub(crate) fn fingerprint(
-    h_body: u64,
-    h_facts: u64,
-    summary: u64,
-    h_config: u64,
-    recursive: bool,
-) -> u64 {
+pub(crate) fn fingerprint(h_body: u64, h_facts: u64, summary: u64, recursive: bool) -> u64 {
     fx_mix(
         fx_mix(h_body, h_facts),
-        fx_mix(summary, fx_mix(h_config, 1 + recursive as u64)),
+        fx_mix(summary, 1 + recursive as u64),
     )
 }
 
@@ -450,7 +383,6 @@ pub(crate) fn compute_fingerprints(
     module: &Module,
     summaries: &[u64],
     recursive: &[bool],
-    h_config: u64,
 ) -> Vec<(u64, u64)> {
     module
         .funcs
@@ -459,7 +391,7 @@ pub(crate) fn compute_fingerprints(
         .map(|(i, func)| {
             let h_body = body_hash(module, func);
             let h_facts = ir::hash::facts_hash(module, func);
-            let fp = fingerprint(h_body, h_facts, summaries[i], h_config, recursive[i]);
+            let fp = fingerprint(h_body, h_facts, summaries[i], recursive[i]);
             (fp, h_body)
         })
         .collect()
@@ -468,27 +400,6 @@ pub(crate) fn compute_fingerprints(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn config_hash_sees_output_knobs_only() {
-        let base = PipelineConfig::default();
-        let h = config_hash(&base);
-        // Scheduling/instrumentation knobs keep the cache warm.
-        let mut c = base.clone();
-        c.threads = Some(7);
-        c.validate_each_pass = !c.validate_each_pass;
-        assert_eq!(config_hash(&c), h);
-        // Output-affecting knobs miss.
-        let mut c = base.clone();
-        c.pointer_promote = true;
-        assert_ne!(config_hash(&c), h);
-        let mut c = base.clone();
-        c.regalloc = Some(regalloc::AllocOptions {
-            num_regs: 8,
-            ..Default::default()
-        });
-        assert_ne!(config_hash(&c), h);
-    }
 
     #[test]
     fn eviction_is_lru_under_budget() {
@@ -504,11 +415,11 @@ mod tests {
         cache.store(&module, 0, 1, 1, &o, Vec::new());
         cache.begin_compile();
         cache.store(&module, 1, 2, 2, &o, Vec::new());
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.entries.len(), 2);
         let evicted = cache.evict_to_budget();
         // Budget of one byte cannot hold either entry.
         assert_eq!(evicted, 2);
-        assert!(cache.is_empty());
+        assert!(cache.entries.is_empty());
         assert_eq!(cache.bytes(), 0);
     }
 }

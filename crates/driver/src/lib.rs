@@ -52,7 +52,7 @@ mod scratch;
 mod session;
 
 pub use error::Error;
-pub use incremental::{FuncCache, IncrementalReport, DEFAULT_CACHE_BUDGET};
+pub use incremental::{IncrementalReport, DEFAULT_CACHE_BUDGET};
 pub use parallel::{resolve_threads, WorkerPool};
 pub use pipeline::{run_pipeline_in, PassTiming, PassTimings, PipelineConfig, PipelineReport};
 pub use report::{measure_program, render_figure, MeasurementRow, Metric};

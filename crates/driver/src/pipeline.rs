@@ -50,8 +50,8 @@ pub struct PipelineConfig {
     pub(crate) promote: bool,
     /// Run pointer-based promotion (§3.3) after LICM.
     pub(crate) pointer_promote: bool,
-    /// Pressure throttle for scalar promotion (§7 of the paper; see
-    /// [`promote::PromotionOptions::max_promoted_per_loop`]).
+    /// Pressure throttle for scalar promotion (§7 of the paper): the
+    /// `max_per_loop` argument of [`promote::promote_scalars_in_func`].
     pub(crate) promotion_cap: Option<usize>,
     /// Run the scalar optimizer (always on in the paper; off is useful
     /// for debugging).
@@ -486,9 +486,7 @@ pub(crate) fn run_pipeline_core(
     if let Some(cache) = cache.as_deref_mut() {
         cache.begin_compile();
         let summaries = analysis::modref_summary_hashes(module, &outcome.modref);
-        let h_config = crate::incremental::config_hash(config);
-        fingerprints =
-            crate::incremental::compute_fingerprints(module, &summaries, &recursive, h_config);
+        fingerprints = crate::incremental::compute_fingerprints(module, &summaries, &recursive);
         let mut rep = crate::incremental::IncrementalReport {
             funcs_total: module.funcs.len(),
             ..Default::default()

@@ -331,10 +331,11 @@ impl SessionBuilder {
     }
 
     /// Enables or disables content-addressed incremental recompilation.
-    /// When on, the session keeps a per-function [`FuncCache`]: a later
-    /// compile splices every function whose fingerprint (canonical body,
-    /// interprocedural facts, callee summaries, output-affecting config)
-    /// is unchanged, and runs the fused pass chain only over the rest.
+    /// When on, the session keeps a per-function cache of the fused pass
+    /// chain's output: a later compile splices every function whose
+    /// fingerprint (canonical body, interprocedural facts, callee
+    /// summaries, recursion flag) is unchanged, and runs the fused pass
+    /// chain only over the rest.
     /// Output, report counters, and remark streams are byte-identical to
     /// a cold compile. Off by default.
     pub fn incremental(mut self, on: bool) -> Self {

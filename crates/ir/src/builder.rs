@@ -43,11 +43,6 @@ impl FunctionBuilder {
         self
     }
 
-    /// The block instructions are currently appended to.
-    pub fn current_block(&self) -> BlockId {
-        self.current
-    }
-
     /// Creates a new empty block (does not switch to it).
     pub fn new_block(&mut self) -> BlockId {
         self.func.new_block()

@@ -440,11 +440,6 @@ impl Program {
     pub fn expr_count(&self) -> usize {
         self.exprs.len()
     }
-
-    /// Total pooled statement nodes (diagnostics/tests).
-    pub fn stmt_count(&self) -> usize {
-        self.stmts.len()
-    }
 }
 
 #[cfg(test)]

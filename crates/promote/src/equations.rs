@@ -2,9 +2,10 @@
 //!
 //! For each block `b` the compiler gathers
 //!
-//! * `B_EXPLICIT(b)` — tags referenced by an explicit memory operation, and
+//! * `B_EXPLICIT(b)` — tags referenced by an explicit memory operation
+//!   (`sload`, `sstore`, `cload`), and
 //! * `B_AMBIGUOUS(b)` — tags referenced ambiguously, through procedure
-//!   calls or pointer-based operations whose pointer carries multiple tags;
+//!   calls or pointer-based operations (`load`, `store`);
 //!
 //! then for each loop `l`
 //!
@@ -16,40 +17,15 @@
 //!                 = L_PROMOTABLE(l) − L_PROMOTABLE(parent(l))  otherwise (4)
 //! ```
 //!
-//! One extension beyond the paper's presentation: a pointer-based operation
-//! whose tag set is a *singleton scalar* is treated as an explicit
-//! reference when it provably denotes the same single location as the
-//! scalar opcodes would (a global, or a local of a non-recursive function
-//! inside that function), and as ambiguous otherwise. Without this, a tag
-//! accessed both explicitly and through a singleton pointer would satisfy
-//! equation (3) while the rewrite left the pointer access reading stale
-//! memory.
+//! Memory operations are classified by opcode alone, exactly as the
+//! paper's equations do. A pointer-based operation becomes explicit only
+//! by being strengthened up Table 1 after analysis: before promotion runs,
+//! `opt::strengthen` rewrites each singleton `load`/`store` that denotes a
+//! unique cell (the `analysis` crate decides which) to `sload`/`sstore`,
+//! so any singleton pointer operation left in the input is ambiguous.
 
-use cfg::{LoopForest, LoopId};
-use ir::{DenseTagSet, FuncId, Function, Instr, TagId, TagSet, TagTable};
-
-/// How a memory reference participates in the equations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RefClass {
-    /// Counts into `B_EXPLICIT` and is rewritable to a register copy.
-    Explicit,
-    /// Counts into `B_AMBIGUOUS`.
-    Ambiguous,
-}
-
-/// Classifies a singleton pointer-based access to `tag` in `func`.
-pub fn classify_singleton(
-    tags: &TagTable,
-    func: FuncId,
-    func_is_recursive: bool,
-    tag: TagId,
-) -> RefClass {
-    if analysis::singleton_is_unique_cell(tags, func, func_is_recursive, tag) {
-        RefClass::Explicit
-    } else {
-        RefClass::Ambiguous
-    }
-}
+use cfg::LoopForest;
+use ir::{DenseTagSet, Function, Instr, TagSet};
 
 /// The per-block information of step 2 of the algorithm.
 #[derive(Debug, Clone, Default)]
@@ -62,16 +38,7 @@ pub struct BlockSets {
 }
 
 /// Computes `B_EXPLICIT` and `B_AMBIGUOUS` for every block of `func`.
-///
-/// Takes the tag table (not the module) so the per-function promotion pass
-/// can run while other functions are mutably borrowed by the parallel
-/// pipeline.
-pub fn block_sets(
-    tags_table: &TagTable,
-    func_id: FuncId,
-    func: &Function,
-    func_is_recursive: bool,
-) -> Vec<BlockSets> {
+pub fn block_sets(func: &Function) -> Vec<BlockSets> {
     let mut out = Vec::with_capacity(func.blocks.len());
     for block in &func.blocks {
         let mut sets = BlockSets::default();
@@ -80,17 +47,9 @@ pub fn block_sets(
                 Instr::SLoad { tag, .. } | Instr::SStore { tag, .. } | Instr::CLoad { tag, .. } => {
                     sets.explicit.insert(*tag);
                 }
-                Instr::Load { tags, .. } | Instr::Store { tags, .. } => match tags.as_singleton() {
-                    Some(t)
-                        if classify_singleton(tags_table, func_id, func_is_recursive, t)
-                            == RefClass::Explicit =>
-                    {
-                        sets.explicit.insert(t);
-                    }
-                    _ => {
-                        sets.ambiguous.union_with(tags);
-                    }
-                },
+                Instr::Load { tags, .. } | Instr::Store { tags, .. } => {
+                    sets.ambiguous.union_with(tags);
+                }
                 Instr::Call { mods, refs, .. } => {
                     sets.ambiguous.union_with(mods);
                     sets.ambiguous.union_with(refs);
@@ -103,7 +62,7 @@ pub fn block_sets(
     out
 }
 
-/// The per-loop sets of Figure 1, indexed by [`LoopId`].
+/// The per-loop sets of Figure 1, indexed by [`cfg::LoopId`].
 #[derive(Debug, Clone)]
 pub struct LoopSets {
     /// `L_EXPLICIT` per loop.
@@ -171,20 +130,12 @@ impl LoopSets {
         }
         out
     }
-
-    /// Loops (id order) where `t` must be lifted.
-    pub fn lift_loops(&self, t: TagId) -> Vec<LoopId> {
-        (0..self.lift.len() as u32)
-            .map(LoopId)
-            .filter(|l| self.lift[l.index()].contains(t))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ir::Module;
+    use ir::{FuncId, Module};
 
     /// Hand-build the situation of the paper's Figure 2 and check every
     /// set matches the figure. Loop structure (headers): B1 ⊃ B3 ⊃ B5.
@@ -250,7 +201,7 @@ B9:
         cfg::normalize_loops(&mut m.funcs[f.index()]);
         let nest = cfg::LoopNest::compute(m.func(f));
         assert_eq!(nest.forest.len(), 3);
-        let blocks = block_sets(&m.tags, f, m.func(f), false);
+        let blocks = block_sets(m.func(f));
         let sets = LoopSets::solve(&blocks, &nest.forest);
         let a = m.tags.lookup("A").unwrap();
         let b = m.tags.lookup("B").unwrap();
@@ -277,26 +228,6 @@ B9:
     }
 
     #[test]
-    fn singleton_scalar_pointer_ops_are_explicit_for_globals() {
-        let src = r#"
-tag "g" global size=1 addressed
-global "g" zero
-func @main(0) {
-B0:
-  r0 = lea "g"
-  r1 = load [r0] {"g"}
-  ret
-}
-"#;
-        let m = ir::parse_module(src).unwrap();
-        let f = m.lookup_func("main").unwrap();
-        let blocks = block_sets(&m.tags, f, m.func(f), false);
-        let g = m.tags.lookup("g").unwrap();
-        assert!(blocks[0].explicit.contains(g));
-        assert!(blocks[0].ambiguous.is_empty());
-    }
-
-    #[test]
     fn singleton_array_pointer_ops_are_ambiguous() {
         let src = r#"
 tag "a" global size=8 addressed
@@ -310,14 +241,16 @@ B0:
 "#;
         let m = ir::parse_module(src).unwrap();
         let f = m.lookup_func("main").unwrap();
-        let blocks = block_sets(&m.tags, f, m.func(f), false);
+        let blocks = block_sets(m.func(f));
         let a = m.tags.lookup("a").unwrap();
         assert!(!blocks[0].explicit.contains(a));
         assert!(blocks[0].ambiguous.contains(a));
     }
 
     #[test]
-    fn recursion_blocks_singleton_local_classification() {
+    fn singleton_local_pointer_ops_are_ambiguous() {
+        // Whether `f.x` is a unique cell is `opt::strengthen`'s question;
+        // a pointer operation it left alone is ambiguous, recursion or not.
         let src = r#"
 tag "f.x" local owner=0 size=1 addressed
 func @f(0) {
@@ -330,11 +263,8 @@ B0:
         let m = ir::parse_module(src).unwrap();
         let f = m.lookup_func("f").unwrap();
         let x = m.tags.lookup("f.x").unwrap();
-        // Non-recursive: explicit.
-        let blocks = block_sets(&m.tags, f, m.func(f), false);
-        assert!(blocks[0].explicit.contains(x));
-        // Recursive: ambiguous.
-        let blocks = block_sets(&m.tags, f, m.func(f), true);
+        let blocks = block_sets(m.func(f));
+        assert!(!blocks[0].explicit.contains(x));
         assert!(blocks[0].ambiguous.contains(x));
     }
 
@@ -361,7 +291,7 @@ B2:
         let f = m.lookup_func("main").unwrap();
         cfg::normalize_loops(&mut m.funcs[f.index()]);
         let nest = cfg::LoopNest::compute(m.func(f));
-        let blocks = block_sets(&m.tags, f, m.func(f), false);
+        let blocks = block_sets(m.func(f));
         let sets = LoopSets::solve(&blocks, &nest.forest);
         // g is explicit in the loop and the {*} store is outside it, so g
         // is promotable in the loop.

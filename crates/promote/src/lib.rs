@@ -14,14 +14,24 @@
 //!   pointer references (e.g. `B[i]` inside a `j` loop) when all accesses
 //!   to the referenced tags go through one invariant base register.
 //!
-//! [`promote_module`] runs both over a whole module. The pipeline calls
-//! the per-function entry points, [`promote_scalars_in_func`] and
-//! [`promote_pointers_in_func`], with its own analysis cache and trace:
-//! they emit remarks into the `trace::FuncTrace` they are given, and the
-//! driver records their before-minus-after delta around each call.
+//! Scalar promotion classifies memory operations by opcode, as the
+//! paper's equations do: `sload`, `sstore` and `cload` are explicit,
+//! `load` and `store` ambiguous. Its input is analyzed IL that
+//! `opt::strengthen` (the pipeline's first per-function stage) has
+//! already strengthened up Table 1, so every singleton pointer operation
+//! that denotes a unique cell is an `sload`/`sstore` by the time promotion
+//! sees it. That unique-cell decision is made once, in the `analysis`
+//! crate, and only strengthening asks it.
+//!
+//! The pipeline calls the per-function entry points,
+//! [`promote_scalars_in_func`] and [`promote_pointers_in_func`], with its
+//! own analysis cache and trace: they emit remarks into the
+//! `trace::FuncTrace` they are given, and the driver records their
+//! before-minus-after delta around each call. [`promote_module`] runs
+//! scalar promotion over a whole module.
 //!
 //! ```
-//! use promote::{promote_module, PromotionOptions};
+//! use promote::promote_module;
 //!
 //! let mut module = minic::compile(r#"
 //!     int g;
@@ -32,8 +42,9 @@
 //!     }
 //! "#)?;
 //! analysis::analyze(&mut module, analysis::AnalysisLevel::ModRef);
-//! let report = promote_module(&mut module, &PromotionOptions::default());
-//! assert_eq!(report.scalar.promoted_tags, 1); // g promoted in the loop
+//! // No pointer operations, so `opt::strengthen` would change nothing.
+//! let report = promote_module(&mut module);
+//! assert_eq!(report.promoted_tags, 1); // g promoted in the loop
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -43,7 +54,7 @@ mod equations;
 mod pointer;
 mod scalar;
 
-pub use equations::{block_sets, classify_singleton, BlockSets, LoopSets, RefClass};
+pub use equations::{block_sets, BlockSets, LoopSets};
 pub use pointer::{promote_pointers_in_func, PointerReport};
 pub use scalar::{promotable_tags, promote_scalars_in_func, ScalarReport};
 
@@ -51,31 +62,6 @@ use analysis::{tarjan_sccs, CallGraph};
 use cfg::FunctionAnalyses;
 use ir::Module;
 use trace::FuncTrace;
-
-/// Configuration for [`promote_module`].
-#[derive(Debug, Clone)]
-pub struct PromotionOptions {
-    /// Run scalar promotion (§3.1).
-    pub scalar: bool,
-    /// Run pointer-based promotion (§3.3). The driver enables this only
-    /// after LICM has hoisted base addresses.
-    pub pointer_based: bool,
-    /// Pressure throttle (the paper's §7 proposal, after Carr): keep only
-    /// this many promotable tags per loop, ranked by reference frequency.
-    /// `None` promotes everything, as the paper's measured implementation
-    /// does.
-    pub max_promoted_per_loop: Option<usize>,
-}
-
-impl Default for PromotionOptions {
-    fn default() -> Self {
-        PromotionOptions {
-            scalar: true,
-            pointer_based: false,
-            max_promoted_per_loop: None,
-        }
-    }
-}
 
 /// Aggregate report over a module.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -86,50 +72,38 @@ pub struct PromotionReport {
     pub pointer: PointerReport,
 }
 
-/// Runs register promotion over every function of `module`: the
-/// module-wide convenience over [`promote_scalars_in_func`] and
-/// [`promote_pointers_in_func`], the per-function entry points the
-/// pipeline's fused chain calls (and traces) itself.
+/// Runs scalar promotion over every function of `module`: the
+/// module-wide convenience over [`promote_scalars_in_func`], the
+/// per-function entry point the pipeline's fused chain calls (and traces)
+/// itself.
 ///
-/// Loop normalization (landing pads + dedicated exits) is performed first;
-/// the interprocedural analyses are expected to have already shrunk the
-/// module's tag sets (see [`analysis::analyze`]), though promotion is sound
-/// — merely unproductive — over unanalyzed `{*}` sets.
-pub fn promote_module(module: &mut Module, opts: &PromotionOptions) -> PromotionReport {
+/// Loop normalization (landing pads + dedicated exits) is performed
+/// first. The module must be analyzed ([`analysis::analyze`]) and
+/// strengthened (`opt::strengthen`), which is what every pipeline compile
+/// hands promotion: a unique-cell pointer operation left unstrengthened
+/// is ambiguous here, so its tag stays in memory. Promotion is sound over
+/// any input, merely unproductive without those two steps.
+pub fn promote_module(module: &mut Module) -> ScalarReport {
     let graph = CallGraph::build(module, None);
     let sccs = tarjan_sccs(&graph);
-    for fi in 0..module.funcs.len() {
-        cfg::normalize_loops(&mut module.funcs[fi]);
-    }
-    let mut report = PromotionReport::default();
+    let mut report = ScalarReport::default();
     for fi in 0..module.funcs.len() {
         let f = ir::FuncId(fi as u32);
         let func = &mut module.funcs[fi];
-        if opts.scalar {
-            let r = scalar::promote_scalars_in_func(
-                &module.tags,
-                func,
-                f,
-                graph.is_recursive(f, &sccs),
-                opts.max_promoted_per_loop,
-                &mut FunctionAnalyses::new(),
-                &mut FuncTrace::off(),
-            );
-            report.scalar.loops += r.loops;
-            report.scalar.promoted_tags += r.promoted_tags;
-            report.scalar.lifts += r.lifts;
-            report.scalar.rewritten_refs += r.rewritten_refs;
-        }
-        if opts.pointer_based {
-            let r = pointer::promote_pointers_in_func(
-                func,
-                &mut FunctionAnalyses::new(),
-                &mut FuncTrace::off(),
-            );
-            report.pointer.promoted_bases += r.promoted_bases;
-            report.pointer.rewritten_refs += r.rewritten_refs;
-            report.pointer.lifts += r.lifts;
-        }
+        cfg::normalize_loops(func);
+        let r = scalar::promote_scalars_in_func(
+            &module.tags,
+            func,
+            f,
+            graph.is_recursive(f, &sccs),
+            None,
+            &mut FunctionAnalyses::new(),
+            &mut FuncTrace::off(),
+        );
+        report.loops += r.loops;
+        report.promoted_tags += r.promoted_tags;
+        report.lifts += r.lifts;
+        report.rewritten_refs += r.rewritten_refs;
     }
     debug_assert!(
         ir::validate(module).is_ok(),
@@ -169,19 +143,18 @@ int main() {
         let mut m = minic::compile(src).unwrap();
         analysis::analyze(&mut m, analysis::AnalysisLevel::PointsTo);
         let before = Vm::run_main(&m, VmOptions::default()).unwrap();
-        let report = promote_module(
-            &mut m,
-            &PromotionOptions {
-                scalar: true,
-                pointer_based: true,
-                ..Default::default()
-            },
-        );
+        let scalar = promote_module(&mut m);
+        let mut promoted_bases = 0;
+        for func in &mut m.funcs {
+            let r =
+                promote_pointers_in_func(func, &mut FunctionAnalyses::new(), &mut FuncTrace::off());
+            promoted_bases += r.promoted_bases;
+        }
         ir::validate(&m).unwrap();
         let after = Vm::run_main(&m, VmOptions::default()).unwrap();
         assert_eq!(after.output, before.output);
-        assert!(report.scalar.promoted_tags >= 1);
-        assert!(report.pointer.promoted_bases >= 1);
+        assert!(scalar.promoted_tags >= 1);
+        assert!(promoted_bases >= 1);
         assert!(after.counts.memory_ops() < before.counts.memory_ops());
     }
 
@@ -198,9 +171,9 @@ int main() {
 "#;
         let mut m = minic::compile(src).unwrap();
         analysis::analyze(&mut m, analysis::AnalysisLevel::ModRef);
-        promote_module(&mut m, &PromotionOptions::default());
+        promote_module(&mut m);
         let once = Vm::run_main(&m, VmOptions::default()).unwrap();
-        promote_module(&mut m, &PromotionOptions::default());
+        promote_module(&mut m);
         let twice = Vm::run_main(&m, VmOptions::default()).unwrap();
         assert_eq!(once.output, twice.output);
         assert_eq!(once.counts.loads, twice.counts.loads);

@@ -5,9 +5,9 @@
 //! copies, the tag is loaded in the landing pad of every loop in whose
 //! `L_LIFT` it appears, and stored in each such loop's exit blocks.
 
-use crate::equations::{block_sets, classify_singleton, LoopSets, RefClass};
+use crate::equations::{block_sets, LoopSets};
 use cfg::FunctionAnalyses;
-use ir::{DenseTagSet, FuncId, Function, Instr, Module, Reg, TagId, TagTable};
+use ir::{DenseTagSet, FuncId, Function, Instr, Reg, TagId, TagTable};
 use std::collections::{BTreeMap, BTreeSet};
 use trace::{BlockReason, FuncTrace, LoopRef, Remark};
 
@@ -28,9 +28,15 @@ pub struct ScalarReport {
 /// needs only the read-only tag table and the function body, so
 /// independent functions can be promoted concurrently.
 ///
+/// The body must be analyzed and strengthened (`opt::strengthen`), as the
+/// pipeline's fused chain leaves it: only `sload`/`sstore`/`cload` are
+/// rewritten, so a unique-cell pointer operation that was not strengthened
+/// blocks its tag instead of being promoted.
+///
 /// `func_is_recursive` must say whether the function lies on a call-graph
-/// cycle; it gates the classification of singleton pointer references to
-/// the function's own locals.
+/// cycle; a [`Remark::Blocked`] reports it as the reason a singleton
+/// pointer reference to one of the function's own locals blocked
+/// promotion.
 ///
 /// `max_per_loop` is the paper's §7 proposal made concrete: "we may need
 /// to extend our promotion algorithm with an explicit decision-making
@@ -63,7 +69,7 @@ pub fn promote_scalars_in_func(
     if forest.is_empty() {
         return report;
     }
-    let blocks = block_sets(tags, func_id, func, func_is_recursive);
+    let blocks = block_sets(func);
     let mut sets = LoopSets::solve(&blocks, forest);
     if let Some(cap) = max_per_loop {
         throttle(func, forest, &mut sets, cap);
@@ -104,32 +110,6 @@ pub fn promote_scalars_in_func(
                     dst: tag_reg[tag],
                     src: *src,
                 }),
-                Instr::Load { dst, tags: ts, .. } => match ts.as_singleton() {
-                    Some(t)
-                        if here.contains(t)
-                            && classify_singleton(tags, func_id, func_is_recursive, t)
-                                == RefClass::Explicit =>
-                    {
-                        Some(Instr::Copy {
-                            dst: *dst,
-                            src: tag_reg[&t],
-                        })
-                    }
-                    _ => None,
-                },
-                Instr::Store { src, tags: ts, .. } => match ts.as_singleton() {
-                    Some(t)
-                        if here.contains(t)
-                            && classify_singleton(tags, func_id, func_is_recursive, t)
-                                == RefClass::Explicit =>
-                    {
-                        Some(Instr::Copy {
-                            dst: tag_reg[&t],
-                            src: *src,
-                        })
-                    }
-                    _ => None,
-                },
                 _ => None,
             };
             if let Some(n) = new {
@@ -164,11 +144,6 @@ pub fn promote_scalars_in_func(
                         match instr {
                             Instr::SStore { tag, .. } => {
                                 stored.insert(*tag);
-                            }
-                            Instr::Store { tags, .. } => {
-                                if let Some(t) = tags.as_singleton() {
-                                    stored.insert(t);
-                                }
                             }
                             // Rewritten stores are already copies into the
                             // promotion register; track them through it.
@@ -290,30 +265,15 @@ fn blocked_reason(
     l: &cfg::Loop,
     t: TagId,
 ) -> BlockReason {
-    let mut singleton_ambiguous = false;
     let mut multi_ref = false;
     for &b in &l.blocks {
         for instr in &func.blocks[b.index()].instrs {
             match instr {
-                Instr::Call { mods, refs, .. } => {
-                    if mods.contains(t) || refs.contains(t) {
-                        return BlockReason::CallModRef;
-                    }
+                Instr::Call { mods, refs, .. } if mods.contains(t) || refs.contains(t) => {
+                    return BlockReason::CallModRef;
                 }
                 Instr::Load { tags: ts, .. } | Instr::Store { tags: ts, .. } => {
-                    if !ts.contains(t) {
-                        continue;
-                    }
-                    match ts.as_singleton() {
-                        Some(s) if s == t => {
-                            if classify_singleton(tags, func_id, func_is_recursive, t)
-                                == RefClass::Ambiguous
-                            {
-                                singleton_ambiguous = true;
-                            }
-                        }
-                        _ => multi_ref = true,
-                    }
+                    multi_ref |= ts.contains(t) && ts.as_singleton() != Some(t);
                 }
                 _ => {}
             }
@@ -321,17 +281,13 @@ fn blocked_reason(
     }
     if multi_ref {
         BlockReason::AmbiguousRef
-    } else if singleton_ambiguous {
-        // The only ambiguity is a singleton pointer access that fails the
-        // unique-cell test; say whether recursion or storage shape is the
-        // culprit.
-        if func_is_recursive && tags.info(t).kind.owner() == Some(func_id.0) {
-            BlockReason::RecursionFlag
-        } else {
-            BlockReason::AddressTaken
-        }
+    } else if func_is_recursive && tags.info(t).kind.owner() == Some(func_id.0) {
+        // The only ambiguity is a singleton pointer access, which
+        // strengthening left alone because it fails the unique-cell test;
+        // say whether recursion or storage shape is the culprit.
+        BlockReason::RecursionFlag
     } else {
-        BlockReason::AmbiguousRef
+        BlockReason::AddressTaken
     }
 }
 
@@ -347,18 +303,11 @@ fn throttle(func: &Function, forest: &cfg::LoopForest, sets: &mut LoopSets, cap:
         let mut freq: BTreeMap<TagId, usize> = BTreeMap::new();
         for &b in &forest.loops[li].blocks {
             for instr in &func.blocks[b.index()].instrs {
-                match instr {
-                    Instr::SLoad { tag, .. }
-                    | Instr::SStore { tag, .. }
-                    | Instr::CLoad { tag, .. } => {
-                        *freq.entry(*tag).or_default() += 1;
-                    }
-                    Instr::Load { tags, .. } | Instr::Store { tags, .. } => {
-                        if let Some(t) = tags.as_singleton() {
-                            *freq.entry(t).or_default() += 1;
-                        }
-                    }
-                    _ => {}
+                if let Instr::SLoad { tag, .. }
+                | Instr::SStore { tag, .. }
+                | Instr::CLoad { tag, .. } = instr
+                {
+                    *freq.entry(*tag).or_default() += 1;
                 }
             }
         }
@@ -375,25 +324,20 @@ fn throttle(func: &Function, forest: &cfg::LoopForest, sets: &mut LoopSets, cap:
     }
 }
 
-/// Set of tags promotable anywhere in `func` — exposed for the driver's
-/// reporting and for tests.
-pub fn promotable_tags(module: &Module, func_id: FuncId, func_is_recursive: bool) -> DenseTagSet {
-    let nest = cfg::LoopNest::compute(module.func(func_id));
+/// Set of tags promotable anywhere in `func` (analyzed and strengthened,
+/// like [`promote_scalars_in_func`]'s input) — exposed for tests.
+pub fn promotable_tags(func: &Function) -> DenseTagSet {
+    let nest = cfg::LoopNest::compute(func);
     if nest.forest.is_empty() {
         return DenseTagSet::new();
     }
-    let blocks = block_sets(
-        &module.tags,
-        func_id,
-        module.func(func_id),
-        func_is_recursive,
-    );
-    LoopSets::solve(&blocks, &nest.forest).all_promotable()
+    LoopSets::solve(&block_sets(func), &nest.forest).all_promotable()
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::promote_module;
+    use ir::Module;
     use vm::{Vm, VmOptions};
 
     fn prepare(src: &str) -> Module {
@@ -403,30 +347,6 @@ mod tests {
         }
         analysis::analyze(&mut m, analysis::AnalysisLevel::ModRef);
         m
-    }
-
-    fn promote_all(m: &mut Module) -> ScalarReport {
-        let graph = analysis::CallGraph::build(m, None);
-        let sccs = analysis::tarjan_sccs(&graph);
-        let mut total = ScalarReport::default();
-        for fi in 0..m.funcs.len() {
-            let f = FuncId(fi as u32);
-            let rec = graph.is_recursive(f, &sccs);
-            let r = promote_scalars_in_func(
-                &m.tags,
-                &mut m.funcs[fi],
-                f,
-                rec,
-                None,
-                &mut FunctionAnalyses::new(),
-                &mut FuncTrace::off(),
-            );
-            total.loops += r.loops;
-            total.promoted_tags += r.promoted_tags;
-            total.lifts += r.lifts;
-            total.rewritten_refs += r.rewritten_refs;
-        }
-        total
     }
 
     #[test]
@@ -442,7 +362,7 @@ int main() {
 "#;
         let mut m = prepare(src);
         let before = Vm::run_main(&m, VmOptions::default()).unwrap();
-        let report = promote_all(&mut m);
+        let report = promote_module(&mut m);
         ir::validate(&m).expect("valid after promotion");
         let after = Vm::run_main(&m, VmOptions::default()).unwrap();
         assert_eq!(after.output, before.output);
@@ -467,7 +387,7 @@ int main() {
 "#;
         let mut m = prepare(src);
         let before = Vm::run_main(&m, VmOptions::default()).unwrap();
-        promote_all(&mut m);
+        promote_module(&mut m);
         ir::validate(&m).unwrap();
         let after = Vm::run_main(&m, VmOptions::default()).unwrap();
         assert_eq!(after.output, before.output);
@@ -492,7 +412,7 @@ int main() {
 "#;
         let mut m = prepare(src);
         let before = Vm::run_main(&m, VmOptions::default()).unwrap();
-        promote_all(&mut m);
+        promote_module(&mut m);
         ir::validate(&m).unwrap();
         let after = Vm::run_main(&m, VmOptions::default()).unwrap();
         assert_eq!(after.output, before.output);
@@ -516,15 +436,18 @@ int main() {
     return 0;
 }
 "#;
-        // With ModRef, *p carries {g} (singleton!) so the accesses unify
-        // and promotion may legally promote g — both paths rewrite.
+        // With ModRef, *p carries the singleton {g}. Unstrengthened, that
+        // load and store are ambiguous references to g, so g stays in
+        // memory. (The pipeline strengthens them to `sload`/`sstore`
+        // first, and then g is promoted.)
         let mut m = prepare(src);
         let before = Vm::run_main(&m, VmOptions::default()).unwrap();
-        promote_all(&mut m);
+        promote_module(&mut m);
         ir::validate(&m).unwrap();
         let after = Vm::run_main(&m, VmOptions::default()).unwrap();
         assert_eq!(after.output, before.output);
         assert_eq!(after.output, vec!["100"]);
+        assert_eq!(after.counts.loads, before.counts.loads);
     }
 
     #[test]
@@ -552,7 +475,7 @@ int main() {
         }
         analysis::analyze(&mut m, analysis::AnalysisLevel::PointsTo);
         let before = Vm::run_main(&m, VmOptions::default()).unwrap();
-        promote_all(&mut m);
+        promote_module(&mut m);
         ir::validate(&m).unwrap();
         let after = Vm::run_main(&m, VmOptions::default()).unwrap();
         assert_eq!(after.output, before.output);
@@ -585,7 +508,7 @@ int main() {
 "#;
         let mut m = prepare(src);
         let before = Vm::run_main(&m, VmOptions::default()).unwrap();
-        promote_all(&mut m);
+        promote_module(&mut m);
         ir::validate(&m).unwrap();
         let after = Vm::run_main(&m, VmOptions::default()).unwrap();
         assert_eq!(after.output, before.output);
@@ -609,7 +532,7 @@ int main() {
 }
 "#;
         let mut m = prepare(src);
-        promote_all(&mut m);
+        promote_module(&mut m);
         ir::validate(&m).unwrap();
         let after = Vm::run_main(&m, VmOptions::default()).unwrap();
         assert_eq!(after.output, vec!["7"]);
@@ -635,7 +558,7 @@ int main() {
 "#;
         let mut m = prepare(src);
         let before = Vm::run_main(&m, VmOptions::default()).unwrap();
-        promote_all(&mut m);
+        promote_module(&mut m);
         ir::validate(&m).unwrap();
         let after = Vm::run_main(&m, VmOptions::default()).unwrap();
         assert_eq!(after.output, before.output);
@@ -661,7 +584,7 @@ int main() {
         }
         analysis::analyze(&mut m, analysis::AnalysisLevel::PointsTo);
         let before = Vm::run_main(&m, VmOptions::default()).unwrap();
-        promote_all(&mut m);
+        promote_module(&mut m);
         ir::validate(&m).unwrap();
         let after = Vm::run_main(&m, VmOptions::default()).unwrap();
         assert_eq!(after.output, before.output);

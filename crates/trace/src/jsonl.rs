@@ -277,10 +277,9 @@ fn get_u32(map: &BTreeMap<String, Val>, key: &str) -> Result<u32, JsonlError> {
 }
 
 /// Pass labels survive the round trip as `&'static str` by interning into
-/// the known label set; an unknown pass (written by a future version)
-/// maps onto a leaked string. The set of passes is small and fixed per
-/// build, so leakage is bounded in practice.
-fn intern_pass(name: &str) -> &'static str {
+/// the known label set, which holds every label the pipeline writes; any
+/// other label is an error.
+fn intern_pass(name: &str) -> Result<&'static str, JsonlError> {
     const KNOWN: &[&str] = &[
         "normalize",
         "analysis",
@@ -299,24 +298,23 @@ fn intern_pass(name: &str) -> &'static str {
         "clean(final)",
         "regalloc",
     ];
-    for k in KNOWN {
-        if *k == name {
-            return k;
-        }
-    }
-    Box::leak(name.to_string().into_boxed_str())
+    KNOWN
+        .iter()
+        .find(|k| **k == name)
+        .copied()
+        .ok_or_else(|| JsonlError::new(format!("unknown pass \"{name}\"")))
 }
 
 /// Decodes one JSONL line back into a record. Unknown keys are ignored.
 ///
 /// # Errors
 ///
-/// Returns an error for malformed JSON, a missing required field, or an
-/// unknown `kind`.
+/// Returns an error for malformed JSON, a missing required field, an
+/// unknown `pass`, or an unknown `kind`.
 pub fn record_from_json(line: &str) -> Result<TraceRecord, JsonlError> {
     let map = parse_flat_object(line)?;
     let func = get_str(&map, "func")?;
-    let pass = intern_pass(&get_str(&map, "pass")?);
+    let pass = intern_pass(&get_str(&map, "pass")?)?;
     let kind = get_str(&map, "kind")?;
     let in_loop = |map: &BTreeMap<String, Val>| -> Result<LoopRef, JsonlError> {
         Ok(LoopRef {
@@ -471,9 +469,15 @@ mod tests {
             "{\"func\":}",
             r#"{"func":"f"} trailing"#,
             r#"{"func":"f","pass":"dce","kind":"mystery"}"#,
+            r#"{"func":"f","pass":"future-pass","kind":"delta","instrs_removed":1,"loads_removed":0,"stores_removed":0}"#,
             r#"{"func":"f","pass":"dce","kind":"blocked","tag":"t","loop_header":1,"loop_depth":1,"reason":"nope"}"#,
         ] {
             assert!(record_from_json(broken).is_err(), "accepted: {broken}");
         }
+        let e = TraceLog::from_jsonl(&good.replace("dce", "future-pass")).unwrap_err();
+        assert!(
+            e.message().contains("line 1: unknown pass \"future-pass\""),
+            "{e}"
+        );
     }
 }

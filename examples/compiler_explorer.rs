@@ -50,11 +50,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     banner("3. after register promotion (lifts + copies)");
     let mut promoted = analyzed.clone();
-    let report = promote::promote_module(&mut promoted, &promote::PromotionOptions::default());
+    let report = promote::promote_module(&mut promoted);
     println!("{promoted}");
     println!(
         "; promoted {} tag(s), rewrote {} reference(s), inserted {} lift op(s)",
-        report.scalar.promoted_tags, report.scalar.rewritten_refs, report.scalar.lifts
+        report.promoted_tags, report.rewritten_refs, report.lifts
     );
 
     banner("4. after the full pipeline (optimized + allocated)");

@@ -99,7 +99,7 @@ fn equation_sets_match_the_papers_table() {
     cfg::normalize_loops(&mut m.funcs[main.index()]);
     let nest = cfg::LoopNest::compute(m.func(main));
     assert_eq!(nest.forest.len(), 3, "three nested loops");
-    let blocks = block_sets(&m.tags, main, m.func(main), false);
+    let blocks = block_sets(m.func(main));
     let sets = LoopSets::solve(&blocks, &nest.forest);
     let order = nest.forest.outer_to_inner();
     let (outer, middle, inner) = (order[0], order[1], order[2]);
@@ -121,9 +121,9 @@ fn equation_sets_match_the_papers_table() {
 #[test]
 fn rewrite_places_lifts_exactly_as_described() {
     let mut m = ir::parse_module(FIGURE2).expect("parse");
-    let report = promote::promote_module(&mut m, &promote::PromotionOptions::default());
+    let report = promote::promote_module(&mut m);
     ir::validate(&m).expect("valid");
-    assert_eq!(report.scalar.promoted_tags, 2, "A and C");
+    assert_eq!(report.promoted_tags, 2, "A and C");
     let nest = cfg::LoopNest::compute(m.func(m.lookup_func("main").unwrap()));
     let func = m.func(m.lookup_func("main").unwrap());
     let (a, c) = (tag(&m, "A"), tag(&m, "C"));
@@ -172,7 +172,7 @@ fn behaviour_is_preserved_and_traffic_drops() {
     let m0 = ir::parse_module(FIGURE2).expect("parse");
     let before = vm::Vm::run_main(&m0, vm::VmOptions::default()).expect("run");
     let mut m = m0.clone();
-    promote::promote_module(&mut m, &promote::PromotionOptions::default());
+    promote::promote_module(&mut m);
     let after = vm::Vm::run_main(&m, vm::VmOptions::default()).expect("run promoted");
     assert_eq!(before.result, after.result);
     assert!(after.counts.loads < before.counts.loads);

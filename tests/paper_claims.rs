@@ -75,17 +75,14 @@ fn promoted_tags_are_predominantly_globals() {
     let b = benchsuite::find("mlink").unwrap();
     let mut m = minic::compile(b.source).unwrap();
     analysis::analyze(&mut m, AnalysisLevel::ModRef);
+    opt::strengthen(&mut m);
     for fi in 0..m.funcs.len() {
         cfg::normalize_loops(&mut m.funcs[fi]);
     }
-    let graph = analysis::CallGraph::build(&m, None);
-    let sccs = analysis::tarjan_sccs(&graph);
     let mut global_tags = 0;
     let mut other_tags = 0;
-    for fi in 0..m.funcs.len() {
-        let f = ir::FuncId(fi as u32);
-        let rec = graph.is_recursive(f, &sccs);
-        for t in promote::promotable_tags(&m, f, rec).iter() {
+    for func in &m.funcs {
+        for t in promote::promotable_tags(func).iter() {
             match m.tags.info(t).kind {
                 ir::TagKind::Global => global_tags += 1,
                 _ => other_tags += 1,
@@ -136,7 +133,7 @@ int main() {
         cfg::normalize_loops(&mut m.funcs[fi]);
     }
     let main = m.main().unwrap();
-    let promotable = promote::promotable_tags(&m, main, false);
+    let promotable = promote::promotable_tags(m.func(main));
     let names: Vec<&str> = promotable
         .iter()
         .map(|t| m.tags.info(t).name.as_str())

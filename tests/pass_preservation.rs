@@ -28,19 +28,21 @@ fn passes() -> Vec<Pass> {
         }),
         ("promote", |m| {
             analysis::analyze(m, analysis::AnalysisLevel::ModRef);
-            promote::promote_module(m, &promote::PromotionOptions::default());
+            opt::strengthen(m);
+            promote::promote_module(m);
         }),
         ("promote-pointer", |m| {
             analysis::analyze(m, analysis::AnalysisLevel::PointsTo);
+            opt::strengthen(m);
             opt::licm(m);
-            promote::promote_module(
-                m,
-                &promote::PromotionOptions {
-                    scalar: true,
-                    pointer_based: true,
-                    ..Default::default()
-                },
-            );
+            promote::promote_module(m);
+            for f in &mut m.funcs {
+                promote::promote_pointers_in_func(
+                    f,
+                    &mut cfg::FunctionAnalyses::new(),
+                    &mut trace::FuncTrace::off(),
+                );
+            }
         }),
         ("lvn", |m| {
             opt::lvn(m);

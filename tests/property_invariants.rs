@@ -204,13 +204,14 @@ fn promotion_bounds_memory_traffic() {
         analysis::analyze(&mut base, analysis::AnalysisLevel::ModRef);
         let before = vm::Vm::run_main(&base, vm::VmOptions::default()).expect("run");
         let mut promoted = base.clone();
-        let report = promote::promote_module(&mut promoted, &promote::PromotionOptions::default());
+        opt::strengthen(&mut promoted);
+        let report = promote::promote_module(&mut promoted);
         let after = vm::Vm::run_main(&promoted, vm::VmOptions::default()).expect("run");
         assert_eq!(before.output, after.output);
         // Loose lift-overhead bound: each lift executes at most once per
         // enclosing-loop entry; total loop entries are bounded by total
         // control transfers.
-        let overhead = (report.scalar.lifts as u64 + 1) * (before.counts.control + 1);
+        let overhead = (report.lifts as u64 + 1) * (before.counts.control + 1);
         assert!(
             after.counts.memory_ops() <= before.counts.memory_ops() + overhead,
             "memory {} -> {} with lift overhead bound {}",
