@@ -5,16 +5,14 @@
 //! sites' MOD/REF tag sets feed promotion, so a stale summary means a
 //! stale optimization decision. [`modref_summary_hashes`] digests each
 //! function's whole-function MOD and REF sets (by tag *name*, so the
-//! digest is independent of tag-id assignment), and
-//! [`CallGraph::callers`] gives the reverse edges along which a changed
-//! summary propagates — together they define the invalidation rule:
-//! a function is recompiled if its own fingerprint changed *or* any
-//! callee's summary hash changed.
+//! digest is independent of tag-id assignment). Those sets are
+//! transitive — they include every callee's effects — so a callee's
+//! change moves the digest of every function that reaches it, and the
+//! driver's fingerprint needs only each function's own digest.
 
-use crate::callgraph::CallGraph;
 use crate::modref::ModRef;
 use ir::hash::FxHasher;
-use ir::{DenseTagSet, FuncId, Module};
+use ir::{DenseTagSet, Module};
 use std::hash::Hasher;
 
 /// Hashes one whole-function tag set by member names, in ascending-id
@@ -44,23 +42,6 @@ pub fn modref_summary_hashes(module: &Module, modref: &ModRef) -> Vec<u64> {
             h.finish()
         })
         .collect()
-}
-
-impl CallGraph {
-    /// Reverse edges: `callers()[f]` lists every function with a call
-    /// edge *to* `f`, in ascending caller order. These are the
-    /// invalidation edges of incremental recompilation — when `f`'s
-    /// summary hash changes, exactly this set must be recompiled (beyond
-    /// functions whose own fingerprints changed).
-    pub fn callers(&self) -> Vec<Vec<FuncId>> {
-        let mut rev = vec![Vec::new(); self.callees.len()];
-        for (caller, callees) in self.callees.iter().enumerate() {
-            for callee in callees {
-                rev[callee.index()].push(FuncId(caller as u32));
-            }
-        }
-        rev
-    }
 }
 
 #[cfg(test)]
@@ -103,22 +84,5 @@ B0:
         // transitive), so every digest on the chain moves.
         assert_ne!(ha[0], hb[0]);
         assert_ne!(ha[1], hb[1]);
-    }
-
-    #[test]
-    fn callers_are_the_reverse_call_graph() {
-        let mut m = ir::parse_module(SRC).unwrap();
-        let o = analyze(&mut m, AnalysisLevel::ModRef);
-        let callers = o.call_graph.callers();
-        let name = |f: FuncId| m.funcs[f.index()].name.clone();
-        assert_eq!(
-            callers[0].iter().map(|&f| name(f)).collect::<Vec<_>>(),
-            vec!["mid"]
-        );
-        assert_eq!(
-            callers[1].iter().map(|&f| name(f)).collect::<Vec<_>>(),
-            vec!["main"]
-        );
-        assert!(callers[2].is_empty());
     }
 }

@@ -36,11 +36,7 @@ pub fn escape(s: &str) -> String {
 /// let mut o = JsonObject::new();
 /// o.field_str("name", "loop \"hot\"");
 /// o.field_u64("stores", 42);
-/// o.field_raw("counts", "[1,2,3]");
-/// assert_eq!(
-///     o.finish(),
-///     r#"{"name":"loop \"hot\"","stores":42,"counts":[1,2,3]}"#
-/// );
+/// assert_eq!(o.finish(), r#"{"name":"loop \"hot\"","stores":42}"#);
 /// ```
 #[derive(Debug, Default)]
 pub struct JsonObject {
@@ -74,37 +70,10 @@ impl JsonObject {
         self
     }
 
-    /// Adds a signed integer field.
-    pub fn field_i64(&mut self, key: &str, value: i64) -> &mut Self {
-        self.sep(key);
-        let _ = write!(self.buf, "{value}");
-        self
-    }
-
-    /// Adds a boolean field.
-    pub fn field_bool(&mut self, key: &str, value: bool) -> &mut Self {
-        self.sep(key);
-        let _ = write!(self.buf, "{value}");
-        self
-    }
-
-    /// Adds a pre-rendered JSON value verbatim (array, nested object, …).
-    pub fn field_raw(&mut self, key: &str, value: &str) -> &mut Self {
-        self.sep(key);
-        self.buf.push_str(value);
-        self
-    }
-
     /// Closes the object and returns the rendered line.
     pub fn finish(self) -> String {
         format!("{{{}}}", self.buf)
     }
-}
-
-/// Renders a slice of strings as a JSON array of (escaped) strings.
-pub fn string_array(items: &[String]) -> String {
-    let body: Vec<String> = items.iter().map(|s| format!("\"{}\"", escape(s))).collect();
-    format!("[{}]", body.join(","))
 }
 
 #[cfg(test)]
@@ -121,16 +90,8 @@ mod tests {
     fn assembles_objects() {
         let mut o = JsonObject::new();
         o.field_str("k", "v");
-        o.field_i64("n", -3);
-        o.field_bool("ok", true);
-        assert_eq!(o.finish(), r#"{"k":"v","n":-3,"ok":true}"#);
+        o.field_u64("n", 3);
+        assert_eq!(o.finish(), r#"{"k":"v","n":3}"#);
         assert_eq!(JsonObject::new().finish(), "{}");
-    }
-
-    #[test]
-    fn renders_string_arrays() {
-        let items = vec!["a".to_string(), "b\"c".to_string()];
-        assert_eq!(string_array(&items), r#"["a","b\"c"]"#);
-        assert_eq!(string_array(&[]), "[]");
     }
 }

@@ -373,7 +373,7 @@ impl FunctionAnalyses {
     }
 
     /// CFG + loop forest + loop geometry: the normalized-loop view that
-    /// promotion and LICM consume (previously `LoopNest`).
+    /// promotion and LICM consume.
     ///
     /// # Panics
     ///

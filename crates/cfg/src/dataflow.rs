@@ -15,8 +15,9 @@
 //! client solver, which keeps each solver's inner loop free of dynamic
 //! dispatch. What the engine does own is the [`DataflowStats`] ledger —
 //! blocks visited, transfer evaluations, worklist pushes — which the
-//! pipeline threads into `BENCH_pipeline.json` so a solver regressing to
-//! dense-sweep behavior shows up as a counter jump, not a vague slowdown.
+//! pipeline reports per compile and `tests/work_counts.rs` pins per suite
+//! program, so a solver regressing to dense-sweep behavior shows up as a
+//! counter diff, not a vague slowdown.
 
 use crate::graph::Cfg;
 use ir::BlockId;

@@ -50,5 +50,4 @@ pub use liveness::{
 pub use loops::{Loop, LoopForest, LoopId};
 pub use normalize::{
     normalize_loops, normalize_loops_in, remove_unreachable_blocks, remove_unreachable_blocks_in,
-    LoopNest,
 };

@@ -12,12 +12,8 @@
 //!   predecessors are all inside the loop (promotion inserts the final
 //!   stores there).
 
-use crate::analyses::{FunctionAnalyses, LoopGeometry};
-use crate::dom::DomTree;
-use crate::graph::Cfg;
-use crate::loops::{LoopForest, LoopId};
+use crate::analyses::FunctionAnalyses;
 use ir::{BlockId, Function, Instr};
-use std::collections::BTreeSet;
 
 /// Removes blocks unreachable from the entry, compacting ids.
 ///
@@ -195,58 +191,10 @@ pub fn normalize_loops_in(func: &mut Function, analyses: &mut FunctionAnalyses) 
     }
 }
 
-/// A packaged view of a normalized function's loop structure, consumed by
-/// the promoter and by LICM.
-#[derive(Debug, Clone)]
-pub struct LoopNest {
-    /// The CFG snapshot.
-    pub cfg: Cfg,
-    /// Dominator tree.
-    pub dom: DomTree,
-    /// The loop forest.
-    pub forest: LoopForest,
-    /// Landing pad per loop.
-    pub landing_pads: Vec<BlockId>,
-    /// Dedicated exit blocks per loop.
-    pub exit_blocks: Vec<BTreeSet<BlockId>>,
-}
-
-impl LoopNest {
-    /// Computes the loop nest of a function already processed by
-    /// [`normalize_loops`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if some loop lacks a landing pad or a dedicated exit block,
-    /// i.e. if the function was not normalized.
-    pub fn compute(func: &Function) -> LoopNest {
-        let cfg = Cfg::build(func);
-        let dom = DomTree::lengauer_tarjan(&cfg);
-        let forest = LoopForest::build(&cfg, &dom);
-        let geom = LoopGeometry::compute(&cfg, &forest);
-        LoopNest {
-            cfg,
-            dom,
-            forest,
-            landing_pads: geom.landing_pads,
-            exit_blocks: geom.exit_blocks,
-        }
-    }
-
-    /// The landing pad of `l`.
-    pub fn landing_pad(&self, l: LoopId) -> BlockId {
-        self.landing_pads[l.index()]
-    }
-
-    /// The dedicated exit blocks of `l`.
-    pub fn exits(&self, l: LoopId) -> &BTreeSet<BlockId> {
-        &self.exit_blocks[l.index()]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LoopId;
     use ir::{FunctionBuilder, Module};
 
     /// Loop whose header is targeted directly by the entry (no pad) and
@@ -280,17 +228,18 @@ mod tests {
         let mut f = raw_loop();
         normalize_loops(&mut f);
         let f = validated(f);
-        let nest = LoopNest::compute(&f);
-        assert_eq!(nest.forest.len(), 1);
+        let mut analyses = FunctionAnalyses::new();
+        let (cfg, forest, geom) = analyses.loop_view(&f);
+        assert_eq!(forest.len(), 1);
         let l = LoopId(0);
-        let pad = nest.landing_pad(l);
+        let pad = geom.landing_pad(l);
         // The pad jumps only to the header and is outside the loop.
-        assert_eq!(nest.cfg.succs[pad.index()], vec![nest.forest.get(l).header]);
-        assert!(!nest.forest.get(l).contains(pad));
+        assert_eq!(cfg.succs[pad.index()], vec![forest.get(l).header]);
+        assert!(!forest.get(l).contains(pad));
         // Exits are dedicated.
-        for &e in nest.exits(l) {
-            for p in &nest.cfg.preds[e.index()] {
-                assert!(nest.forest.get(l).contains(*p));
+        for &e in geom.exits(l) {
+            for p in &cfg.preds[e.index()] {
+                assert!(forest.get(l).contains(*p));
             }
         }
     }
@@ -319,16 +268,17 @@ mod tests {
         let mut f = b.finish();
         normalize_loops(&mut f);
         let f = validated(f);
-        let nest = LoopNest::compute(&f);
-        assert_eq!(nest.forest.len(), 2);
-        let inner = nest.forest.inner_to_outer().into_iter().next().unwrap();
-        let outer = nest.forest.get(inner).parent.expect("nested");
+        let mut analyses = FunctionAnalyses::new();
+        let (_, forest, geom) = analyses.loop_view(&f);
+        assert_eq!(forest.len(), 2);
+        let inner = forest.inner_to_outer().into_iter().next().unwrap();
+        let outer = forest.get(inner).parent.expect("nested");
         // The inner pad lies inside the outer loop.
-        let pad = nest.landing_pad(inner);
-        assert!(nest.forest.get(outer).contains(pad));
+        let pad = geom.landing_pad(inner);
+        assert!(forest.get(outer).contains(pad));
         // The inner exit blocks lie inside the outer loop.
-        for &e in nest.exits(inner) {
-            assert!(nest.forest.get(outer).contains(e));
+        for &e in geom.exits(inner) {
+            assert!(forest.get(outer).contains(e));
         }
     }
 

@@ -14,10 +14,10 @@
 //!   — call-site MOD/REF lists, refined pointer tag sets, and the
 //!   referenced tags' interned attributes ([`ir::hash::facts_hash`]),
 //! * the function's transitive MOD/REF summary digest
-//!   ([`analysis::modref_summary_hashes`] — this is what propagates a
-//!   *callee's* behaviour change up the call graph, per
-//!   [`analysis::CallGraph::callers`], even when the caller's own body
-//!   is untouched), and
+//!   ([`analysis::modref_summary_hashes`] — the sets include every
+//!   callee's effects, so this is what propagates a *callee's* behaviour
+//!   change up the call graph even when the caller's own body is
+//!   untouched), and
 //! * whether the function sits on a call-graph cycle.
 //!
 //! On a hit the cached function body is *spliced* back into the module:

@@ -7,7 +7,7 @@
 //! program.
 
 use crate::error::Error;
-use crate::session::Session;
+use crate::session::SessionBuilder;
 use analysis::AnalysisLevel;
 use vm::ExecCounts;
 
@@ -97,9 +97,10 @@ impl MeasurementRow {
 
 /// Runs the paper's 2×2 experiment on one program source.
 ///
-/// Returns one row per analysis level (the paper's `modref` and
-/// `pointer`). The run also asserts that every variant produced identical
-/// program output — the end-to-end correctness check.
+/// Runs [`SessionBuilder::figure_variants`] in order and returns one row
+/// per analysis level (the paper's `modref` and `pointer`). The run also
+/// asserts that every variant produced identical program output — the
+/// end-to-end correctness check.
 ///
 /// # Errors
 ///
@@ -111,33 +112,27 @@ impl MeasurementRow {
 /// Panics if the variants' outputs diverge: that is a miscompile, not bad
 /// input.
 pub fn measure_program(name: &str, source: &str) -> Result<Vec<MeasurementRow>, Error> {
-    let mut rows = Vec::new();
+    let mut runs = Vec::new();
     let mut reference_output: Option<Vec<String>> = None;
-    for analysis in [AnalysisLevel::ModRef, AnalysisLevel::PointsTo] {
-        let mut counts = Vec::new();
-        for promote in [false, true] {
-            let session = Session::builder()
-                .analysis(analysis)
-                .promote(promote)
-                .build();
-            let outcome = session.compile(source)?.run(session.vm_options().clone())?;
-            match &reference_output {
-                None => reference_output = Some(outcome.output.clone()),
-                Some(r) => assert_eq!(
-                    r, &outcome.output,
-                    "{name}: output diverged at [{analysis}, promote={promote}]"
-                ),
-            }
-            counts.push(outcome.counts);
+    for (label, builder) in SessionBuilder::figure_variants() {
+        let session = builder.build();
+        let outcome = session.compile(source)?.run(session.vm_options().clone())?;
+        match &reference_output {
+            None => reference_output = Some(outcome.output.clone()),
+            Some(r) => assert_eq!(r, &outcome.output, "{name}: output diverged at {label}"),
         }
-        rows.push(MeasurementRow {
-            program: name.to_string(),
-            analysis,
-            without: counts[0],
-            with: counts[1],
-        });
+        runs.push((session.config().analysis, outcome.counts));
     }
-    Ok(rows)
+    // The variants come as a without/with pair per analysis level.
+    Ok(runs
+        .chunks(2)
+        .map(|pair| MeasurementRow {
+            program: name.to_string(),
+            analysis: pair[0].0,
+            without: pair[0].1,
+            with: pair[1].1,
+        })
+        .collect())
 }
 
 /// Renders a whole figure (all programs × both analyses) as text.

@@ -17,9 +17,10 @@
 //!   size, address-taken flag). It answers "did the interprocedural
 //!   facts feeding this function change?".
 //!
-//! A function's cache fingerprint mixes both (plus the configuration and
-//! callee-summary hashes); keeping them separate lets the driver report
-//! *why* a cache miss happened — edited body versus invalidated summary.
+//! A function's cache fingerprint mixes both (plus its transitive
+//! MOD/REF summary digest and whether it is recursive); keeping them
+//! separate lets the driver report *why* a cache miss happened — edited
+//! body versus invalidated summary.
 //!
 //! Tag and function ids are resolved through the owning [`Module`], and
 //! ids outside the module's tables (the allocator's provisional spill

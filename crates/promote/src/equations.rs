@@ -199,19 +199,20 @@ B9:
     fn figure2_sets() {
         let (mut m, f) = figure2_module();
         cfg::normalize_loops(&mut m.funcs[f.index()]);
-        let nest = cfg::LoopNest::compute(m.func(f));
-        assert_eq!(nest.forest.len(), 3);
+        let mut analyses = cfg::FunctionAnalyses::new();
+        let (_, forest, _) = analyses.loop_view(m.func(f));
+        assert_eq!(forest.len(), 3);
         let blocks = block_sets(m.func(f));
-        let sets = LoopSets::solve(&blocks, &nest.forest);
+        let sets = LoopSets::solve(&blocks, forest);
         let a = m.tags.lookup("A").unwrap();
         let b = m.tags.lookup("B").unwrap();
         let c = m.tags.lookup("C").unwrap();
         // Identify loops by nesting depth: outer (B1), middle (B3),
         // inner (B5).
-        let order = nest.forest.outer_to_inner();
+        let order = forest.outer_to_inner();
         let (outer, middle, inner) = (order[0], order[1], order[2]);
-        assert_eq!(nest.forest.get(outer).depth, 1);
-        assert_eq!(nest.forest.get(inner).depth, 3);
+        assert_eq!(forest.get(outer).depth, 1);
+        assert_eq!(forest.get(inner).depth, 3);
 
         // The paper's table: PROMOTABLE(B1) = {C}, PROMOTABLE(B3) = {A},
         // PROMOTABLE(B5) = {A}; LIFT(B1) = {C}, LIFT(B3) = {A},
@@ -290,9 +291,10 @@ B2:
         let mut m = ir::parse_module(src).unwrap();
         let f = m.lookup_func("main").unwrap();
         cfg::normalize_loops(&mut m.funcs[f.index()]);
-        let nest = cfg::LoopNest::compute(m.func(f));
+        let mut analyses = cfg::FunctionAnalyses::new();
+        let (_, forest, _) = analyses.loop_view(m.func(f));
         let blocks = block_sets(m.func(f));
-        let sets = LoopSets::solve(&blocks, &nest.forest);
+        let sets = LoopSets::solve(&blocks, forest);
         // g is explicit in the loop and the {*} store is outside it, so g
         // is promotable in the loop.
         let g = m.tags.lookup("g").unwrap();

@@ -327,11 +327,12 @@ fn throttle(func: &Function, forest: &cfg::LoopForest, sets: &mut LoopSets, cap:
 /// Set of tags promotable anywhere in `func` (analyzed and strengthened,
 /// like [`promote_scalars_in_func`]'s input) — exposed for tests.
 pub fn promotable_tags(func: &Function) -> DenseTagSet {
-    let nest = cfg::LoopNest::compute(func);
-    if nest.forest.is_empty() {
+    let mut analyses = FunctionAnalyses::new();
+    let (_, forest, _) = analyses.loop_view(func);
+    if forest.is_empty() {
         return DenseTagSet::new();
     }
-    LoopSets::solve(&block_sets(func), &nest.forest).all_promotable()
+    LoopSets::solve(&block_sets(func), forest).all_promotable()
 }
 
 #[cfg(test)]

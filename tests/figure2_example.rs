@@ -97,11 +97,12 @@ fn equation_sets_match_the_papers_table() {
     let mut m = ir::parse_module(FIGURE2).expect("parse");
     let main = m.lookup_func("main").unwrap();
     cfg::normalize_loops(&mut m.funcs[main.index()]);
-    let nest = cfg::LoopNest::compute(m.func(main));
-    assert_eq!(nest.forest.len(), 3, "three nested loops");
+    let mut analyses = cfg::FunctionAnalyses::new();
+    let (_, forest, _) = analyses.loop_view(m.func(main));
+    assert_eq!(forest.len(), 3, "three nested loops");
     let blocks = block_sets(m.func(main));
-    let sets = LoopSets::solve(&blocks, &nest.forest);
-    let order = nest.forest.outer_to_inner();
+    let sets = LoopSets::solve(&blocks, forest);
+    let order = forest.outer_to_inner();
     let (outer, middle, inner) = (order[0], order[1], order[2]);
     let (a, b, c) = (tag(&m, "A"), tag(&m, "B"), tag(&m, "C"));
     // The paper's PROMOTABLE column.
@@ -124,13 +125,14 @@ fn rewrite_places_lifts_exactly_as_described() {
     let report = promote::promote_module(&mut m);
     ir::validate(&m).expect("valid");
     assert_eq!(report.promoted_tags, 2, "A and C");
-    let nest = cfg::LoopNest::compute(m.func(m.lookup_func("main").unwrap()));
     let func = m.func(m.lookup_func("main").unwrap());
+    let mut analyses = cfg::FunctionAnalyses::new();
+    let (_, forest, geom) = analyses.loop_view(func);
     let (a, c) = (tag(&m, "A"), tag(&m, "C"));
-    let order = nest.forest.outer_to_inner();
+    let order = forest.outer_to_inner();
     let (outer, middle) = (order[0], order[1]);
     // C's load sits in the outer landing pad; its store in the outer exit.
-    let outer_pad = nest.landing_pad(outer);
+    let outer_pad = geom.landing_pad(outer);
     assert!(
         func.block(outer_pad)
             .instrs
@@ -138,7 +140,7 @@ fn rewrite_places_lifts_exactly_as_described() {
             .any(|i| matches!(i, ir::Instr::SLoad { tag, .. } if *tag == c)),
         "sload C in the outer landing pad"
     );
-    for &e in nest.exits(outer) {
+    for &e in geom.exits(outer) {
         assert!(
             func.block(e)
                 .instrs
@@ -148,7 +150,7 @@ fn rewrite_places_lifts_exactly_as_described() {
         );
     }
     // A's load sits in the middle loop's landing pad (not the inner one).
-    let middle_pad = nest.landing_pad(middle);
+    let middle_pad = geom.landing_pad(middle);
     assert!(
         func.block(middle_pad)
             .instrs
@@ -158,7 +160,7 @@ fn rewrite_places_lifts_exactly_as_described() {
     );
     // No memory reference to A remains inside the inner loop.
     let inner = order[2];
-    for &bid in &nest.forest.get(inner).blocks {
+    for &bid in &forest.get(inner).blocks {
         for instr in &func.block(bid).instrs {
             if let ir::Instr::SLoad { tag, .. } | ir::Instr::SStore { tag, .. } = instr {
                 assert_ne!(*tag, a, "A is register-resident in the inner loop");
