@@ -211,8 +211,7 @@ mod tests {
                 dst: None,
                 callee: Callee::Direct(callee),
                 args: vec![],
-                mods: ir::TagSet::All,
-                refs: ir::TagSet::All,
+                effects: ir::CallEffects::all(),
             };
             m.funcs[from].blocks[0].instrs.insert(0, call);
         }
@@ -273,8 +272,7 @@ mod tests {
             dst: None,
             callee: Callee::Indirect(ir::Reg(0)),
             args: vec![],
-            mods: ir::TagSet::All,
-            refs: ir::TagSet::All,
+            effects: ir::CallEffects::all(),
         };
         m.funcs[0].next_reg = 1;
         m.funcs[0].blocks[0].instrs.insert(0, call);

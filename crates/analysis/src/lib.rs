@@ -171,15 +171,15 @@ pub fn analyze_traced(
                 for block in &mut module.funcs[fi].blocks {
                     for instr in &mut block.instrs {
                         if let Instr::Call {
-                            callee, mods, refs, ..
+                            callee, effects, ..
                         } = instr
                         {
                             if matches!(callee, ir::Callee::Intrinsic(_)) {
-                                *mods = TagSet::empty();
-                                *refs = TagSet::empty();
+                                effects.mods = TagSet::empty();
+                                effects.refs = TagSet::empty();
                             } else {
-                                *mods = TagSet::Set(visible.clone());
-                                *refs = TagSet::Set(visible.clone());
+                                effects.mods = TagSet::Set(visible.clone());
+                                effects.refs = TagSet::Set(visible.clone());
                             }
                         }
                     }
@@ -253,10 +253,8 @@ fn collect_stats(module: &Module) -> TagSetStats {
                             }
                         }
                     }
-                    Instr::Call { mods, .. } => {
-                        if !mods.is_all() {
-                            stats.summarized_calls += 1;
-                        }
+                    Instr::Call { effects, .. } if !effects.mods.is_all() => {
+                        stats.summarized_calls += 1;
                     }
                     _ => {}
                 }

@@ -171,7 +171,7 @@ pub fn compute_and_apply_with_sites(
         for block in &mut module.funcs[fi].blocks {
             for instr in &mut block.instrs {
                 if let Instr::Call {
-                    callee, mods, refs, ..
+                    callee, effects, ..
                 } = instr
                 {
                     let targets: Vec<FuncId> = match callee {
@@ -182,8 +182,8 @@ pub fn compute_and_apply_with_sites(
                             .unwrap_or_else(|| all_addressed.clone()),
                         Callee::Intrinsic(_) => {
                             // Intrinsics touch no tagged memory.
-                            *mods = TagSet::empty();
-                            *refs = TagSet::empty();
+                            effects.mods = TagSet::empty();
+                            effects.refs = TagSet::empty();
                             continue;
                         }
                     };
@@ -193,8 +193,8 @@ pub fn compute_and_apply_with_sites(
                         m.union_with(&func_mods[g.index()].intersect(visible));
                         r.union_with(&func_refs[g.index()].intersect(visible));
                     }
-                    *mods = TagSet::Set(m);
-                    *refs = TagSet::Set(r);
+                    effects.mods = TagSet::Set(m);
+                    effects.refs = TagSet::Set(r);
                 }
             }
         }
@@ -280,7 +280,7 @@ int main() {
             .iter()
             .flat_map(|b| &b.instrs)
             .filter_map(|i| match i {
-                Instr::Call { mods, refs, .. } => Some((mods.clone(), refs.clone())),
+                Instr::Call { effects, .. } => Some((effects.mods.clone(), effects.refs.clone())),
                 _ => None,
             })
             .collect();
@@ -374,8 +374,8 @@ int main() {
         compute_and_apply(&mut m, &graph);
         let main = m.func(m.main().unwrap());
         for i in main.blocks.iter().flat_map(|b| &b.instrs) {
-            if let Instr::Call { mods, refs, .. } = i {
-                assert!(mods.is_empty() && refs.is_empty());
+            if let Instr::Call { effects, .. } = i {
+                assert!(effects.mods.is_empty() && effects.refs.is_empty());
             }
         }
     }

@@ -177,6 +177,24 @@ pub fn warm_edit_pair() -> WarmEditPair {
     }
 }
 
+/// Ten sources the front end must reject, one per front-end phase and
+/// error kind: lex, parse and semantic errors. The root package's
+/// `tests/frontend_digest.rs` pins each one's diagnostic, and the
+/// driver's `tests/session_recovery.rs` checks that a session compiles
+/// as a fresh one would after rejecting each.
+pub const MALFORMED: [&str; 10] = [
+    "int main() { return 1e; }",
+    "int main() { int x = 99999999999999999999; }",
+    "int main() { @ }",
+    "int main() { /* never closed",
+    "int main() { int x; x = y; return 0; }",
+    "int main() { return \"no strings\"; }",
+    "int x; int x; int main() { return 0; }",
+    "void f() {} int main() { return f(); }",
+    "int main() { break; }",
+    "int main() { 1 = 2; return 0; }",
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -35,9 +35,10 @@
 
 use crate::pipeline::FuncOutcome;
 use ir::hash::{body_hash, fx_mix};
-use ir::{DenseTagSet, Function, Instr, Module, TagId, TagSet};
+use ir::{CallEffects, DenseTagSet, Function, Instr, Module, TagId, TagSet};
 use regalloc::PROVISIONAL_SPILL_BASE;
 use std::collections::HashMap;
+use std::mem::{size_of, size_of_val};
 use trace::PassEvent;
 
 /// Default cache byte budget: plenty for every in-tree workload while
@@ -241,23 +242,32 @@ impl FuncCache {
     }
 }
 
-/// Rough per-entry heap footprint: instruction payloads, name tables,
-/// and trace events, plus a fixed overhead for the maps and vectors.
+/// Rough per-entry heap footprint: instruction payloads with each
+/// call's out-of-line effects, name tables, and trace events, plus a
+/// fixed overhead for the maps and vectors.
 fn approx_entry_bytes(
     func: &Function,
     tag_names: &[(u32, String)],
     func_names: &[(u32, String)],
     events: &[PassEvent],
 ) -> usize {
-    let instrs: usize = func.blocks.iter().map(|b| b.instrs.len()).sum();
+    let instrs: usize = func
+        .blocks
+        .iter()
+        .flat_map(|b| &b.instrs)
+        .map(|i| match i {
+            Instr::Call { .. } => size_of::<Instr>() + size_of::<CallEffects>(),
+            _ => size_of::<Instr>(),
+        })
+        .sum();
     let names: usize = tag_names
         .iter()
         .chain(func_names)
         .map(|(_, n)| n.len() + 16)
         .sum();
-    instrs * std::mem::size_of::<Instr>()
-        + func.blocks.len() * std::mem::size_of::<ir::Block>()
-        + events.len() * std::mem::size_of::<PassEvent>()
+    instrs
+        + func.blocks.len() * size_of::<ir::Block>()
+        + size_of_val(events)
         + names
         + func.name.len()
         + 256
@@ -280,13 +290,13 @@ fn collect_refs(instr: &Instr, tags: &mut Vec<u32>, funcs: &mut Vec<u32>) {
         Instr::Load { tags: t, .. } | Instr::Store { tags: t, .. } => set(t),
         Instr::FuncAddr { func, .. } => funcs.push(func.0),
         Instr::Call {
-            callee, mods, refs, ..
+            callee, effects, ..
         } => {
             if let ir::Callee::Direct(f) = callee {
                 funcs.push(f.0);
             }
-            set(mods);
-            set(refs);
+            set(&effects.mods);
+            set(&effects.refs);
         }
         _ => {}
     }
@@ -354,13 +364,13 @@ fn remap_instr(
             Some(())
         }
         Instr::Call {
-            callee, mods, refs, ..
+            callee, effects, ..
         } => {
             if let ir::Callee::Direct(f) = callee {
                 *f = *func_map.get(&f.0)?;
             }
-            remap_set(mods, tag_map)?;
-            remap_set(refs, tag_map)
+            remap_set(&mut effects.mods, tag_map)?;
+            remap_set(&mut effects.refs, tag_map)
         }
         _ => Some(()),
     }

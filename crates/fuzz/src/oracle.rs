@@ -33,10 +33,11 @@ pub const DEFAULT_MAX_STEPS: u64 = 1 << 28;
 
 /// The [`EditOracle`] warm session's cache budget, in approximate bytes.
 /// Over `--seed 0xED17`'s 100 seeds with 3 edits each, the cache peaks
-/// at 70,578 bytes, so the 64 MiB default never evicts. At 32 KiB, 170
-/// of the 400 compiles evict and 95 of the 177 functions that splice at
-/// the default still splice, so the differential covers both paths.
-const EDIT_CACHE_BUDGET: usize = 32 << 10;
+/// at 39,730 bytes, so the 64 MiB default never evicts. At 16 KiB, 208
+/// of the 400 compiles evict (442 entries) and 74 of the 177 functions
+/// that splice at the default still splice, so the differential covers
+/// both paths.
+const EDIT_CACHE_BUDGET: usize = 16 << 10;
 
 /// Which oracle arm observed a failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

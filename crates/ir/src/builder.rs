@@ -19,7 +19,9 @@
 //! ```
 
 use crate::function::Function;
-use crate::instr::{BinOp, BlockId, Callee, CmpOp, FuncId, Instr, Intrinsic, Reg, UnaryOp};
+use crate::instr::{
+    BinOp, BlockId, CallEffects, Callee, CmpOp, FuncId, Instr, Intrinsic, Reg, UnaryOp,
+};
 use crate::tag::{TagId, TagSet};
 
 /// Incremental function construction with a notion of the "current" block.
@@ -155,8 +157,7 @@ impl FunctionBuilder {
             dst: Some(dst),
             callee: Callee::Direct(func),
             args,
-            mods: TagSet::All,
-            refs: TagSet::All,
+            effects: CallEffects::all(),
         })
     }
 
@@ -166,8 +167,7 @@ impl FunctionBuilder {
             dst: None,
             callee: Callee::Direct(func),
             args,
-            mods: TagSet::All,
-            refs: TagSet::All,
+            effects: CallEffects::all(),
         });
     }
 
@@ -182,8 +182,7 @@ impl FunctionBuilder {
             dst,
             callee: Callee::Indirect(target),
             args,
-            mods: TagSet::All,
-            refs: TagSet::All,
+            effects: CallEffects::all(),
         });
         dst
     }
@@ -199,8 +198,7 @@ impl FunctionBuilder {
             dst,
             callee: Callee::Intrinsic(intr),
             args,
-            mods: TagSet::empty(),
-            refs: TagSet::empty(),
+            effects: CallEffects::none(),
         });
         dst
     }

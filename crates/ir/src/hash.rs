@@ -189,10 +189,10 @@ fn opcode(instr: &Instr) -> u8 {
 }
 
 /// Hashes one instruction's structural content — everything except the
-/// analysis-written tag sets (`Load`/`Store` `tags`, `Call` `mods` and
-/// `refs`). `with_facts` selects the complementary projection: *only*
-/// those fields (the body walk calls it with `false`, the facts walk
-/// with `true`).
+/// analysis-written tag sets (`Load`/`Store` `tags`, `Call` `effects`).
+/// `with_facts` selects the complementary projection: *only* those
+/// fields (the body walk calls it with `false`, the facts walk with
+/// `true`).
 fn hash_instr(h: &mut FxHasher, module: &Module, instr: &Instr, with_facts: bool) {
     if with_facts {
         match instr {
@@ -200,10 +200,10 @@ fn hash_instr(h: &mut FxHasher, module: &Module, instr: &Instr, with_facts: bool
                 h.write_u8(opcode(instr));
                 hash_tag_set(h, module, tags);
             }
-            Instr::Call { mods, refs, .. } => {
+            Instr::Call { effects, .. } => {
                 h.write_u8(opcode(instr));
-                hash_tag_set(h, module, mods);
-                hash_tag_set(h, module, refs);
+                hash_tag_set(h, module, &effects.mods);
+                hash_tag_set(h, module, &effects.refs);
             }
             _ => {}
         }
@@ -378,8 +378,8 @@ pub fn facts_hash(module: &Module, func: &Function) -> u64 {
                         s.iter().for_each(&mut note);
                     }
                 }
-                Instr::Call { mods, refs, .. } => {
-                    for set in [mods, refs] {
+                Instr::Call { effects, .. } => {
+                    for set in [&effects.mods, &effects.refs] {
                         if let TagSet::Set(s) = set {
                             s.iter().for_each(&mut note);
                         }

@@ -271,10 +271,51 @@ pub enum Callee {
     Intrinsic(Intrinsic),
 }
 
+/// The memory side effects of a call site: the tags the callee may
+/// modify and may reference, the MOD/REF lists the paper attaches to
+/// every call.
+///
+/// Kept out of line, behind the `Box` in [`Instr::Call`]: two inline tag
+/// sets would make calls, a few percent of all instructions, set the
+/// size of every instruction.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CallEffects {
+    /// Tags the call may write.
+    pub mods: TagSet,
+    /// Tags the call may read.
+    pub refs: TagSet,
+}
+
+impl CallEffects {
+    /// May write and read every tag: a call before analysis. Boxed, as
+    /// [`Instr::Call`] holds it.
+    pub fn all() -> Box<CallEffects> {
+        Box::new(CallEffects {
+            mods: TagSet::All,
+            refs: TagSet::All,
+        })
+    }
+
+    /// Writes and reads no tag: an intrinsic. Boxed, as [`Instr::Call`]
+    /// holds it.
+    pub fn none() -> Box<CallEffects> {
+        Box::new(CallEffects {
+            mods: TagSet::empty(),
+            refs: TagSet::empty(),
+        })
+    }
+}
+
 /// One IL instruction.
 ///
 /// The last instruction of every block must be a terminator
 /// ([`Instr::is_terminator`]); terminators may not appear elsewhere.
+///
+/// The largest variants set the enum's 56 bytes: `load` and `store`
+/// (two registers and an inline [`TagSet`]) and `call` (result, callee,
+/// argument vector and its boxed [`CallEffects`]), at 48 bytes of fields
+/// each. A unit test pins the size, so a field that outgrows them goes
+/// out of line, as a call's two tag sets do.
 #[derive(Debug, Clone, PartialEq)]
 #[allow(missing_docs)] // operand fields follow one uniform naming scheme
 pub enum Instr {
@@ -325,14 +366,13 @@ pub enum Instr {
     /// allocation-site tag `site`.
     Alloc { dst: Reg, size: Reg, site: TagId },
 
-    /// Call. `mods`/`refs` summarize the callee's side effects on memory,
+    /// Call. `effects` summarizes the callee's side effects on memory,
     /// exactly as the paper attaches MOD/REF tag lists to call sites.
     Call {
         dst: Option<Reg>,
         callee: Callee,
         args: Vec<Reg>,
-        mods: TagSet,
-        refs: TagSet,
+        effects: Box<CallEffects>,
     },
 
     /// SSA φ-node; `args` pair predecessor blocks with incoming registers.
@@ -561,7 +601,7 @@ impl Instr {
         match self {
             Instr::CLoad { tag, .. } | Instr::SLoad { tag, .. } => Some(TagSet::single(*tag)),
             Instr::Load { tags, .. } => Some(tags.clone()),
-            Instr::Call { refs, .. } => Some(refs.clone()),
+            Instr::Call { effects, .. } => Some(effects.refs.clone()),
             _ => None,
         }
     }
@@ -572,7 +612,7 @@ impl Instr {
         match self {
             Instr::SStore { tag, .. } => Some(TagSet::single(*tag)),
             Instr::Store { tags, .. } => Some(tags.clone()),
-            Instr::Call { mods, .. } => Some(mods.clone()),
+            Instr::Call { effects, .. } => Some(effects.mods.clone()),
             _ => None,
         }
     }
@@ -635,6 +675,14 @@ impl ExactSizeIterator for Successors {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn layout_keeps_calls_out_of_line() {
+        // A field that outgrows `load`, `store` and `call` makes every
+        // instruction bigger: move it out of line, as `CallEffects` is.
+        assert_eq!(std::mem::size_of::<Instr>(), 56);
+        assert_eq!(std::mem::size_of::<CallEffects>(), 80);
+    }
 
     #[test]
     fn memory_hierarchy() {
@@ -724,8 +772,10 @@ mod tests {
             dst: None,
             callee: Callee::Intrinsic(Intrinsic::PrintInt),
             args: vec![Reg(0)],
-            mods: TagSet::empty(),
-            refs: TagSet::All,
+            effects: Box::new(CallEffects {
+                mods: TagSet::empty(),
+                refs: TagSet::All,
+            }),
         };
         assert_eq!(call.mod_tags(), Some(TagSet::empty()));
         assert_eq!(call.ref_tags(), Some(TagSet::All));

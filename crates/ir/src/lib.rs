@@ -50,7 +50,7 @@ mod validate;
 pub use builder::FunctionBuilder;
 pub use function::{Block, BodyStats, Function, Global, GlobalInit, Module};
 pub use instr::{
-    BinOp, BlockId, Callee, CmpOp, FuncId, Instr, Intrinsic, Reg, Successors, UnaryOp,
+    BinOp, BlockId, CallEffects, Callee, CmpOp, FuncId, Instr, Intrinsic, Reg, Successors, UnaryOp,
 };
 pub use parse::{parse_module, ParseIlError};
 pub use print::{instr_to_string, module_to_string, tagset_to_string, write_instr, write_tagset};

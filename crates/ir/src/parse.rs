@@ -4,7 +4,9 @@
 //! line. See the crate-level documentation for a full example.
 
 use crate::function::{Function, Global, GlobalInit, Module};
-use crate::instr::{BinOp, BlockId, Callee, CmpOp, FuncId, Instr, Intrinsic, Reg, UnaryOp};
+use crate::instr::{
+    BinOp, BlockId, CallEffects, Callee, CmpOp, FuncId, Instr, Intrinsic, Reg, UnaryOp,
+};
 use crate::tag::{TagId, TagKind, TagSet};
 use std::collections::HashMap;
 use std::error::Error;
@@ -650,8 +652,7 @@ impl<'a> Parser<'a> {
             dst,
             callee,
             args,
-            mods,
-            refs,
+            effects: Box::new(CallEffects { mods, refs }),
         })
     }
 }
@@ -779,8 +780,10 @@ B0:
                 dst: Some(Reg(6)),
                 callee: Callee::Direct(helper),
                 args: vec![Reg(2)],
-                mods: TagSet::empty(),
-                refs: TagSet::single(TagId(0)),
+                effects: Box::new(CallEffects {
+                    mods: TagSet::empty(),
+                    refs: TagSet::single(TagId(0)),
+                }),
             }
         );
     }
@@ -819,8 +822,8 @@ B0:
         let src = "func @main(0) {\nB0:\n  call @main() \n  ret\n}\n";
         let m = parse_module(src).expect("parse");
         let call = &m.func(FuncId(0)).block(BlockId(0)).instrs[0];
-        if let Instr::Call { mods, refs, .. } = call {
-            assert!(mods.is_all() && refs.is_all());
+        if let Instr::Call { effects, .. } = call {
+            assert!(effects.mods.is_all() && effects.refs.is_all());
         } else {
             panic!("expected call");
         }

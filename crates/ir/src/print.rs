@@ -119,8 +119,7 @@ pub fn write_instr(out: &mut String, instr: &Instr, module: &Module) {
             dst,
             callee,
             args,
-            mods,
-            refs,
+            effects,
         } => {
             if let Some(d) = dst {
                 w!("{d} = ");
@@ -146,9 +145,9 @@ pub fn write_instr(out: &mut String, instr: &Instr, module: &Module) {
             }
             out.push(')');
             out.push_str(" mods");
-            write_tagset(out, mods, tags);
+            write_tagset(out, &effects.mods, tags);
             out.push_str(" refs");
-            write_tagset(out, refs, tags);
+            write_tagset(out, &effects.refs, tags);
         }
         Instr::Phi { dst, args } => {
             w!("{dst} = phi [");

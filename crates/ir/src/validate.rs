@@ -266,8 +266,7 @@ mod tests {
                 dst: None,
                 callee: crate::instr::Callee::Direct(callee),
                 args: vec![Reg(0)],
-                mods: crate::tag::TagSet::All,
-                refs: crate::tag::TagSet::All,
+                effects: crate::instr::CallEffects::all(),
             },
         );
         let e = validate(&m).unwrap_err();

@@ -225,7 +225,7 @@ int main() {
         .iter()
         .flat_map(|b| &b.instrs)
         .filter_map(|i| match i {
-            Instr::Call { mods, refs, .. } => Some((mods.clone(), refs.clone())),
+            Instr::Call { effects, .. } => Some((effects.mods.clone(), effects.refs.clone())),
             _ => None,
         })
         .collect();

@@ -101,7 +101,7 @@ fn transfer(instr: &mut Instr, facts: &mut FxHashMap<TagId, Reg>, rewrite: bool)
                 }
             }
         },
-        Instr::Call { mods, .. } => match mods {
+        Instr::Call { effects, .. } => match &effects.mods {
             TagSet::All => facts.clear(),
             TagSet::Set(s) => {
                 for t in s.iter() {

@@ -406,9 +406,8 @@ fn lvn_instr(t: &mut LvnScratch, instr: &mut Instr) -> usize {
             let vn = t.fresh();
             t.set_reg(*dst, vn);
         }
-        Instr::Call { dst, mods, .. } => {
-            let mods = mods.clone();
-            t.kill_mem(&mods);
+        Instr::Call { dst, effects, .. } => {
+            t.kill_mem(&effects.mods);
             if let Some(d) = *dst {
                 let vn = t.fresh();
                 t.set_reg(d, vn);

@@ -50,9 +50,9 @@ pub fn block_sets(func: &Function) -> Vec<BlockSets> {
                 Instr::Load { tags, .. } | Instr::Store { tags, .. } => {
                     sets.ambiguous.union_with(tags);
                 }
-                Instr::Call { mods, refs, .. } => {
-                    sets.ambiguous.union_with(mods);
-                    sets.ambiguous.union_with(refs);
+                Instr::Call { effects, .. } => {
+                    sets.ambiguous.union_with(&effects.mods);
+                    sets.ambiguous.union_with(&effects.refs);
                 }
                 _ => {}
             }

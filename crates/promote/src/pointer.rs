@@ -96,9 +96,9 @@ pub fn promote_pointers_in_func(
                     | Instr::CLoad { tag, .. } => {
                         other_touched.insert(*tag);
                     }
-                    Instr::Call { mods, refs, .. } => {
-                        other_touched.union_with(mods);
-                        other_touched.union_with(refs);
+                    Instr::Call { effects, .. } => {
+                        other_touched.union_with(&effects.mods);
+                        other_touched.union_with(&effects.refs);
                     }
                     _ => {}
                 }

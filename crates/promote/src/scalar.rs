@@ -269,7 +269,9 @@ fn blocked_reason(
     for &b in &l.blocks {
         for instr in &func.blocks[b.index()].instrs {
             match instr {
-                Instr::Call { mods, refs, .. } if mods.contains(t) || refs.contains(t) => {
+                Instr::Call { effects, .. }
+                    if effects.mods.contains(t) || effects.refs.contains(t) =>
+                {
                     return BlockReason::CallModRef;
                 }
                 Instr::Load { tags: ts, .. } | Instr::Store { tags: ts, .. } => {

@@ -8,7 +8,8 @@
 //! Control enters a segment only at its first op — at a block's entry, or
 //! where a call returns — so one counter bump per segment entry counts
 //! every op in it, and [`Program::fold`] turns the entry counts back into
-//! exact per-block [`ExecCounts`].
+//! exact per-block [`ExecCounts`] by walking each entered segment's ops
+//! ([`Program::total`] sums them without the per-block split).
 
 use crate::counts::ExecCounts;
 use crate::machine::VmError;
@@ -210,39 +211,44 @@ pub(crate) struct Program<'m> {
     pub(crate) faults: Vec<VmError>,
 }
 
-/// Adds `times` executions of `instr` to `c`, by the paper's operation
-/// classes. φ-nodes and `nop`s are free.
-fn tally(c: &mut ExecCounts, instr: &Instr, times: u64) {
-    match instr {
-        Instr::Nop | Instr::Phi { .. } => return,
-        Instr::IConst { .. }
-        | Instr::FConst { .. }
-        | Instr::FuncAddr { .. }
-        | Instr::Unary { .. }
-        | Instr::Binary { .. }
-        | Instr::Cmp { .. }
-        | Instr::Lea { .. }
-        | Instr::PtrAdd { .. } => c.arith += times,
-        Instr::Copy { .. } => c.copies += times,
-        Instr::CLoad { .. } | Instr::SLoad { .. } => {
+/// Adds `times` executions of `op` to `c`, by the paper's operation
+/// classes: an op counts as the instruction it was decoded from.
+fn tally(c: &mut ExecCounts, op: &Op, times: u64) {
+    match op {
+        Op::IConst { .. }
+        | Op::FConst { .. }
+        | Op::FuncAddr { .. }
+        | Op::Unary { .. }
+        | Op::Binary { .. }
+        | Op::Cmp { .. }
+        | Op::LeaGlobal { .. }
+        | Op::LeaLocal { .. }
+        | Op::PtrAdd { .. } => c.arith += times,
+        Op::Copy { .. } => c.copies += times,
+        Op::LoadGlobal { .. } | Op::LoadLocal { .. } => {
             c.loads += times;
             c.scalar_loads += times;
         }
-        Instr::SStore { .. } => {
+        Op::StoreGlobal { .. } | Op::StoreLocal { .. } => {
             c.stores += times;
             c.scalar_stores += times;
         }
-        Instr::Load { .. } => {
+        Op::Load { .. } => {
             c.loads += times;
             c.ptr_loads += times;
         }
-        Instr::Store { .. } => {
+        Op::Store { .. } => {
             c.stores += times;
             c.ptr_stores += times;
         }
-        Instr::Alloc { .. } => c.allocs += times,
-        Instr::Call { .. } => c.calls += times,
-        Instr::Jump { .. } | Instr::Branch { .. } | Instr::Ret { .. } => c.control += times,
+        Op::Alloc { .. } => c.allocs += times,
+        Op::Call { .. } => c.calls += times,
+        Op::Jump { .. } | Op::Goto { .. } | Op::Branch { .. } | Op::If { .. } | Op::Ret { .. } => {
+            c.control += times
+        }
+        // A segment holding either never completes, so a completed run
+        // has entered none.
+        Op::Fault { .. } | Op::Trap { .. } => return,
     }
     c.total += times;
 }
@@ -334,25 +340,43 @@ impl<'m> Program<'m> {
     /// exact because every entry to a segment of a completed run executed
     /// all of its counted ops.
     pub(crate) fn fold(&self, mut visit: impl FnMut(usize, usize, u64, ExecCounts)) {
-        let freq = |seg: usize| self.segs[seg].entries.get();
         for (f, (func, code)) in self.module.funcs.iter().zip(&self.funcs).enumerate() {
-            let segs = &self.block_segs[code.blocks as usize..];
-            for (b, block) in func.blocks.iter().enumerate() {
-                let first = segs[b] as usize;
+            let bounds = &self.block_segs[code.blocks as usize..];
+            for b in 0..func.blocks.len() {
+                let segs = &self.segs[bounds[b] as usize..bounds[b + 1] as usize];
                 // A block's later segments are reached only through its first.
-                if freq(first) == 0 {
+                let entries = segs[0].entries.get();
+                if entries == 0 {
                     continue;
                 }
-                let mut seg = first;
                 let mut counts = ExecCounts::new();
-                for instr in body(&block.instrs) {
-                    tally(&mut counts, instr, freq(seg));
-                    if matches!(instr, Instr::Call { .. }) {
-                        seg += 1;
-                    }
+                for seg in segs {
+                    self.tally_seg(&mut counts, seg);
                 }
-                visit(f, b, freq(first), counts);
+                visit(f, b, entries, counts);
             }
+        }
+    }
+
+    /// The run's counts over every segment it entered; equal to the sum
+    /// of [`Program::fold`]'s per-block counts.
+    pub(crate) fn total(&self) -> ExecCounts {
+        let mut counts = ExecCounts::new();
+        for seg in &self.segs {
+            self.tally_seg(&mut counts, seg);
+        }
+        counts
+    }
+
+    /// Adds `seg`'s counted ops, once per entry, to `c`.
+    fn tally_seg(&self, c: &mut ExecCounts, seg: &Seg) {
+        let times = seg.entries.get();
+        if times == 0 {
+            return;
+        }
+        let start = seg.start as usize;
+        for op in &self.ops[start..start + seg.steps as usize] {
+            tally(c, op, times);
         }
     }
 

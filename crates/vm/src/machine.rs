@@ -210,7 +210,8 @@ impl Vm {
     /// Returns a [`VmError`] on any dynamic failure, including a missing
     /// `main`.
     pub fn run_main(module: &Module, options: VmOptions) -> Result<Outcome, VmError> {
-        Self::run_main_profiled(module, options).map(|(outcome, _)| outcome)
+        let main = find_main(module)?;
+        Self::run(module, main, &[], options)
     }
 
     /// Runs `main` with no arguments and also returns where the
@@ -239,7 +240,12 @@ impl Vm {
         args: &[Value],
         options: VmOptions,
     ) -> Result<Outcome, VmError> {
-        Self::run_profiled(module, func, args, options).map(|(outcome, _)| outcome)
+        let code = Program::decode(module);
+        let mut vm = Vm::new(&code, options);
+        let mut outcome = vm.start(&code, func, args)?;
+        outcome.counts = code.total();
+        debug_assert_eq!(outcome.counts.total, vm.steps);
+        Ok(outcome)
     }
 
     /// Runs `func` with `args` and also returns the run's [`Profile`].

@@ -2,11 +2,12 @@
 //! every suite program in turn on the same recycled interner, token
 //! buffer and AST pools, must print exactly the unoptimized IL whose
 //! FNV-1a digests are recorded in `tests/golden/frontend_digest.txt`; fed
-//! ten malformed sources after that, it must report exactly the recorded
-//! diagnostic text. A front-end change that renumbers tags or registers,
-//! leaks state from one program into the next, or moves an error position
-//! shows up here as a named row. `crates/fuzz/tests/frontend_digest.rs`
-//! pins the generated programs the fuzz campaign checks the same way.
+//! the ten malformed sources of `benchsuite::MALFORMED` after that, it
+//! must report exactly the recorded diagnostic text. A front-end change
+//! that renumbers tags or registers, leaks state from one program into
+//! the next, or moves an error position shows up here as a named row.
+//! `crates/fuzz/tests/frontend_digest.rs` pins the generated programs the
+//! fuzz campaign checks the same way.
 //!
 //! After a deliberate change to the front end or to a suite program,
 //! rewrite the file with `PROMO_BLESS_COUNTS=1 cargo test --test
@@ -15,21 +16,6 @@
 use bench_harness::golden::{check, fnv1a};
 use std::fmt::Write as _;
 use std::path::Path;
-
-/// One source per front-end phase and error kind: lex, parse and
-/// semantic errors, each of which must keep its position and message.
-const MALFORMED: [&str; 10] = [
-    "int main() { return 1e; }",
-    "int main() { int x = 99999999999999999999; }",
-    "int main() { @ }",
-    "int main() { /* never closed",
-    "int main() { int x; x = y; return 0; }",
-    "int main() { return \"no strings\"; }",
-    "int x; int x; int main() { return 0; }",
-    "void f() {} int main() { return f(); }",
-    "int main() { break; }",
-    "int main() { 1 = 2; return 0; }",
-];
 
 #[test]
 fn suite_il_and_diagnostics_match_the_golden_file() {
@@ -42,7 +28,9 @@ fn suite_il_and_diagnostics_match_the_golden_file() {
         let il = ir::module_to_string(&module);
         writeln!(actual, "{} il={:016x}", b.name, fnv1a(il.as_bytes())).unwrap();
     }
-    for src in MALFORMED {
+    // One source per front-end phase and error kind, each of which must
+    // keep its position and message.
+    for src in benchsuite::MALFORMED {
         let text = warm.compile(src).expect_err("case must fail").to_string();
         writeln!(actual, "{src:?} => {text}").unwrap();
     }
