@@ -5,6 +5,7 @@
 
 use crate::function::Module;
 use crate::instr::{Callee, FuncId, Instr};
+use crate::tag::TagSet;
 use std::error::Error;
 use std::fmt;
 
@@ -150,26 +151,29 @@ pub fn validate(module: &Module) -> Result<(), ValidateError> {
                         Callee::Indirect(_) => {}
                     }
                 }
-                // Tag range checks.
-                let mut bad_tag = None;
-                let mut check_set = |s: &crate::tag::TagSet| {
-                    for t in s.iter() {
-                        if t.index() >= module.tags.len() {
-                            bad_tag = Some(t);
-                        }
+                // Tag range checks, on the sets in place: a clone of a set
+                // of more than 8 tags would allocate.
+                let (tag, sets): (_, [Option<&TagSet>; 2]) = match instr {
+                    Instr::CLoad { tag, .. }
+                    | Instr::SLoad { tag, .. }
+                    | Instr::SStore { tag, .. }
+                    | Instr::Lea { tag, .. }
+                    | Instr::Alloc { site: tag, .. } => (Some(*tag), [None, None]),
+                    Instr::Load { tags, .. } | Instr::Store { tags, .. } => {
+                        (None, [Some(tags), None])
                     }
+                    Instr::Call { effects, .. } => {
+                        (None, [Some(&effects.refs), Some(&effects.mods)])
+                    }
+                    _ => (None, [None, None]),
                 };
-                if let Some(s) = instr.ref_tags() {
-                    check_set(&s);
-                }
-                if let Some(s) = instr.mod_tags() {
-                    check_set(&s);
-                }
-                if let Instr::Lea { tag, .. } | Instr::Alloc { site: tag, .. } = instr {
-                    if tag.index() >= module.tags.len() {
-                        bad_tag = Some(*tag);
-                    }
-                }
+                let bad_tag = sets
+                    .into_iter()
+                    .flatten()
+                    .flat_map(TagSet::iter)
+                    .chain(tag)
+                    .filter(|t| t.index() >= module.tags.len())
+                    .last();
                 if let Some(t) = bad_tag {
                     return fail(format!("{bid}[{i}]: tag {t} out of range"));
                 }
@@ -201,6 +205,7 @@ mod tests {
     use crate::builder::FunctionBuilder;
     use crate::function::{Function, Module};
     use crate::instr::{BlockId, Instr, Reg};
+    use crate::tag::TagId;
 
     fn ok_module() -> Module {
         let mut m = Module::new();
@@ -271,6 +276,55 @@ mod tests {
         );
         let e = validate(&m).unwrap_err();
         assert!(e.message.contains("arity"));
+    }
+
+    #[test]
+    fn rejects_an_out_of_range_tag_in_any_set() {
+        let set = |tags: &[u32]| {
+            let mut s = TagSet::empty();
+            for &t in tags {
+                s.insert(TagId(t));
+            }
+            s
+        };
+        let wide: Vec<u32> = (0..12).chain([40]).collect();
+        for (instr, bad) in [
+            (
+                Instr::Store {
+                    src: Reg(0),
+                    addr: Reg(0),
+                    tags: set(&wide),
+                },
+                "t40",
+            ),
+            (
+                Instr::Call {
+                    dst: None,
+                    callee: crate::instr::Callee::Indirect(Reg(0)),
+                    args: vec![],
+                    effects: Box::new(crate::instr::CallEffects {
+                        mods: set(&[7]),
+                        refs: set(&[3]),
+                    }),
+                },
+                "t7",
+            ),
+            (
+                Instr::SLoad {
+                    dst: Reg(0),
+                    tag: TagId(5),
+                },
+                "t5",
+            ),
+        ] {
+            let mut m = ok_module();
+            m.funcs[0].blocks[0].instrs.insert(1, instr);
+            let e = validate(&m).unwrap_err();
+            assert!(
+                e.message.ends_with(&format!("tag {bad} out of range")),
+                "{e}"
+            );
+        }
     }
 
     #[test]

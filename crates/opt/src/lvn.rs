@@ -398,10 +398,7 @@ fn lvn_instr(t: &mut LvnScratch, instr: &mut Instr) -> usize {
             let vn = t.fresh();
             t.set_reg(*dst, vn);
         }
-        Instr::Store { tags, .. } => {
-            let tags = tags.clone();
-            t.kill_mem(&tags);
-        }
+        Instr::Store { tags, .. } => t.kill_mem(tags),
         Instr::Alloc { dst, .. } => {
             let vn = t.fresh();
             t.set_reg(*dst, vn);

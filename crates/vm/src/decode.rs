@@ -10,6 +10,14 @@
 //! every op in it, and [`Program::fold`] turns the entry counts back into
 //! exact per-block [`ExecCounts`] by walking each entered segment's ops
 //! ([`Program::total`] sums them without the per-block split).
+//!
+//! Where an op reads the result of the op just before it in the same
+//! segment, the two are *fused* into one op that runs with one dispatch
+//! (see [`fuse`]): `iconst` with the `Binary`/`Cmp` reading it, a `Cmp`
+//! with the `If` closing its segment (the `iconst` before it too, when
+//! there is one), and `ptradd` with the `load` through it. A fused op
+//! still writes every register its instructions wrote, and counts as
+//! those instructions.
 
 use crate::counts::ExecCounts;
 use crate::machine::VmError;
@@ -20,6 +28,15 @@ use std::cell::Cell;
 pub(crate) const NONE: u32 = u32::MAX;
 
 /// One decoded operation. Register operands are frame indices.
+///
+/// An op is 16 bytes: a one-byte tag and at most 15 bytes of fields,
+/// 8-aligned. `IConst` and `FConst` (a register and an 8-byte value),
+/// the three-operand ops (`Binary`, `Cmp`, `PtrAdd`, `Branch`, `If`) and
+/// the fused `CmpImmIf` fill it. The fused ops fit only by taking `u16`
+/// registers, an `i32` immediate and `i16` branch targets relative to
+/// their own segment; a pair whose operands do not fit stays unfused. A
+/// unit test pins the size, since one wider field would make every op
+/// bigger.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Op {
     IConst {
@@ -138,14 +155,232 @@ pub(crate) enum Op {
     Trap {
         fault: u32,
     },
+    /// Fused `k = iconst imm; dst = op lhs, k`, with `lhs != k`.
+    BinaryImm {
+        op: BinOp,
+        dst: u16,
+        lhs: u16,
+        k: u16,
+        imm: i32,
+    },
+    /// Fused `k = iconst imm; dst = op lhs, k`, with `lhs != k`.
+    CmpImm {
+        op: CmpOp,
+        dst: u16,
+        lhs: u16,
+        k: u16,
+        imm: i32,
+    },
+    /// Fused `dst = op lhs, rhs; branch dst` closing its segment: on to
+    /// segment `seg + then_rel` or `seg + else_rel`.
+    CmpIf {
+        op: CmpOp,
+        dst: u16,
+        lhs: u16,
+        rhs: u16,
+        then_rel: i16,
+        else_rel: i16,
+    },
+    /// Fused `k = iconst imm; dst = op lhs, k; branch dst`, with `lhs !=
+    /// k`, closing its segment as [`Op::CmpIf`] does.
+    CmpImmIf {
+        op: CmpOp,
+        dst: u16,
+        lhs: u16,
+        k: u16,
+        imm: i32,
+        then_rel: i16,
+        else_rel: i16,
+    },
+    /// Fused `ptr = ptradd base, offset; dst = load [ptr]`.
+    PtrAddLoad {
+        dst: u16,
+        ptr: u16,
+        base: u16,
+        offset: u16,
+    },
+}
+
+impl Op {
+    /// How many instructions the op stands for: several for a fused op,
+    /// none for a trap.
+    pub(crate) fn width(&self) -> u64 {
+        match self {
+            Op::Trap { .. } => 0,
+            Op::BinaryImm { .. } | Op::CmpImm { .. } | Op::CmpIf { .. } | Op::PtrAddLoad { .. } => {
+                2
+            }
+            Op::CmpImmIf { .. } => 3,
+            _ => 1,
+        }
+    }
+
+    /// The straight-line ops a fused op stands for, in order, leaving out
+    /// the `If` that closes a fused compare; a plain op stands for itself.
+    pub(crate) fn parts(&self) -> impl Iterator<Item = Op> {
+        let iconst = |k: u16, imm: i32| Op::IConst {
+            dst: k.into(),
+            value: imm.into(),
+        };
+        let cmp = |op, dst: u16, lhs: u16, rhs: u16| Op::Cmp {
+            op,
+            dst: dst.into(),
+            lhs: lhs.into(),
+            rhs: rhs.into(),
+        };
+        let (parts, n) = match *self {
+            Op::BinaryImm {
+                op,
+                dst,
+                lhs,
+                k,
+                imm,
+            } => (
+                [
+                    iconst(k, imm),
+                    Op::Binary {
+                        op,
+                        dst: dst.into(),
+                        lhs: lhs.into(),
+                        rhs: k.into(),
+                    },
+                ],
+                2,
+            ),
+            Op::CmpImm {
+                op,
+                dst,
+                lhs,
+                k,
+                imm,
+            }
+            | Op::CmpImmIf {
+                op,
+                dst,
+                lhs,
+                k,
+                imm,
+                ..
+            } => ([iconst(k, imm), cmp(op, dst, lhs, k)], 2),
+            Op::CmpIf {
+                op, dst, lhs, rhs, ..
+            } => ([cmp(op, dst, lhs, rhs); 2], 1),
+            Op::PtrAddLoad {
+                dst,
+                ptr,
+                base,
+                offset,
+            } => (
+                [
+                    Op::PtrAdd {
+                        dst: ptr.into(),
+                        base: base.into(),
+                        offset: offset.into(),
+                    },
+                    Op::Load {
+                        dst: dst.into(),
+                        addr: ptr.into(),
+                    },
+                ],
+                2,
+            ),
+            op => ([op; 2], 1),
+        };
+        parts.into_iter().take(n)
+    }
+}
+
+/// `next` fused onto `prev`, the op before it in segment `seg`, when
+/// `next` reads `prev`'s result and every operand fits the fused op.
+/// Kept out of line: decoding runs before every execution, often with
+/// its code out of cache, and most ops fuse with nothing.
+#[inline(never)]
+fn fuse(prev: Op, next: Op, seg: usize) -> Option<Op> {
+    let reg = |r: u32| u16::try_from(r).ok();
+    let rel = |to: u32| i16::try_from(to as i64 - seg as i64).ok();
+    Some(match (prev, next) {
+        (Op::IConst { dst: k, value }, Op::Binary { op, dst, lhs, rhs })
+            if rhs == k && lhs != k =>
+        {
+            Op::BinaryImm {
+                op,
+                dst: reg(dst)?,
+                lhs: reg(lhs)?,
+                k: reg(k)?,
+                imm: i32::try_from(value).ok()?,
+            }
+        }
+        (Op::IConst { dst: k, value }, Op::Cmp { op, dst, lhs, rhs }) if rhs == k && lhs != k => {
+            Op::CmpImm {
+                op,
+                dst: reg(dst)?,
+                lhs: reg(lhs)?,
+                k: reg(k)?,
+                imm: i32::try_from(value).ok()?,
+            }
+        }
+        (
+            Op::Cmp { op, dst, lhs, rhs },
+            Op::If {
+                cond,
+                then_seg,
+                else_seg,
+            },
+        ) if cond == dst => Op::CmpIf {
+            op,
+            dst: reg(dst)?,
+            lhs: reg(lhs)?,
+            rhs: reg(rhs)?,
+            then_rel: rel(then_seg)?,
+            else_rel: rel(else_seg)?,
+        },
+        (
+            Op::CmpImm {
+                op,
+                dst,
+                lhs,
+                k,
+                imm,
+            },
+            Op::If {
+                cond,
+                then_seg,
+                else_seg,
+            },
+        ) if cond == dst.into() => Op::CmpImmIf {
+            op,
+            dst,
+            lhs,
+            k,
+            imm,
+            then_rel: rel(then_seg)?,
+            else_rel: rel(else_seg)?,
+        },
+        (
+            Op::PtrAdd {
+                dst: ptr,
+                base,
+                offset,
+            },
+            Op::Load { dst, addr },
+        ) if addr == ptr => Op::PtrAddLoad {
+            dst: reg(dst)?,
+            ptr: reg(ptr)?,
+            base: reg(base)?,
+            offset: reg(offset)?,
+        },
+        _ => return None,
+    })
 }
 
 /// A straight-line run of ops entered only at `start`.
 #[derive(Debug, Clone)]
 pub(crate) struct Seg {
-    /// Index of the first op.
+    /// Index of the first op. Segments are laid out in order, each one's
+    /// ops ending where the next one's begin.
     pub(crate) start: u32,
-    /// Counted ops in the segment: all of them but a closing [`Op::Trap`].
+    /// Counted instructions in the segment: those its ops stand for
+    /// ([`Op::width`]).
     pub(crate) steps: u32,
     /// Times the running program entered the segment.
     pub(crate) entries: Cell<u64>,
@@ -212,7 +447,7 @@ pub(crate) struct Program<'m> {
 }
 
 /// Adds `times` executions of `op` to `c`, by the paper's operation
-/// classes: an op counts as the instruction it was decoded from.
+/// classes: an op counts as the instructions it was decoded from.
 fn tally(c: &mut ExecCounts, op: &Op, times: u64) {
     match op {
         Op::IConst { .. }
@@ -246,11 +481,25 @@ fn tally(c: &mut ExecCounts, op: &Op, times: u64) {
         Op::Jump { .. } | Op::Goto { .. } | Op::Branch { .. } | Op::If { .. } | Op::Ret { .. } => {
             c.control += times
         }
+        Op::BinaryImm { .. } | Op::CmpImm { .. } => c.arith += 2 * times,
+        Op::CmpIf { .. } => {
+            c.arith += times;
+            c.control += times;
+        }
+        Op::CmpImmIf { .. } => {
+            c.arith += 2 * times;
+            c.control += times;
+        }
+        Op::PtrAddLoad { .. } => {
+            c.arith += times;
+            c.loads += times;
+            c.ptr_loads += times;
+        }
         // A segment holding either never completes, so a completed run
         // has entered none.
         Op::Fault { .. } | Op::Trap { .. } => return,
     }
-    c.total += times;
+    c.total += op.width() * times;
 }
 
 /// The instructions of a block that can execute: its φ-nodes are taken
@@ -343,15 +592,14 @@ impl<'m> Program<'m> {
         for (f, (func, code)) in self.module.funcs.iter().zip(&self.funcs).enumerate() {
             let bounds = &self.block_segs[code.blocks as usize..];
             for b in 0..func.blocks.len() {
-                let segs = &self.segs[bounds[b] as usize..bounds[b + 1] as usize];
                 // A block's later segments are reached only through its first.
-                let entries = segs[0].entries.get();
+                let entries = self.segs[bounds[b] as usize].entries.get();
                 if entries == 0 {
                     continue;
                 }
                 let mut counts = ExecCounts::new();
-                for seg in segs {
-                    self.tally_seg(&mut counts, seg);
+                for seg in bounds[b]..bounds[b + 1] {
+                    self.tally_seg(&mut counts, seg as usize);
                 }
                 visit(f, b, entries, counts);
             }
@@ -362,20 +610,24 @@ impl<'m> Program<'m> {
     /// of [`Program::fold`]'s per-block counts.
     pub(crate) fn total(&self) -> ExecCounts {
         let mut counts = ExecCounts::new();
-        for seg in &self.segs {
+        for seg in 0..self.segs.len() {
             self.tally_seg(&mut counts, seg);
         }
         counts
     }
 
-    /// Adds `seg`'s counted ops, once per entry, to `c`.
-    fn tally_seg(&self, c: &mut ExecCounts, seg: &Seg) {
-        let times = seg.entries.get();
+    /// Adds segment `seg`'s ops, once per entry, to `c`. They run up to
+    /// the next segment's first op.
+    fn tally_seg(&self, c: &mut ExecCounts, seg: usize) {
+        let times = self.segs[seg].entries.get();
         if times == 0 {
             return;
         }
-        let start = seg.start as usize;
-        for op in &self.ops[start..start + seg.steps as usize] {
+        let end = self
+            .segs
+            .get(seg + 1)
+            .map_or(self.ops.len(), |s| s.start as usize);
+        for op in &self.ops[self.segs[seg].start as usize..end] {
             tally(c, op, times);
         }
     }
@@ -401,17 +653,24 @@ impl<'m> Program<'m> {
         pending: &mut Vec<(u32, VmError)>,
     ) -> FuncCode {
         // Number every block's segments first: one, plus one per call.
+        // Count the calls' arguments too, to size their tables once.
         let blocks = self.block_segs.len();
         let mut next = self.segs.len() as u32;
+        let (mut calls, mut args) = (0, 0);
         for block in &func.blocks {
             self.block_segs.push(next);
-            let calls = body(&block.instrs)
-                .iter()
-                .filter(|i| matches!(i, Instr::Call { .. }))
-                .count();
-            next += 1 + calls as u32;
+            next += 1;
+            for instr in body(&block.instrs) {
+                if let Instr::Call { args: a, .. } = instr {
+                    next += 1;
+                    calls += 1;
+                    args += a.len();
+                }
+            }
         }
         self.block_segs.push(next);
+        self.calls.reserve(calls);
+        self.args.reserve(args);
 
         let tags = &self.module.tags;
         let home = |tag: TagId| {
@@ -545,11 +804,10 @@ impl<'m> Program<'m> {
                     },
                 };
                 steps += 1;
+                self.push(op);
                 if instr.is_terminator() {
-                    self.close_seg(steps, op);
+                    self.segs.last_mut().expect("a segment is open").steps = steps;
                     terminated = true;
-                } else {
-                    self.ops.push(op);
                 }
             }
             if !terminated {
@@ -583,7 +841,34 @@ impl<'m> Program<'m> {
         }
     }
 
-    /// Ends the open segment, of `steps` counted ops, with `last`.
+    /// Appends `op` to the open segment, fused with the op before it when
+    /// [`fuse`] allows. Only these kinds can be a first or a second half,
+    /// and checking them here keeps the call off most ops. The op before
+    /// a segment's first closed the segment before it: never a first half.
+    fn push(&mut self, op: Op) {
+        if let Some(prev) = self.ops.last_mut() {
+            let first = matches!(
+                prev,
+                Op::IConst { .. } | Op::Cmp { .. } | Op::CmpImm { .. } | Op::PtrAdd { .. }
+            );
+            let second = matches!(
+                op,
+                Op::Binary { .. } | Op::Cmp { .. } | Op::If { .. } | Op::Load { .. }
+            );
+            // One branch on both: which ops fuse is data, not a pattern
+            // the predictor learns.
+            if first & second {
+                if let Some(fused) = fuse(*prev, op, self.segs.len() - 1) {
+                    *prev = fused;
+                    return;
+                }
+            }
+        }
+        self.ops.push(op);
+    }
+
+    /// Ends the open segment, of `steps` counted instructions, with
+    /// `last`: a call or a trap, which fuse with nothing.
     fn close_seg(&mut self, steps: u32, last: Op) {
         self.segs.last_mut().expect("a segment is open").steps = steps;
         self.ops.push(last);
@@ -689,4 +974,84 @@ enum Dest {
 enum Home {
     Global(u32),
     Local(u32),
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn layout_keeps_ops_at_sixteen_bytes() {
+        // A field that outgrows `IConst`, the three-register ops and the
+        // fused `CmpImmIf` makes every op bigger: keep it out of line, as
+        // a call's arguments are, or leave the pair it comes from unfused.
+        assert_eq!(std::mem::size_of::<Op>(), 16);
+    }
+
+    /// The variant names of the ops `src` decodes to.
+    fn decoded(src: &str) -> Vec<String> {
+        let module = ir::parse_module(src).expect("parse");
+        Program::decode(&module)
+            .ops
+            .iter()
+            .map(|op| format!("{op:?}").split(' ').next().unwrap().to_string())
+            .collect()
+    }
+
+    #[test]
+    fn each_pair_that_reads_the_op_before_it_fuses() {
+        let ops = decoded(
+            r#"
+tag "g:a" global size=4 addressed
+global "g:a" ints 1 2 3 4
+func @main(0) result {
+B0:
+  r0 = iconst 0
+  r2 = lea "g:a"
+  jump B1
+B1:
+  r3 = iconst 4
+  r3 = cmplt r0, r3
+  branch r3, B2, B3
+B2:
+  r4 = ptradd r2, r0
+  r5 = load [r4] {"g:a"}
+  r6 = iconst 1
+  r7 = cmpeq r5, r6
+  r0 = add r0, r7
+  r1 = cmplt r0, r5
+  branch r1, B1, B3
+B3:
+  ret r0
+}
+"#,
+        );
+        let b0 = ["IConst", "LeaGlobal", "Goto"];
+        let b2 = ["PtrAddLoad", "CmpImm", "Binary", "CmpIf"];
+        assert_eq!(ops, [&b0[..], &["CmpImmIf"], &b2, &["Ret"]].concat());
+    }
+
+    #[test]
+    fn a_pair_that_does_not_fit_stays_unfused() {
+        let ops = decoded(
+            r#"
+func @main(1) result {
+B0:
+  r1 = iconst 5000000000
+  r2 = add r0, r1
+  r3 = iconst 1
+  r4 = sub r3, r0
+  r70000 = iconst 1
+  r5 = add r0, r70000
+  r6 = iconst 2
+  r6 = mul r6, r6
+  ret r6
+}
+"#,
+        );
+        // A constant beyond `i32`, a constant on the left, a register
+        // beyond `u16`, and a constant read twice.
+        let pair = ["IConst", "Binary"];
+        assert_eq!(ops, [&pair[..], &pair, &pair, &pair, &["Ret"]].concat());
+    }
 }

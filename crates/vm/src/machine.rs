@@ -11,7 +11,9 @@
 //! static counts. That is exactly the per-operation count, because a
 //! segment is only ever entered at its first op and left at its last;
 //! a run that stops inside one — a trap or the step limit — returns an
-//! error, and no counts.
+//! error, and no counts. A fused op runs its instructions with one
+//! dispatch, on the values it already holds: the immediate, the compare
+//! result it branches on, the pointer it loads through.
 
 use crate::counts::ExecCounts;
 use crate::decode::{Op, Program, NONE};
@@ -514,12 +516,20 @@ impl Vm {
             self.steps += s.steps as u64;
             let ops = &code.ops[s.start as usize..];
             if self.steps > self.options.max_steps {
-                // Per-operation counting would stop here, after the ops
-                // that still fit; a trap among them comes first. Neither
-                // the call nor the terminator closing the segment fits.
-                let fit = s.steps as u64 - (self.steps - self.options.max_steps);
-                for op in &ops[..fit as usize] {
-                    self.straight(code, op, regs, frame)?;
+                // Per-instruction counting would stop here, after the
+                // instructions that still fit; a trap among them comes
+                // first. Neither the call nor the terminator closing the
+                // segment fits, and of a fused op that straddles the
+                // budget only the parts that fit run, unfused.
+                let mut fit = s.steps as u64 - (self.steps - self.options.max_steps);
+                for op in ops {
+                    if fit == 0 {
+                        break;
+                    }
+                    for part in op.parts().take(fit as usize) {
+                        self.straight(code, &part, regs, frame)?;
+                    }
+                    fit = fit.saturating_sub(op.width());
                 }
                 return Err(VmError::StepLimit(self.options.max_steps).into());
             }
@@ -536,6 +546,35 @@ impl Vm {
                     } => {
                         let taken = truth(regs[cond as usize])?;
                         seg = if taken { then_seg } else { else_seg } as usize;
+                        continue 'seg;
+                    }
+                    Op::CmpIf {
+                        op,
+                        dst,
+                        lhs,
+                        rhs,
+                        then_rel,
+                        else_rel,
+                    } => {
+                        let taken = compare(op, regs[lhs as usize], regs[rhs as usize])?;
+                        regs[dst as usize] = Value::Int(taken as i64);
+                        seg = fused_target(seg, taken, then_rel, else_rel);
+                        continue 'seg;
+                    }
+                    Op::CmpImmIf {
+                        op,
+                        dst,
+                        lhs,
+                        k,
+                        imm,
+                        then_rel,
+                        else_rel,
+                    } => {
+                        let c = Value::Int(imm.into());
+                        let taken = compare(op, regs[lhs as usize], c)?;
+                        regs[k as usize] = c;
+                        regs[dst as usize] = Value::Int(taken as i64);
+                        seg = fused_target(seg, taken, then_rel, else_rel);
                         continue 'seg;
                     }
                     Op::Call { site } => {
@@ -615,19 +654,36 @@ impl Vm {
             Op::Unary { op, dst, src } => {
                 regs[dst as usize] = eval_unary(op, regs[src as usize])?;
             }
-            // Two integers inline; anything else through the general
-            // evaluator, which also reports the type errors.
             Op::Binary { op, dst, lhs, rhs } => {
-                regs[dst as usize] = match (regs[lhs as usize], regs[rhs as usize]) {
-                    (Value::Int(x), Value::Int(y)) => Value::Int(int_binary(op, x, y)?),
-                    (a, b) => eval_binary(op, a, b)?,
-                }
+                regs[dst as usize] = binary(op, regs[lhs as usize], regs[rhs as usize])?;
             }
             Op::Cmp { op, dst, lhs, rhs } => {
-                regs[dst as usize] = match (regs[lhs as usize], regs[rhs as usize]) {
-                    (Value::Int(x), Value::Int(y)) => Value::Int(holds(op, x.cmp(&y)) as i64),
-                    (a, b) => eval_cmp(op, a, b)?,
-                }
+                let met = compare(op, regs[lhs as usize], regs[rhs as usize])?;
+                regs[dst as usize] = Value::Int(met as i64);
+            }
+            Op::BinaryImm {
+                op,
+                dst,
+                lhs,
+                k,
+                imm,
+            } => {
+                let c = Value::Int(imm.into());
+                let v = binary(op, regs[lhs as usize], c)?;
+                regs[k as usize] = c;
+                regs[dst as usize] = v;
+            }
+            Op::CmpImm {
+                op,
+                dst,
+                lhs,
+                k,
+                imm,
+            } => {
+                let c = Value::Int(imm.into());
+                let met = compare(op, regs[lhs as usize], c)?;
+                regs[k as usize] = c;
+                regs[dst as usize] = Value::Int(met as i64);
             }
             Op::LoadGlobal { dst, obj } => regs[dst as usize] = *self.tag_cell(ObjId(obj))?,
             Op::StoreGlobal { src, obj } => *self.tag_cell(ObjId(obj))? = regs[src as usize],
@@ -658,28 +714,23 @@ impl Vm {
                 let p = expect_ptr(regs[addr as usize])?;
                 regs[dst as usize] = self.read_cell(p)?;
             }
+            Op::PtrAddLoad {
+                dst,
+                ptr,
+                base,
+                offset,
+            } => {
+                let p = ptr_add(regs[base as usize], regs[offset as usize])?;
+                regs[ptr as usize] = Value::Ptr(p);
+                regs[dst as usize] = self.read_cell(p)?;
+            }
             Op::Store { src, addr } => {
                 let p = expect_ptr(regs[addr as usize])?;
                 self.write_cell(p, regs[src as usize])?;
             }
             Op::PtrAdd { dst, base, offset } => {
-                let p = expect_ptr(regs[base as usize])?;
-                let off = match regs[offset as usize] {
-                    Value::Int(off) => off,
-                    other => {
-                        return Err(VmError::TypeError(format!(
-                            "ptradd offset must be int, got {}",
-                            other.kind_name()
-                        ))
-                        .into())
-                    }
-                };
-                // Wrapping, like the integer ops: an out-of-range offset
-                // is caught when the pointer is dereferenced.
-                regs[dst as usize] = Value::Ptr(Ptr {
-                    off: p.off.wrapping_add(off),
-                    ..p
-                });
+                regs[dst as usize] =
+                    Value::Ptr(ptr_add(regs[base as usize], regs[offset as usize])?);
             }
             Op::Alloc { dst, size } => {
                 let n = regs[size as usize].as_int().ok_or_else(|| {
@@ -701,6 +752,8 @@ impl Vm {
             | Op::Goto { .. }
             | Op::Branch { .. }
             | Op::If { .. }
+            | Op::CmpIf { .. }
+            | Op::CmpImmIf { .. }
             | Op::Ret { .. }
             | Op::Trap { .. } => unreachable!("segment enders are dispatched by `exec`"),
         }
@@ -756,6 +809,12 @@ impl Vm {
     }
 }
 
+/// Where a fused compare closing segment `seg` branches.
+#[inline(always)]
+fn fused_target(seg: usize, taken: bool, then_rel: i16, else_rel: i16) -> usize {
+    seg.wrapping_add_signed(if taken { then_rel } else { else_rel }.into())
+}
+
 /// A branch condition.
 #[inline]
 fn truth(v: Value) -> Exec<bool> {
@@ -789,6 +848,24 @@ fn expect_ptr(v: Value) -> Exec<Ptr> {
     }
 }
 
+/// `ptradd base, offset`. Wrapping, like the integer ops: an
+/// out-of-range offset is caught when the pointer is dereferenced.
+#[inline(always)]
+fn ptr_add(base: Value, offset: Value) -> Exec<Ptr> {
+    let p = expect_ptr(base)?;
+    match offset {
+        Value::Int(off) => Ok(Ptr {
+            off: p.off.wrapping_add(off),
+            ..p
+        }),
+        other => Err(VmError::TypeError(format!(
+            "ptradd offset must be int, got {}",
+            other.kind_name()
+        ))
+        .into()),
+    }
+}
+
 #[cold]
 fn type_err(op: &str, a: Value, b: Value) -> Stop {
     Stop::from(VmError::TypeError(format!(
@@ -815,6 +892,16 @@ fn eval_unary(op: UnaryOp, v: Value) -> Exec<Value> {
     })
 }
 
+/// A binary operator: two integers inline; anything else through the
+/// general evaluator, which also reports the type errors.
+#[inline(always)]
+fn binary(op: BinOp, a: Value, b: Value) -> Exec<Value> {
+    match (a, b) {
+        (Value::Int(x), Value::Int(y)) => Ok(Value::Int(int_binary(op, x, y)?)),
+        _ => eval_binary(op, a, b),
+    }
+}
+
 /// A binary operator on two integers.
 #[inline(always)]
 fn int_binary(op: BinOp, x: i64, y: i64) -> Exec<i64> {
@@ -834,8 +921,8 @@ fn int_binary(op: BinOp, x: i64, y: i64) -> Exec<i64> {
     })
 }
 
-/// A binary operator on any operands; the decoded op handles two
-/// integers inline and defers to this for the rest.
+/// A binary operator on any operands; [`binary`] handles two integers
+/// inline and defers to this for the rest.
 #[inline(never)]
 fn eval_binary(op: BinOp, a: Value, b: Value) -> Exec<Value> {
     use BinOp::*;
@@ -866,20 +953,30 @@ fn holds(op: CmpOp, ord: Ordering) -> bool {
     }
 }
 
+/// Whether comparison `op` holds for `a` and `b`: two integers inline,
+/// anything else through [`eval_cmp`].
+#[inline(always)]
+fn compare(op: CmpOp, a: Value, b: Value) -> Exec<bool> {
+    match (a, b) {
+        (Value::Int(x), Value::Int(y)) => Ok(holds(op, x.cmp(&y))),
+        _ => eval_cmp(op, a, b),
+    }
+}
+
 /// A comparison on any operands; see [`eval_binary`].
 #[inline(never)]
-fn eval_cmp(op: CmpOp, a: Value, b: Value) -> Exec<Value> {
+fn eval_cmp(op: CmpOp, a: Value, b: Value) -> Exec<bool> {
     // The null-pointer idiom: a pointer may be equality-compared with the
     // integer 0 (and is never equal to it).
     match (op, a, b) {
         (CmpOp::Eq, Value::Ptr(_), Value::Int(0))
         | (CmpOp::Eq, Value::Int(0), Value::Ptr(_))
         | (CmpOp::Eq, Value::Func(_), Value::Int(0))
-        | (CmpOp::Eq, Value::Int(0), Value::Func(_)) => return Ok(Value::Int(0)),
+        | (CmpOp::Eq, Value::Int(0), Value::Func(_)) => return Ok(false),
         (CmpOp::Ne, Value::Ptr(_), Value::Int(0))
         | (CmpOp::Ne, Value::Int(0), Value::Ptr(_))
         | (CmpOp::Ne, Value::Func(_), Value::Int(0))
-        | (CmpOp::Ne, Value::Int(0), Value::Func(_)) => return Ok(Value::Int(1)),
+        | (CmpOp::Ne, Value::Int(0), Value::Func(_)) => return Ok(true),
         _ => {}
     }
     let ord = match (a, b) {
@@ -891,5 +988,5 @@ fn eval_cmp(op: CmpOp, a: Value, b: Value) -> Exec<Value> {
         (Value::Func(f), Value::Func(g)) => f.0.cmp(&g.0),
         _ => return Err(type_err(op.mnemonic(), a, b)),
     };
-    Ok(Value::Int(holds(op, ord) as i64))
+    Ok(holds(op, ord))
 }

@@ -538,6 +538,143 @@ B0:
     assert_eq!(run_with_budget(src, 2), Err(VmError::StepLimit(2)));
     assert_eq!(run_with_budget(src, 3), Err(VmError::DivisionByZero));
     assert_eq!(run_with_budget(src, 100), Err(VmError::DivisionByZero));
+    // The same through a fused `iconst`+`div`: a budget that ends
+    // between the two runs out before the division.
+    let fused_div = r#"
+func @main(0) {
+B0:
+  r0 = iconst 1
+  r1 = iconst 0
+  r1 = div r0, r1
+  ret
+}
+"#;
+    assert_eq!(run_with_budget(fused_div, 2), Err(VmError::StepLimit(2)));
+    assert_eq!(run_with_budget(fused_div, 3), Err(VmError::DivisionByZero));
+    // A fused `ptradd`+`load` through a non-pointer faults in its first
+    // half, which a budget ending before the load still runs.
+    let fused_load = r#"
+tag "g:x" global size=1 addressed
+global "g:x" ints 0
+func @main(0) {
+B0:
+  r0 = iconst 1
+  r1 = iconst 0
+  r2 = ptradd r0, r1
+  r3 = load [r2] {"g:x"}
+  ret
+}
+"#;
+    let not_a_pointer = VmError::BadAddress("expected pointer, got int".into());
+    assert_eq!(run_with_budget(fused_load, 2), Err(VmError::StepLimit(2)));
+    assert_eq!(run_with_budget(fused_load, 3), Err(not_a_pointer.clone()));
+    assert_eq!(run_with_budget(fused_load, 4), Err(not_a_pointer));
+}
+
+/// Sums `g:a` in a loop whose header is `iconst; cmplt; branch` and
+/// whose body holds `ptradd; load` and `iconst; add`: every pair the
+/// decoder fuses.
+const FUSED_LOOP: &str = r#"
+tag "g:a" global size=4 addressed
+global "g:a" ints 1 2 3 4
+func @main(0) result {
+B0:
+  r0 = iconst 0
+  r1 = iconst 0
+  r2 = lea "g:a"
+  jump B1
+B1:
+  r3 = iconst 4
+  r3 = cmplt r0, r3
+  branch r3, B2, B3
+B2:
+  r4 = ptradd r2, r0
+  r5 = load [r4] {"g:a"}
+  r1 = add r1, r5
+  r6 = iconst 1
+  r0 = add r0, r6
+  jump B1
+B3:
+  ret r1
+}
+"#;
+
+#[test]
+fn step_limit_strikes_exactly_inside_fused_ops() {
+    let full = run_with_budget(FUSED_LOOP, u64::MAX).expect("run");
+    assert_eq!(full.exit_code, 10);
+    // 4 + 5 * (iconst, cmplt, branch) + 4 * (ptradd, load, add, iconst,
+    // add, jump) + ret
+    assert_eq!(full.counts.total, 44);
+    assert_eq!(full.counts.ptr_loads, 4);
+    assert_eq!(full.counts.control, 1 + 5 + 4 + 1);
+    assert_eq!(full.counts.arith, 3 + 5 * 2 + 4 * 4);
+    assert_eq!(run_with_budget(FUSED_LOOP, 44), Ok(full));
+    for budget in 0..44 {
+        assert_eq!(
+            run_with_budget(FUSED_LOOP, budget),
+            Err(VmError::StepLimit(budget)),
+            "budget {budget}"
+        );
+    }
+}
+
+#[test]
+fn a_fused_compare_keeps_the_unfused_type_error() {
+    // `r1 = iconst 2` right before the compare reading it fuses with it
+    // (and with the branch); two ops apart, it does not.
+    let fused_src = r#"
+func @main(0) result {
+B0:
+  r0 = fconst 1.5
+  r1 = iconst 2
+  r1 = cmplt r0, r1
+  branch r1, B1, B1
+B1:
+  ret r1
+}
+"#;
+    let fused = run_err(fused_src);
+    let unfused = run_err(
+        r#"
+func @main(0) result {
+B0:
+  r1 = iconst 2
+  r0 = fconst 1.5
+  r1 = cmplt r0, r1
+  branch r1, B1, B1
+B1:
+  ret r1
+}
+"#,
+    );
+    assert_eq!(fused, VmError::TypeError("cmplt on float and int".into()));
+    assert_eq!(fused, unfused);
+    // A budget that ends between the compare and the branch still runs
+    // the compare, and its error wins.
+    assert_eq!(run_with_budget(fused_src, 3), Err(fused));
+    assert_eq!(run_with_budget(fused_src, 2), Err(VmError::StepLimit(2)));
+}
+
+#[test]
+fn a_fused_ptradd_and_load_count_as_one_arith_and_one_pointer_load() {
+    let out = run(r#"
+tag "g:a" global size=2 addressed
+global "g:a" ints 5 7
+func @main(0) result {
+B0:
+  r0 = lea "g:a"
+  r1 = iconst 1
+  r2 = ptradd r0, r1
+  r3 = load [r2] {"g:a"}
+  ret r3
+}
+"#);
+    assert_eq!(out.exit_code, 7);
+    let c = out.counts;
+    // `lea`, `iconst` and `ret` around the pair.
+    assert_eq!((c.total, c.arith, c.control), (5, 2 + 1, 1));
+    assert_eq!((c.loads, c.ptr_loads, c.scalar_loads), (1, 1, 0));
 }
 
 #[test]
