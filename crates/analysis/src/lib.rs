@@ -100,33 +100,6 @@ impl fmt::Display for AnalysisLevel {
     }
 }
 
-/// Aggregate statistics about the precision achieved, for reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct TagSetStats {
-    /// Number of pointer-based memory operations.
-    pub pointer_ops: usize,
-    /// Pointer ops whose tag set is a singleton.
-    pub singleton_ops: usize,
-    /// Pointer ops still carrying the universal set.
-    pub all_ops: usize,
-    /// Sum of explicit tag-set sizes over pointer ops.
-    pub total_tags: usize,
-    /// Number of call sites with explicit MOD sets.
-    pub summarized_calls: usize,
-}
-
-impl TagSetStats {
-    /// Mean explicit tag-set size over pointer ops with explicit sets.
-    pub fn mean_tags(&self) -> f64 {
-        let explicit = self.pointer_ops - self.all_ops;
-        if explicit == 0 {
-            0.0
-        } else {
-            self.total_tags as f64 / explicit as f64
-        }
-    }
-}
-
 /// The result of running [`analyze`].
 #[derive(Debug, Clone)]
 pub struct AnalysisOutcome {
@@ -136,8 +109,6 @@ pub struct AnalysisOutcome {
     pub call_graph: CallGraph,
     /// Function MOD/REF summaries (empty sets at `AddressTaken` level).
     pub modref: ModRef,
-    /// Tag-set precision statistics.
-    pub stats: TagSetStats,
     /// Solver work done by the points-to fixpoint (zero for levels that
     /// run no points-to analysis).
     pub dataflow: cfg::DataflowStats,
@@ -225,48 +196,33 @@ pub fn analyze_traced(
         }
         AnalysisLevel::Steensgaard => steensgaard_analyze(module).install(module),
     };
-    let stats = collect_stats(module);
     AnalysisOutcome {
         level,
         call_graph: graph,
         modref,
-        stats,
         dataflow,
     }
-}
-
-fn collect_stats(module: &Module) -> TagSetStats {
-    let mut stats = TagSetStats::default();
-    for func in &module.funcs {
-        for block in &func.blocks {
-            for instr in &block.instrs {
-                match instr {
-                    Instr::Load { tags, .. } | Instr::Store { tags, .. } => {
-                        stats.pointer_ops += 1;
-                        match tags.len() {
-                            None => stats.all_ops += 1,
-                            Some(n) => {
-                                stats.total_tags += n;
-                                if n == 1 {
-                                    stats.singleton_ops += 1;
-                                }
-                            }
-                        }
-                    }
-                    Instr::Call { effects, .. } if !effects.mods.is_all() => {
-                        stats.summarized_calls += 1;
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
-    stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The tag-set sizes of the module's `load`/`store` instructions, one
+    /// per instruction; `None` is the universal set.
+    fn pointer_op_sets(module: &Module) -> Vec<Option<usize>> {
+        let instrs = module
+            .funcs
+            .iter()
+            .flat_map(|f| &f.blocks)
+            .flat_map(|b| &b.instrs);
+        instrs
+            .filter_map(|i| match i {
+                Instr::Load { tags, .. } | Instr::Store { tags, .. } => Some(tags.len()),
+                _ => None,
+            })
+            .collect()
+    }
 
     #[test]
     fn precision_is_monotone_across_levels() {
@@ -292,11 +248,12 @@ int main() {
             AnalysisLevel::PointsTo,
         ] {
             let mut m = minic::compile(src).unwrap();
-            let out = analyze(&mut m, level);
+            analyze(&mut m, level);
             ir::validate(&m).expect("still valid");
-            means.push(out.stats.mean_tags());
+            let explicit: Vec<usize> = pointer_op_sets(&m).into_iter().flatten().collect();
+            means.push(explicit.iter().sum::<usize>() as f64 / explicit.len().max(1) as f64);
         }
-        // Monotonically non-increasing mean tag-set size.
+        // Monotonically non-increasing mean explicit tag-set size.
         assert!(means[0] >= means[1], "{means:?}");
         assert!(means[1] >= means[2], "{means:?}");
     }
@@ -313,8 +270,10 @@ int main() {
 }
 "#;
         let mut m = minic::compile(src).unwrap();
-        let out = analyze(&mut m, AnalysisLevel::PointsTo);
-        assert_eq!(out.stats.singleton_ops, out.stats.pointer_ops);
+        analyze(&mut m, AnalysisLevel::PointsTo);
+        let sets = pointer_op_sets(&m);
+        assert!(!sets.is_empty());
+        assert!(sets.iter().all(|&n| n == Some(1)), "{sets:?}");
     }
 
     #[test]

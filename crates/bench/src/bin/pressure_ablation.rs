@@ -23,10 +23,9 @@ fn run(src: &str, k: usize, promote: bool, cap: Option<usize>) -> u64 {
         }))
         .promotion_cap(cap)
         .build()
-        .compile_and_run(src)
-        .unwrap_or_else(|e| panic!("K={k} cap={cap:?}: {e}"))
-        .outcome
-        .expect("outcome populated");
+        .compile(src)
+        .and_then(|c| c.run(VmOptions::default()))
+        .unwrap_or_else(|e| panic!("K={k} cap={cap:?}: {e}"));
     out.counts.memory_ops()
 }
 

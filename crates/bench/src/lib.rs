@@ -28,10 +28,9 @@ use driver::{measure_program, MeasurementRow};
 fn run_config(src: &str, builder: SessionBuilder, context: &str) -> Outcome {
     builder
         .build()
-        .compile_and_run(src)
+        .compile(src)
+        .and_then(|c| c.run(VmOptions::default()))
         .unwrap_or_else(|e| panic!("{context}: {e}"))
-        .outcome
-        .expect("outcome populated")
 }
 
 /// Runs the paper's 2×2 experiment over the whole suite (or a named

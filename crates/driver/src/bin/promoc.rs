@@ -14,7 +14,7 @@
 //!   --no-opt              disable the scalar optimizer
 //!   --no-regalloc         keep virtual registers
 //!   --regs K              machine registers (default 32)
-//!   --max-steps N         VM step budget
+//!   --max-steps N         VM step budget for `run`
 //!   --remarks             print optimization remarks to stderr
 //!   --trace-json PATH     write the structured trace as JSONL ("-" = stdout)
 //! ```
@@ -23,6 +23,7 @@ use analysis::AnalysisLevel;
 use driver::{measure_program, Compilation, Metric, Session};
 use regalloc::AllocOptions;
 use std::process::ExitCode;
+use vm::VmOptions;
 
 fn usage() -> ! {
     eprintln!("{}", HELP.trim());
@@ -46,7 +47,7 @@ flags:
   --no-opt          disable the scalar optimizer
   --no-regalloc     keep virtual registers
   --regs K          machine registers (default 32)
-  --max-steps N     VM step budget
+  --max-steps N     VM step budget for `run`
   --remarks         print optimization remarks (what was promoted where,
                     what was blocked and why, what spilled) to stderr
   --trace-json PATH write the structured trace as JSONL; "-" for stdout
@@ -54,12 +55,14 @@ flags:
 
 struct Options {
     builder: driver::SessionBuilder,
+    vm: VmOptions,
     remarks: bool,
     trace_json: Option<String>,
 }
 
 fn parse_flags(args: &[String]) -> Result<Options, String> {
     let mut builder = Session::builder();
+    let mut vm = VmOptions::default();
     let mut remarks = false;
     let mut trace_json: Option<String> = None;
     let mut i = 0;
@@ -95,12 +98,11 @@ fn parse_flags(args: &[String]) -> Result<Options, String> {
             }
             "--max-steps" => {
                 i += 1;
-                builder = builder.max_steps(
-                    args.get(i)
-                        .ok_or("--max-steps needs a value")?
-                        .parse()
-                        .map_err(|_| "--max-steps needs an integer")?,
-                );
+                vm.max_steps = args
+                    .get(i)
+                    .ok_or("--max-steps needs a value")?
+                    .parse()
+                    .map_err(|_| "--max-steps needs an integer")?;
             }
             "--remarks" => remarks = true,
             "--trace-json" => {
@@ -116,6 +118,7 @@ fn parse_flags(args: &[String]) -> Result<Options, String> {
     }
     Ok(Options {
         builder,
+        vm,
         remarks,
         trace_json,
     })
@@ -141,9 +144,11 @@ fn emit_trace(opts: &Options, c: &Compilation) -> Result<(), String> {
 fn cmd_run(path: &str, opts: Options) -> Result<(), String> {
     let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let session = opts.builder.clone().build();
-    let c = session.compile_and_run(&src).map_err(|e| e.to_string())?;
+    let c = session.compile(&src).map_err(|e| e.to_string())?;
+    // The trace goes out before the run, so a run that faults still
+    // reports what was promoted or blocked.
     emit_trace(&opts, &c)?;
-    let outcome = c.outcome.as_ref().expect("run populates the outcome");
+    let outcome = c.run(opts.vm).map_err(|e| e.to_string())?;
     for line in &outcome.output {
         println!("{line}");
     }

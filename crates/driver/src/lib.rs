@@ -3,14 +3,15 @@
 //!
 //! The highest-level entry point is [`Session`]: a configured compiler
 //! instance that owns its worker pool and hands back a [`Compilation`]
-//! per program — module, pass report, structured trace, and (optionally)
-//! the execution outcome in one artifact.
+//! per program — module, pass report and structured trace in one
+//! artifact, which [`Compilation::run`] then executes.
 //!
 //! ```
 //! use driver::Session;
+//! use vm::VmOptions;
 //!
 //! let session = Session::builder().trace(true).build();
-//! let c = session.compile_and_run(
+//! let c = session.compile(
 //!     r#"
 //!     int counter;
 //!     int main() {
@@ -21,7 +22,7 @@
 //!     }
 //!     "#,
 //! )?;
-//! let outcome = c.outcome.as_ref().unwrap();
+//! let outcome = c.run(VmOptions::default())?;
 //! assert_eq!(outcome.output, vec!["1000"]);
 //! // Promotion moved the counter into a register for the whole loop...
 //! assert!(outcome.counts.stores < 10);
@@ -56,7 +57,6 @@ pub use incremental::{IncrementalReport, DEFAULT_CACHE_BUDGET};
 pub use parallel::{resolve_threads, WorkerPool};
 pub use pipeline::{run_pipeline_in, PassTiming, PassTimings, PipelineConfig, PipelineReport};
 pub use report::{measure_program, render_figure, MeasurementRow, Metric};
-pub use scratch::PassScratch;
 pub use session::{Compilation, Session, SessionBuilder};
 
 /// The curated stable API surface, re-exported in one place.

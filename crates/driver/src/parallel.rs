@@ -154,7 +154,7 @@ impl WorkerPool {
     /// with their buffers warm, so the next build round allocates almost
     /// nothing. Hand them back with
     /// [`return_analyses`](Self::return_analyses) when the run is done.
-    pub fn take_analyses(&self, n: usize) -> Vec<cfg::FunctionAnalyses> {
+    pub(crate) fn take_analyses(&self, n: usize) -> Vec<cfg::FunctionAnalyses> {
         let mut out = Vec::with_capacity(n);
         {
             // A poisoned pool mutex only means a panicking thread held it;
@@ -174,7 +174,7 @@ impl WorkerPool {
     /// Returns analysis shells taken with
     /// [`take_analyses`](Self::take_analyses) to the pool for the next
     /// run. Shells beyond the pool's cap are dropped.
-    pub fn return_analyses(&self, mut shells: Vec<cfg::FunctionAnalyses>) {
+    pub(crate) fn return_analyses(&self, mut shells: Vec<cfg::FunctionAnalyses>) {
         let mut pool = self.analyses.lock().unwrap_or_else(|p| p.into_inner());
         pool.append(&mut shells);
         pool.truncate(MAX_POOLED_ANALYSES);
@@ -193,7 +193,7 @@ impl WorkerPool {
     /// thread holds at most one claim at a time, so by pigeonhole the
     /// `try_lock` scan always finds a free slot; the yield loop only
     /// spins in the transient window where another thread is mid-release.
-    pub fn with_scratch<R>(&self, f: impl FnOnce(&mut PassScratch) -> R) -> R {
+    pub(crate) fn with_scratch<R>(&self, f: impl FnOnce(&mut PassScratch) -> R) -> R {
         loop {
             for slot in &self.scratches {
                 match slot.try_lock() {

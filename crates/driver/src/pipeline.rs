@@ -145,8 +145,6 @@ impl PassTimings {
 /// What each pass did, for reports and ablations.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineReport {
-    /// Tag-set precision achieved by the analysis.
-    pub analysis_stats: Option<analysis::TagSetStats>,
     /// Opcode strengthenings applied.
     pub strengthened: usize,
     /// Promotion activity.
@@ -460,7 +458,6 @@ pub(crate) fn run_pipeline_core(
         )
     });
     let barrier_rows = rows.len();
-    report.analysis_stats = Some(outcome.stats);
     report.dataflow_stats.add(&outcome.dataflow);
     validate_if(module, v, "analysis");
     // The interprocedural barrier mutates instruction tag sets (no
@@ -647,7 +644,7 @@ pub(crate) fn run_pipeline_core(
 mod tests {
     use super::*;
     use crate::session::{Session, SessionBuilder};
-    use vm::Outcome;
+    use vm::{Outcome, VmOptions};
 
     const PROGRAM: &str = r#"
 int g;
@@ -666,11 +663,8 @@ int main() {
 "#;
 
     fn run(builder: SessionBuilder) -> (Outcome, PipelineReport) {
-        let c = builder
-            .build()
-            .compile_and_run(PROGRAM)
-            .expect("compile and run");
-        (c.outcome.expect("outcome populated"), c.report)
+        let c = builder.build().compile(PROGRAM).expect("compiles");
+        (c.run(VmOptions::default()).expect("runs"), c.report)
     }
 
     #[test]
@@ -705,7 +699,6 @@ int main() {
             .compile(PROGRAM)
             .expect("compiles")
             .report;
-        assert!(report.analysis_stats.is_some());
         assert!(report.alloc.is_some());
         assert!(report.promotion.scalar.promoted_tags >= 1);
         // Every executed pass left a timing row.

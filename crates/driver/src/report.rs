@@ -9,7 +9,7 @@
 use crate::error::Error;
 use crate::session::SessionBuilder;
 use analysis::AnalysisLevel;
-use vm::ExecCounts;
+use vm::{ExecCounts, VmOptions};
 
 /// Which dynamic count a figure reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,7 +116,7 @@ pub fn measure_program(name: &str, source: &str) -> Result<Vec<MeasurementRow>, 
     let mut reference_output: Option<Vec<String>> = None;
     for (label, builder) in SessionBuilder::figure_variants() {
         let session = builder.build();
-        let outcome = session.compile(source)?.run(session.vm_options().clone())?;
+        let outcome = session.compile(source)?.run(VmOptions::default())?;
         match &reference_output {
             None => reference_output = Some(outcome.output.clone()),
             Some(r) => assert_eq!(r, &outcome.output, "{name}: output diverged at {label}"),

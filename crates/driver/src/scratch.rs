@@ -11,11 +11,11 @@
 /// Scratch state for one worker: everything the fused per-function pass
 /// chain needs, reused across functions and across pipeline runs.
 #[derive(Default)]
-pub struct PassScratch {
+pub(crate) struct PassScratch {
     /// Scalar-optimizer scratch (lvn, constprop, loadelim, licm, dce,
     /// clean).
-    pub opt: opt::OptScratch,
+    pub(crate) opt: opt::OptScratch,
     /// Register-allocator scratch (interference matrices, round buffers,
     /// spill rewrite buffer).
-    pub alloc: regalloc::AllocScratch,
+    pub(crate) alloc: regalloc::AllocScratch,
 }

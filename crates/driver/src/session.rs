@@ -1,19 +1,21 @@
 //! The `Session` driver API: one owned object holding the pipeline
-//! configuration, the VM options, and the persistent worker pool, handing
-//! back a [`Compilation`] artifact per program.
+//! configuration and the persistent worker pool, handing back a
+//! [`Compilation`] artifact per program.
 //!
 //! A session is built once with [`Session::builder`], the only way to
 //! assemble a [`PipelineConfig`]; it amortizes its worker pool across
-//! every program it compiles, and returns module, report, trace, and run
-//! outcome as one value. Execution is part of the same surface —
-//! [`Compilation::run`] executes the compiled module in the instrumented
-//! VM and folds any fault into the unified [`Error`].
+//! every program it compiles, and returns module, report and trace as one
+//! value. Running the program is a separate step the caller takes on
+//! that value: [`Compilation::run`] executes the compiled module in the
+//! instrumented VM under the caller's [`VmOptions`] and folds any fault
+//! into the unified [`Error`].
 //!
 //! ```
 //! use driver::Session;
+//! use vm::VmOptions;
 //!
 //! let session = Session::builder().trace(true).build();
-//! let c = session.compile_and_run(
+//! let c = session.compile(
 //!     r#"
 //!     int counter;
 //!     int main() {
@@ -24,7 +26,7 @@
 //!     }
 //!     "#,
 //! )?;
-//! assert_eq!(c.outcome.as_ref().unwrap().output, vec!["100"]);
+//! assert_eq!(c.run(VmOptions::default())?.output, vec!["100"]);
 //! // The trace says *what* promotion did, structurally:
 //! assert!(c
 //!     .trace
@@ -44,8 +46,8 @@ use std::sync::Mutex;
 use trace::TraceLog;
 use vm::{Outcome, Profile, Vm, VmOptions};
 
-/// A configured compiler instance: pipeline configuration + VM options +
-/// a persistent [`WorkerPool`] reused across every compilation, plus a
+/// A configured compiler instance: pipeline configuration + a persistent
+/// [`WorkerPool`] reused across every compilation, plus a
 /// warm [`minic::Frontend`] whose interner, token buffer, and AST pools
 /// are recycled across every program the session compiles.
 ///
@@ -53,7 +55,6 @@ use vm::{Outcome, Profile, Vm, VmOptions};
 /// the paper's default arm).
 pub struct Session {
     config: PipelineConfig,
-    vm: VmOptions,
     pool: WorkerPool,
     /// Warm front-end buffers; behind a mutex because compilation entry
     /// points take `&self`.
@@ -69,7 +70,6 @@ impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
             .field("config", &self.config)
-            .field("vm", &self.vm)
             .finish_non_exhaustive()
     }
 }
@@ -89,11 +89,6 @@ impl Session {
     /// The pipeline configuration this session runs.
     pub fn config(&self) -> &PipelineConfig {
         &self.config
-    }
-
-    /// The VM options [`compile_and_run`](Self::compile_and_run) uses.
-    pub fn vm_options(&self) -> &VmOptions {
-        &self.vm
     }
 
     /// Runs the pipeline over an already-built module in place, returning
@@ -180,22 +175,7 @@ impl Session {
             module,
             report,
             trace,
-            outcome: None,
         })
-    }
-
-    /// Compiles and executes; the compilation comes back with
-    /// [`Compilation::outcome`] populated.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`compile`](Self::compile) returns, plus [`Error::Vm`]
-    /// if execution faults.
-    pub fn compile_and_run(&self, src: &str) -> Result<Compilation, Error> {
-        let mut compilation = self.compile(src)?;
-        let outcome = compilation.run(self.vm.clone())?;
-        compilation.outcome = Some(outcome);
-        Ok(compilation)
     }
 }
 
@@ -226,7 +206,7 @@ fn registers_needed(func: &ir::Function, limit: usize) -> usize {
 
 /// Fluent builder for [`Session`], starting from the paper's default arm:
 /// MOD/REF analysis, scalar promotion, the optimizer, and a 32-register
-/// allocator. `max_steps` configures the VM.
+/// allocator.
 ///
 /// ```
 /// use analysis::AnalysisLevel;
@@ -238,13 +218,12 @@ fn registers_needed(func: &ir::Function, limit: usize) -> usize {
 ///     .trace(true)
 ///     .build();
 /// let c = session.compile("int main() { print_int(1); return 0; }")?;
-/// assert!(c.report.analysis_stats.is_some());
+/// assert!(c.report.alloc.is_some());
 /// # Ok::<(), driver::Error>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct SessionBuilder {
     config: PipelineConfig,
-    vm: VmOptions,
     incremental: bool,
     cache_budget: usize,
 }
@@ -253,7 +232,6 @@ impl Default for SessionBuilder {
     fn default() -> Self {
         SessionBuilder {
             config: PipelineConfig::default(),
-            vm: VmOptions::default(),
             incremental: false,
             cache_budget: DEFAULT_CACHE_BUDGET,
         }
@@ -352,19 +330,12 @@ impl SessionBuilder {
         self
     }
 
-    /// Sets the VM's execution step budget.
-    pub fn max_steps(mut self, steps: u64) -> Self {
-        self.vm.max_steps = steps;
-        self
-    }
-
     /// Builds the session, spawning its worker pool (sized from the
     /// thread count).
     pub fn build(self) -> Session {
         Session {
             pool: WorkerPool::new(resolve_threads(self.config.threads)),
             config: self.config,
-            vm: self.vm,
             frontend: Mutex::new(minic::Frontend::new()),
             cache: self
                 .incremental
@@ -383,9 +354,6 @@ pub struct Compilation {
     /// The structured trace — empty unless the session was built with
     /// `.trace(true)`.
     pub trace: TraceLog,
-    /// The execution outcome; `Some` only from
-    /// [`Session::compile_and_run`].
-    pub outcome: Option<Outcome>,
 }
 
 impl Compilation {
@@ -404,9 +372,7 @@ impl Compilation {
     /// # Ok::<(), driver::Error>(())
     /// ```
     ///
-    /// Unlike [`Session::compile_and_run`] this does not cache the outcome
-    /// in [`Compilation::outcome`]; it can be called repeatedly (e.g. with
-    /// different step budgets).
+    /// It can be called repeatedly, e.g. with different step budgets.
     ///
     /// # Errors
     ///

@@ -29,6 +29,7 @@
 use cfg::{Cfg, DataflowStats, FunctionAnalyses, LiveSummaries, Liveness, RegSet};
 use ir::{BinOp, BlockId, Function, FunctionBuilder, Instr, Reg, TagId, TagKind, TagTable};
 use opt::Lat;
+use vm::VmOptions;
 
 /// Deterministic xorshift64* PRNG.
 struct Rng(u64);
@@ -832,9 +833,9 @@ int main() {
         let c = builder
             .threads(Some(1))
             .build()
-            .compile_and_run(src)
-            .expect("pipeline runs");
-        (c.outcome.expect("outcome populated"), c.report)
+            .compile(src)
+            .expect("compiles");
+        (c.run(VmOptions::default()).expect("runs"), c.report)
     };
     let (out, report) = run(driver::Session::builder());
     let (reference, _) = run(driver::Session::builder()

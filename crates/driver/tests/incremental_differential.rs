@@ -6,6 +6,7 @@
 //! reaches.
 
 use driver::Session;
+use vm::VmOptions;
 
 /// A four-knob program: each knob perturbs exactly one function's body.
 fn program(v: &[u64; 4]) -> String {
@@ -90,8 +91,8 @@ fn warm_compiles_are_byte_identical_to_cold_across_edits() {
                 knobs[k] = 1 + next(&mut seed) % 7;
             }
             let src = program(&knobs);
-            let w = warm.compile_and_run(&src).expect("warm compile");
-            let c = cold.compile_and_run(&src).expect("cold compile");
+            let w = warm.compile(&src).expect("warm compile");
+            let c = cold.compile(&src).expect("cold compile");
             let label = format!("threads={threads} step={step} knobs={knobs:?}");
             assert_eq!(
                 w.module.to_string(),
@@ -109,8 +110,8 @@ fn warm_compiles_are_byte_identical_to_cold_across_edits() {
                 "trace JSONL differs: {label}"
             );
             assert_eq!(
-                w.outcome.as_ref().unwrap().output,
-                c.outcome.as_ref().unwrap().output,
+                w.run(VmOptions::default()).expect("warm run").output,
+                c.run(VmOptions::default()).expect("cold run").output,
                 "run output differs: {label}"
             );
             // The replayed counters must match too — the warm report is
@@ -251,13 +252,13 @@ fn tiny_cache_budget_still_compiles_correctly() {
         .cache_budget(1)
         .build();
     let src = program(&[3, 1, 10, 5]);
-    let first = warm.compile_and_run(&src).expect("first compile");
+    let first = warm.compile(&src).expect("first compile");
     let i1 = first.report.incremental.as_ref().unwrap();
     assert!(i1.evictions > 0, "budget of 1 byte must evict: {i1:?}");
     assert!(i1.cache_bytes <= 1);
     // Everything was evicted, so the second compile misses across the
     // board — and still produces the right program.
-    let second = warm.compile_and_run(&src).expect("second compile");
+    let second = warm.compile(&src).expect("second compile");
     let i2 = second.report.incremental.as_ref().unwrap();
     assert_eq!(i2.cache_hits, 0, "{i2:?}");
     assert_eq!(
@@ -266,8 +267,8 @@ fn tiny_cache_budget_still_compiles_correctly() {
         "eviction must not change output"
     );
     assert_eq!(
-        first.outcome.as_ref().unwrap().output,
-        second.outcome.as_ref().unwrap().output
+        first.run(VmOptions::default()).expect("first run").output,
+        second.run(VmOptions::default()).expect("second run").output
     );
 }
 

@@ -129,6 +129,27 @@ fn trace_json_on_stdout_is_the_sessions_trace() {
 }
 
 #[test]
+fn a_run_past_its_step_budget_still_prints_its_remarks() {
+    let run = promoc("steps", LOOP, "run", &["--remarks", "--max-steps", "10"]);
+    assert_eq!(run.code, Some(1), "stderr: {}", run.stderr);
+    assert_eq!(run.stdout, "");
+    let (remarks, last) = run
+        .stderr
+        .trim_end()
+        .rsplit_once('\n')
+        .unwrap_or_else(|| panic!("no remarks before the fault: {}", run.stderr));
+    assert!(
+        remarks.contains("remark: @main: promote: 'g:g' promoted in loop"),
+        "{remarks}"
+    );
+    assert!(
+        remarks.lines().all(|l| l.starts_with("remark: ")),
+        "{remarks}"
+    );
+    assert_eq!(last, "promoc: vm fault: step limit of 10 exceeded");
+}
+
+#[test]
 fn an_unknown_flag_is_named() {
     let run = promoc("flag", LOOP, "run", &["--bogus"]);
     assert_ne!(run.code, Some(0));

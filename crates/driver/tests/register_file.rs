@@ -6,6 +6,7 @@
 
 use driver::{Error, Session};
 use regalloc::AllocOptions;
+use vm::VmOptions;
 
 const LOOPED: &str = "int g;
 int main() { int i; for (i = 0; i < 9; i++) g = g + i; print_int(g); return 0; }";
@@ -31,7 +32,7 @@ fn too_few(num_regs: usize, needed: usize, func: Option<&str>) -> Error {
 #[test]
 fn fewer_than_two_registers_is_an_error() {
     for num_regs in [0, 1] {
-        let err = with_regs(num_regs).compile_and_run(LOOPED).unwrap_err();
+        let err = with_regs(num_regs).compile(LOOPED).unwrap_err();
         assert_eq!(err, too_few(num_regs, 2, None));
         assert!(err.to_string().contains("at least 2 registers"), "{err}");
     }
@@ -53,8 +54,6 @@ int main() { op = add; print_int(op(1, 2)); return 0; }";
     let err = session.optimize(&mut module).unwrap_err();
     assert_eq!(err, too_few(2, 3, Some("main")));
     // The same session still compiles what fits.
-    let c = session
-        .compile_and_run(LOOPED)
-        .expect("two registers suffice");
-    assert_eq!(c.outcome.expect("ran").output, vec!["36"]);
+    let c = session.compile(LOOPED).expect("two registers suffice");
+    assert_eq!(c.run(VmOptions::default()).expect("ran").output, vec!["36"]);
 }

@@ -1,7 +1,7 @@
 //! Differential test of scratch-arena reuse against compilation on a
 //! clean arena, on randomized modules.
 //!
-//! The zero-allocation hot loop threads per-worker [`driver::PassScratch`]
+//! The zero-allocation hot loop threads per-worker `PassScratch`
 //! arenas and pool-recycled analysis shells through every pass. Two bug
 //! classes hide in that kind of reuse. *Leakage*: a pass reads state left
 //! behind by the previous function (a dense table whose generation stamp

@@ -835,14 +835,15 @@ mod tests {
 
     #[test]
     fn mutants_still_compile_and_terminate() {
-        use driver::Session;
+        use driver::prelude::{Session, VmOptions};
         let session = Session::builder().threads(Some(1)).build();
         for seed in 0..10u64 {
             let mut p = generate(seed);
             for e in 0..3u64 {
                 p = mutate(&p, seed.wrapping_add(e));
                 session
-                    .compile_and_run(&p.render())
+                    .compile(&p.render())
+                    .and_then(|c| c.run(VmOptions::default()))
                     .unwrap_or_else(|err| panic!("seed {seed} edit {e}: {err}"));
             }
         }

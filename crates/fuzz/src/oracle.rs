@@ -172,6 +172,16 @@ impl Default for OracleOptions {
     }
 }
 
+impl OracleOptions {
+    /// The VM options every execution runs under: this step budget.
+    fn vm(&self) -> VmOptions {
+        VmOptions {
+            max_steps: self.max_steps,
+            ..VmOptions::default()
+        }
+    }
+}
+
 struct ConfiguredArm {
     arm: Arm,
     session: Session,
@@ -189,8 +199,7 @@ pub struct Oracle {
 impl Oracle {
     /// Builds every arm's session up front.
     pub fn new(options: OracleOptions) -> Oracle {
-        let steps = options.max_steps;
-        let single = |b: SessionBuilder| b.threads(Some(1)).max_steps(steps).build();
+        let single = |b: SessionBuilder| b.threads(Some(1)).build();
         let reference = single(
             Session::builder()
                 .optimize(false)
@@ -238,11 +247,11 @@ impl Oracle {
         let workers = vec![
             ConfiguredArm {
                 arm: Arm::Workers2,
-                session: Session::builder().threads(Some(2)).max_steps(steps).build(),
+                session: Session::builder().threads(Some(2)).build(),
             },
             ConfiguredArm {
                 arm: Arm::Workers8,
-                session: Session::builder().threads(Some(8)).max_steps(steps).build(),
+                session: Session::builder().threads(Some(8)).build(),
             },
         ];
         Oracle {
@@ -251,11 +260,6 @@ impl Oracle {
             workers,
             options,
         }
-    }
-
-    /// VM options every arm executes under.
-    fn vm(&self) -> VmOptions {
-        self.reference.vm_options().clone()
     }
 
     /// Runs the full matrix over one program.
@@ -273,7 +277,7 @@ impl Oracle {
         };
         // …and execute. A reference fault means the program is not a
         // usable witness (a reducer candidate broke an invariant).
-        let reference = match ref_comp.run(self.vm()) {
+        let reference = match ref_comp.run(self.options.vm()) {
             Ok(o) => o,
             Err(e) => return Verdict::Skip(format!("reference arm fault: {e}")),
         };
@@ -296,7 +300,7 @@ impl Oracle {
             if ca.arm == Arm::Default && self.options.sabotage {
                 sabotage_first_iconst(&mut comp.module);
             }
-            let out = match comp.run(self.vm()) {
+            let out = match comp.run(self.options.vm()) {
                 Ok(o) => o,
                 Err(e) => {
                     return Verdict::Fail(Failure {
@@ -356,7 +360,7 @@ impl Oracle {
                     detail: "optimized IL differs from the single-threaded arm".into(),
                 });
             }
-            let out = match comp.run(self.vm()) {
+            let out = match comp.run(self.options.vm()) {
                 Ok(o) => o,
                 Err(e) => {
                     return Verdict::Fail(Failure {
@@ -395,7 +399,7 @@ impl Oracle {
 /// cache budget is small enough that checks also run after evictions.
 pub struct EditOracle {
     warm: Session,
-    max_steps: u64,
+    vm: VmOptions,
     /// Functions the warm session spliced from its cache, over every
     /// check so far.
     pub cache_hits: u64,
@@ -413,9 +417,8 @@ impl EditOracle {
                 .trace(true)
                 .incremental(true)
                 .cache_budget(EDIT_CACHE_BUDGET)
-                .max_steps(options.max_steps)
                 .build(),
-            max_steps: options.max_steps,
+            vm: options.vm(),
             cache_hits: 0,
             evictions: 0,
         }
@@ -431,11 +434,7 @@ impl EditOracle {
                 detail,
             })
         };
-        let cold = Session::builder()
-            .threads(Some(1))
-            .trace(true)
-            .max_steps(self.max_steps)
-            .build();
+        let cold = Session::builder().threads(Some(1)).trace(true).build();
         let warm = match self.warm.compile(src) {
             Ok(c) => c,
             Err(e) => {
@@ -476,15 +475,11 @@ impl EditOracle {
                 "trace JSONL differs from a cold compile".into(),
             );
         }
-        let vm = VmOptions {
-            max_steps: self.max_steps,
-            ..VmOptions::default()
-        };
-        let wout = match warm.run(vm.clone()) {
+        let wout = match warm.run(self.vm.clone()) {
             Ok(o) => o,
             Err(e) => return Verdict::Skip(format!("warm arm fault: {e}")),
         };
-        let cout = match cold.run(vm) {
+        let cout = match cold.run(self.vm.clone()) {
             Ok(o) => o,
             Err(e) => {
                 return fail(

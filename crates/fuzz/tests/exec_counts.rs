@@ -17,7 +17,7 @@ const SEEDS: u64 = 400;
 const MAX_STEPS: u64 = 200_000;
 
 fn arms() -> Vec<(&'static str, Session)> {
-    let one = |b: SessionBuilder| b.threads(Some(1)).max_steps(MAX_STEPS).build();
+    let one = |b: SessionBuilder| b.threads(Some(1)).build();
     vec![
         (
             "reference",
@@ -54,13 +54,17 @@ fn generated_counts_match_the_golden_table() {
         let name = path.file_stem().unwrap().to_string_lossy().into_owned();
         programs.push((name, std::fs::read_to_string(&path).expect("readable")));
     }
+    let vm = VmOptions {
+        max_steps: MAX_STEPS,
+        ..VmOptions::default()
+    };
     let mut actual = String::new();
     for (arm, session) in arms() {
         for (name, src) in &programs {
             let compiled = session
                 .compile(src)
                 .unwrap_or_else(|e| panic!("{name} [{arm}]: {e}"));
-            match compiled.run(session.vm_options().clone()) {
+            match compiled.run(vm.clone()) {
                 Ok(out) => writeln!(actual, "{name} {arm} {out}"),
                 Err(e) => writeln!(actual, "{name} {arm} error={e}"),
             }

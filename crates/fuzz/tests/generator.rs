@@ -16,10 +16,10 @@ fn every_seed_compiles_and_runs_cleanly() {
     let session = Session::builder().threads(Some(1)).build();
     for seed in 0..SWEEP {
         let source = generate(seed).render();
-        let compiled = session
-            .compile_and_run(&source)
+        let outcome = session
+            .compile(&source)
+            .and_then(|c| c.run(VmOptions::default()))
             .unwrap_or_else(|e| panic!("seed {seed:#x}: {e}\n{source}"));
-        let outcome = compiled.outcome.expect("outcome populated");
         assert_eq!(
             outcome.exit_code, 0,
             "seed {seed:#x}: main must return 0\n{source}"

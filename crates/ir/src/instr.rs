@@ -595,28 +595,6 @@ impl Instr {
         }
     }
 
-    /// The tag set this instruction may *reference* (read), if it is a
-    /// memory read or a call.
-    pub fn ref_tags(&self) -> Option<TagSet> {
-        match self {
-            Instr::CLoad { tag, .. } | Instr::SLoad { tag, .. } => Some(TagSet::single(*tag)),
-            Instr::Load { tags, .. } => Some(tags.clone()),
-            Instr::Call { effects, .. } => Some(effects.refs.clone()),
-            _ => None,
-        }
-    }
-
-    /// The tag set this instruction may *modify* (write), if it is a memory
-    /// write or a call.
-    pub fn mod_tags(&self) -> Option<TagSet> {
-        match self {
-            Instr::SStore { tag, .. } => Some(TagSet::single(*tag)),
-            Instr::Store { tags, .. } => Some(tags.clone()),
-            Instr::Call { effects, .. } => Some(effects.mods.clone()),
-            _ => None,
-        }
-    }
-
     /// True if the instruction has side effects beyond defining its result
     /// (stores, calls, allocation, control flow).
     pub fn has_side_effects(&self) -> bool {
@@ -752,33 +730,6 @@ mod tests {
         assert_eq!(CmpOp::Lt.swapped(), CmpOp::Gt);
         assert_eq!(CmpOp::Lt.negated(), CmpOp::Ge);
         assert_eq!(CmpOp::Eq.swapped(), CmpOp::Eq);
-    }
-
-    #[test]
-    fn ref_and_mod_tags() {
-        let t = TagId(7);
-        let ld = Instr::SLoad {
-            dst: Reg(0),
-            tag: t,
-        };
-        assert_eq!(ld.ref_tags(), Some(TagSet::single(t)));
-        assert_eq!(ld.mod_tags(), None);
-        let st = Instr::SStore {
-            src: Reg(0),
-            tag: t,
-        };
-        assert_eq!(st.mod_tags(), Some(TagSet::single(t)));
-        let call = Instr::Call {
-            dst: None,
-            callee: Callee::Intrinsic(Intrinsic::PrintInt),
-            args: vec![Reg(0)],
-            effects: Box::new(CallEffects {
-                mods: TagSet::empty(),
-                refs: TagSet::All,
-            }),
-        };
-        assert_eq!(call.mod_tags(), Some(TagSet::empty()));
-        assert_eq!(call.ref_tags(), Some(TagSet::All));
     }
 
     #[test]

@@ -59,8 +59,9 @@ fn constant_def(instr: &Instr) -> bool {
     matches!(instr, Instr::IConst { .. } | Instr::FConst { .. })
 }
 
-/// True for instructions that may be executed speculatively.
-fn is_speculable(instr: &Instr, func: &Function) -> bool {
+/// True for instructions that may be executed speculatively. `const_of`
+/// holds the function's single-definition constants.
+fn is_speculable(instr: &Instr, const_of: &DenseMap<ConstVal>) -> bool {
     match instr {
         Instr::FuncAddr { .. }
         | Instr::Copy { .. }
@@ -74,10 +75,7 @@ fn is_speculable(instr: &Instr, func: &Function) -> bool {
             ..
         } => {
             // Only speculate division by a nonzero constant.
-            func.blocks
-                .iter()
-                .flat_map(|b| &b.instrs)
-                .any(|i| matches!(i, Instr::IConst { dst, value } if dst == rhs && *value != 0))
+            matches!(const_of.get(rhs.0), Some(ConstVal::Int(v)) if v != 0)
         }
         Instr::Binary { .. } => true,
         _ => false,
@@ -89,8 +87,15 @@ fn loop_mods(func: &Function, forest: &LoopForest, li: usize) -> TagSet {
     let mut mods = TagSet::empty();
     for &b in &forest.loops[li].blocks {
         for instr in &func.blocks[b.index()].instrs {
-            if let Some(m) = instr.mod_tags() {
-                mods.union_with(&m);
+            match instr {
+                Instr::SStore { tag, .. } => mods.insert(*tag),
+                Instr::Store { tags, .. } => {
+                    mods.union_with(tags);
+                }
+                Instr::Call { effects, .. } => {
+                    mods.union_with(&effects.mods);
+                }
+                _ => {}
             }
         }
     }
@@ -201,7 +206,7 @@ pub fn licm_function_in(
                             Instr::SLoad { tag, .. } | Instr::CLoad { tag, .. } => {
                                 !mods.contains(*tag)
                             }
-                            other => is_speculable(other, func),
+                            other => is_speculable(other, const_of),
                         };
                         let single_def = instr
                             .def()

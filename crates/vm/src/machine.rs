@@ -32,6 +32,14 @@ use std::fmt;
 /// a runaway program's heap under 25 MiB.
 pub const MAX_HEAP_CELLS: u64 = 1 << 20;
 
+/// The most lines one run may print: every `print_int`/`print_float` line
+/// is held in [`Outcome::output`] until the run returns. 2^24 lines is 4.7
+/// times the largest output the programs here print (an edit-campaign
+/// mutant prints 3,596,272 lines; the first 1,000 CI fuzz-campaign
+/// programs print at most 996,182, the benchmark suite 5), and at about
+/// 55 bytes a short line it keeps a runaway program's output under 1 GiB.
+pub const MAX_OUTPUT_LINES: u64 = 1 << 24;
+
 /// Execution limits and switches.
 #[derive(Debug, Clone)]
 pub struct VmOptions {
@@ -73,7 +81,8 @@ pub enum VmError {
     /// `main` is missing or a function fell off its end.
     Malformed(String),
     /// A `malloc` the VM cannot hold: it would take the run's heap past
-    /// [`MAX_HEAP_CELLS`], or its cells' storage cannot be reserved.
+    /// [`MAX_HEAP_CELLS`], or its cells' storage cannot be reserved. Or a
+    /// print that would take the run's output past [`MAX_OUTPUT_LINES`].
     OutOfMemory(String),
 }
 
@@ -393,6 +402,19 @@ impl Vm {
         data.resize(cells as usize, Value::Uninit);
         self.heap_cells += cells;
         Ok(r)
+    }
+
+    /// Appends a printed line: refused when it would take the output past
+    /// [`MAX_OUTPUT_LINES`].
+    fn print(&mut self, line: String) -> Exec<()> {
+        if self.output.len() as u64 >= MAX_OUTPUT_LINES {
+            return Err(VmError::OutOfMemory(format!(
+                "printing past the {MAX_OUTPUT_LINES}-line output bound"
+            ))
+            .into());
+        }
+        self.output.push(line);
+        Ok(())
     }
 
     fn free_object(&mut self, r: ObjRef) {
@@ -791,11 +813,11 @@ impl Vm {
         };
         Ok(match intr {
             Intrinsic::PrintInt => {
-                self.output.push(int(arg(0))?.to_string());
+                self.print(int(arg(0))?.to_string())?;
                 None
             }
             Intrinsic::PrintFloat => {
-                self.output.push(format!("{:.6}", float(arg(0))?));
+                self.print(format!("{:.6}", float(arg(0))?))?;
                 None
             }
             Intrinsic::Sqrt => Some(Value::Float(float(arg(0))?.sqrt())),

@@ -1,8 +1,9 @@
 //! The VM's resource limits fault instead of aborting: a `malloc` it
-//! cannot hold is a [`VmError::OutOfMemory`], and pointer arithmetic
-//! wraps like integer arithmetic, so debug and release builds agree.
+//! cannot hold, or a print past the output bound, is a
+//! [`VmError::OutOfMemory`], and pointer arithmetic wraps like integer
+//! arithmetic, so debug and release builds agree.
 
-use vm::{Value, Vm, VmError, VmOptions, MAX_HEAP_CELLS};
+use vm::{Value, Vm, VmError, VmOptions, MAX_HEAP_CELLS, MAX_OUTPUT_LINES};
 
 fn run(src: &str) -> Result<vm::Outcome, VmError> {
     let m = ir::parse_module(src).expect("parse");
@@ -60,6 +61,30 @@ fn the_heap_bound_counts_every_live_malloc() {
     }
     // A zero-cell malloc is always fine, even at the bound.
     run(&mallocs(&[bound, 0])).expect("zero cells fit");
+}
+
+/// `main` prints `0` on `lines` lines.
+fn prints(lines: u64) -> String {
+    format!(
+        "func @main(0) {{\nB0:\n  r0 = iconst {lines}\n  r1 = iconst 1\n  r2 = iconst 0\n  \
+         jump B1\nB1:\n  call $print_int(r2) mods{{}} refs{{}}\n  r0 = sub r0, r1\n  \
+         branch r0, B1, B2\nB2:\n  ret\n}}\n"
+    )
+}
+
+#[test]
+fn the_output_bound_counts_every_printed_line() {
+    // Exactly the bound fits...
+    let out = run(&prints(MAX_OUTPUT_LINES)).expect("fits");
+    assert_eq!(out.output.len() as u64, MAX_OUTPUT_LINES);
+    // Free the first run's 0.9 GiB of lines before the second run.
+    drop(out);
+    // ...and one line more does not.
+    let e = run(&prints(MAX_OUTPUT_LINES + 1)).expect_err("over the bound");
+    assert!(
+        matches!(&e, VmError::OutOfMemory(m) if m.contains(&MAX_OUTPUT_LINES.to_string())),
+        "{e}"
+    );
 }
 
 #[test]

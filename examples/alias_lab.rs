@@ -37,8 +37,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for level in AnalysisLevel::ALL {
         let builder = Session::builder().analysis(level).promote(true);
-        let c = builder.build().compile_and_run(PROGRAM)?;
-        let (outcome, report) = (c.outcome.expect("outcome populated"), c.report);
+        let c = builder.build().compile(PROGRAM)?;
+        let (outcome, report) = (c.run(VmOptions::default())?, c.report);
         let note = match level {
             AnalysisLevel::AddressTaken => "p may touch anything addressed: hot stays ambiguous",
             AnalysisLevel::ModRef => "address-taken set = {hot, cold}: still ambiguous",

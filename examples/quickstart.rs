@@ -28,8 +28,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let builder = Session::builder()
             .analysis(AnalysisLevel::ModRef)
             .promote(promote);
-        let c = builder.build().compile_and_run(PROGRAM)?;
-        let (outcome, report) = (c.outcome.expect("outcome populated"), c.report);
+        let c = builder.build().compile(PROGRAM)?;
+        let (outcome, report) = (c.run(VmOptions::default())?, c.report);
         println!(
             "promotion {:<3}  output={:?}  total={:>7}  loads={:>7}  stores={:>7}",
             if promote { "on" } else { "off" },

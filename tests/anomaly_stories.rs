@@ -18,10 +18,9 @@ fn run_pair(src: &str, k: Option<usize>) -> (vm::ExecCounts, vm::ExecCounts) {
         }
         let out = builder
             .build()
-            .compile_and_run(src)
-            .expect("run")
-            .outcome
-            .expect("outcome populated");
+            .compile(src)
+            .and_then(|c| c.run(VmOptions::default()))
+            .expect("run");
         match &output {
             None => output = Some(out.output.clone()),
             Some(r) => assert_eq!(r, &out.output),

@@ -59,7 +59,7 @@ fn suite_counts_match_the_golden_table() {
         for b in benchsuite::SUITE {
             let (out, profile) = session
                 .compile(b.source)
-                .and_then(|c| c.run_profiled(session.vm_options().clone()))
+                .and_then(|c| c.run_profiled(VmOptions::default()))
                 .unwrap_or_else(|e| panic!("{} [{arm}]: {e}", b.name));
             assert_eq!(profile.total(), out.counts, "{} [{arm}]", b.name);
             writeln!(actual, "{} {arm} {out}", b.name).unwrap();
@@ -80,7 +80,7 @@ fn promotion_removes_the_loop_bodys_memory_traffic() {
     let body = |builder: SessionBuilder| {
         let session = builder.threads(Some(1)).build();
         let c = session.compile(SRC).expect("compiles");
-        let (out, profile) = c.run_profiled(session.vm_options().clone()).expect("runs");
+        let (out, profile) = c.run_profiled(VmOptions::default()).expect("runs");
         assert_eq!(out.output, ["4950"]);
         let main = profile.func(c.module.lookup_func("main").expect("main"));
         // The body is the first of the blocks that run once per trip; the

@@ -6,8 +6,8 @@ use driver::prelude::*;
 /// Compiles and executes through the Session API, returning the outcome
 /// and report pair the old tuple helpers used to.
 fn run(src: &str, builder: SessionBuilder) -> Result<(Outcome, PipelineReport), Error> {
-    let c = builder.build().compile_and_run(src)?;
-    Ok((c.outcome.expect("outcome populated"), c.report))
+    let c = builder.build().compile(src)?;
+    Ok((c.run(VmOptions::default())?, c.report))
 }
 
 /// §5: "Register promotion's main benefit seems to be transforming

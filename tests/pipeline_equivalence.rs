@@ -49,10 +49,9 @@ fn check_program(name: &str, src: &str) -> Vec<String> {
     for (label, builder) in all_variants() {
         let out = builder
             .build()
-            .compile_and_run(src)
-            .unwrap_or_else(|e| panic!("{name} [{label}]: {e}"))
-            .outcome
-            .expect("outcome populated");
+            .compile(src)
+            .and_then(|c| c.run(VmOptions::default()))
+            .unwrap_or_else(|e| panic!("{name} [{label}]: {e}"));
         match &reference {
             None => reference = Some((label, out.output)),
             Some((ref_label, ref_out)) => assert_eq!(

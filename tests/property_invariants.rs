@@ -178,10 +178,9 @@ fn pipeline_preserves_behaviour_on_random_programs() {
         for (label, builder) in driver::SessionBuilder::figure_variants() {
             let out = builder
                 .build()
-                .compile_and_run(&src)
-                .unwrap_or_else(|e| panic!("{label} on\n{src}\n: {e}"))
-                .outcome
-                .expect("outcome populated");
+                .compile(&src)
+                .and_then(|c| c.run(vm::VmOptions::default()))
+                .unwrap_or_else(|e| panic!("{label} on\n{src}\n: {e}"));
             match &reference {
                 None => reference = Some(out.output),
                 Some(r) => {

@@ -6,6 +6,7 @@
 
 use driver::Session;
 use trace::{BlockReason, Remark, TraceLog};
+use vm::VmOptions;
 
 /// A MiniC program with one promotable global (`hot`: referenced only
 /// explicitly inside the loop) and one call-pinned global (`pinned`:
@@ -107,8 +108,8 @@ B9:
 #[test]
 fn counter_loop_yields_promoted_and_call_blocked_remarks() {
     let session = Session::builder().trace(true).build();
-    let c = session.compile_and_run(COUNTER).expect("compile and run");
-    let outcome = c.outcome.as_ref().expect("run populates the outcome");
+    let c = session.compile(COUNTER).expect("compiles");
+    let outcome = c.run(VmOptions::default()).expect("runs");
     assert_eq!(outcome.output, vec!["100", "300"]);
 
     // `hot` is promoted for the whole loop... (the front end names

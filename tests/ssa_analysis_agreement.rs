@@ -12,9 +12,9 @@ fn promoted_tags(src: &str, level: AnalysisLevel) -> (usize, Vec<String>) {
         .analysis(level)
         .promote(true)
         .build()
-        .compile_and_run(src)
+        .compile(src)
         .expect("pipeline");
-    let out = c.outcome.expect("outcome populated");
+    let out = c.run(VmOptions::default()).expect("runs");
     (c.report.promotion.scalar.promoted_tags, out.output)
 }
 
