@@ -14,18 +14,23 @@
 //!
 //! Passes report what they changed through [`note_body_changed`] /
 //! [`note_shape_changed`]; a pass that changed nothing reports nothing and
-//! every downstream consumer gets cache hits. The [`BuildCounts`] ledger
-//! records how many times each artifact was actually constructed — the
-//! pipeline surfaces it so rebuild-per-pass regressions show up as a
-//! counter jump rather than a vague slowdown.
+//! every downstream consumer gets cache hits. An edit that changed how a
+//! few registers occur can report them with [`note_regs_changed`], which
+//! keeps an up-to-date liveness up to date instead of invalidating it.
+//! The [`BuildCounts`] ledger records how many times each artifact was
+//! actually constructed — the pipeline surfaces it so rebuild-per-pass
+//! regressions show up as a counter jump rather than a vague slowdown.
 //!
 //! [`note_body_changed`]: FunctionAnalyses::note_body_changed
 //! [`note_shape_changed`]: FunctionAnalyses::note_shape_changed
+//! [`note_regs_changed`]: FunctionAnalyses::note_regs_changed
 
 use crate::dataflow::DataflowStats;
 use crate::dom::{DomScratch, DomTree};
 use crate::graph::Cfg;
-use crate::liveness::{liveness_sparse_into, LiveScratch, LiveSummaries, Liveness, RegSet};
+use crate::liveness::{
+    liveness_sparse_into, liveness_update_into, LiveScratch, LiveSummaries, Liveness, RegSet,
+};
 use crate::loops::{LoopForest, LoopId};
 use ir::{BlockId, Function};
 use std::collections::BTreeSet;
@@ -166,6 +171,10 @@ pub struct FunctionAnalyses {
     dom_scratch: DomScratch,
     /// Reusable worklist + candidate-set memory for liveness solves.
     live_scratch: LiveScratch,
+    /// Debug builds' solve from scratch that checks every liveness
+    /// update, kept here so that it reuses its memory.
+    #[cfg(debug_assertions)]
+    live_check: (LiveSummaries, LiveScratch, Liveness),
     /// Ledger of artifact constructions performed through this cache.
     pub builds: BuildCounts,
     /// Ledger of solver work performed through this cache. Passes that run
@@ -214,6 +223,56 @@ impl FunctionAnalyses {
         self.body_version += 1;
         if let DirtyBlocks::Blocks(set) = &mut self.dirty {
             set.extend(blocks.into_iter().map(|b| b.index()));
+        }
+    }
+
+    /// Like [`note_body_changed_blocks`](Self::note_body_changed_blocks),
+    /// for an edit that changed how the registers of `regs` occur and
+    /// nothing else: every other register keeps its uses and definitions.
+    /// If liveness is solved at the current version, it stays current
+    /// without a new solve: the blocks' summaries are rescanned and only
+    /// the bits of `regs` are re-solved, from the blocks that use them.
+    /// That counts in [`dataflow`](Self::dataflow) but not as a build.
+    /// Debug builds check the result against a solve from scratch.
+    pub fn note_regs_changed(
+        &mut self,
+        func: &Function,
+        blocks: impl IntoIterator<Item = BlockId>,
+        regs: &RegSet,
+    ) {
+        let current = matches!(&self.live, Some((v, _)) if *v == self.body_version);
+        self.note_body_changed_blocks(blocks);
+        if !current {
+            return;
+        }
+        let DirtyBlocks::Blocks(dirty) = &mut self.dirty else {
+            unreachable!("a solve leaves block-level dirt, and only a full invalidation resets it");
+        };
+        self.live_summaries.rescan_blocks(func, dirty);
+        dirty.clear();
+        let cfg = &self.cfg.as_ref().expect("solved liveness has a CFG").1;
+        let (v, live) = self.live.as_mut().expect("current");
+        liveness_update_into(
+            func,
+            cfg,
+            &self.live_summaries,
+            regs,
+            &mut self.dataflow,
+            &mut self.live_scratch,
+            live,
+        );
+        *v = self.body_version;
+        #[cfg(debug_assertions)]
+        {
+            let (summaries, scratch, solved) = &mut self.live_check;
+            summaries.rescan_all(func);
+            let stats = &mut DataflowStats::default();
+            liveness_sparse_into(func, cfg, summaries, stats, scratch, solved);
+            assert!(
+                live == solved,
+                "@{}: liveness kept across an edit differs from a solve",
+                func.name
+            );
         }
     }
 
@@ -407,6 +466,20 @@ impl FunctionAnalyses {
         self.live_summaries.union_into(out);
     }
 
+    /// The blocks that mention a register of `regs`, as a definition or a
+    /// use, in ascending order, written into `out`. Like
+    /// [`occurring_regs`](Self::occurring_regs), read off the use/def
+    /// summaries.
+    pub fn blocks_mentioning(&mut self, func: &Function, regs: &RegSet, out: &mut Vec<BlockId>) {
+        self.ensure_live(func);
+        out.clear();
+        out.extend(
+            (0..func.blocks.len())
+                .filter(|&bi| self.live_summaries.mentions(bi, regs))
+                .map(|bi| BlockId(bi as u32)),
+        );
+    }
+
     /// CFG + liveness together (the allocator's working set).
     pub fn cfg_liveness<'a>(&'a mut self, func: &Function) -> (&'a Cfg, &'a Liveness) {
         self.ensure_live(func);
@@ -434,7 +507,7 @@ impl FunctionAnalyses {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ir::FunctionBuilder;
+    use ir::{FunctionBuilder, Instr, Reg};
 
     fn diamond() -> Function {
         let mut b = FunctionBuilder::new("f", 0);
@@ -492,6 +565,80 @@ mod tests {
         assert_eq!(fa.builds.cfg, 2);
         assert_eq!(fa.builds.dom, 2);
         assert_eq!(fa.builds.forest, 2);
+        assert_eq!(fa.builds.liveness, 2);
+    }
+
+    /// `b = p; loop { a = b; i += 1 } a = 5; return a + i`, in registers:
+    /// `r2` is `b`, `r3` is `a`.
+    const LOOP_COPY: &str = "func @f(1) result {
+B0:
+  r1 = iconst 0
+  r2 = copy r0
+  jump B1
+B1:
+  r3 = copy r2
+  r4 = iconst 1
+  r1 = add r1, r4
+  r5 = iconst 10
+  r5 = cmplt r1, r5
+  branch r5, B1, B2
+B2:
+  r3 = iconst 5
+  r6 = add r3, r1
+  ret r6
+}
+";
+
+    /// Merges `r3` into `r2` in `f` as coalescing would, deleting the
+    /// copies between them; returns the changed registers.
+    fn merge_3_into_2(f: &mut Function) -> RegSet {
+        for block in &mut f.blocks {
+            block.instrs.retain_mut(|instr| {
+                if let Some(d) = instr.def_mut().filter(|d| d.0 == 3) {
+                    *d = Reg(2);
+                }
+                instr.visit_uses_mut(|r| {
+                    if r.0 == 3 {
+                        *r = Reg(2);
+                    }
+                });
+                !matches!(instr, Instr::Copy { dst, src } if dst == src)
+            });
+        }
+        let mut regs = RegSet::new(f.next_reg as usize);
+        regs.insert(Reg(2));
+        regs.insert(Reg(3));
+        regs
+    }
+
+    #[test]
+    fn a_merge_that_kills_a_loop_copy_is_re_solved() {
+        let mut f = ir::parse_module(LOOP_COPY).unwrap().funcs.remove(0);
+        let mut fa = FunctionAnalyses::new();
+        let b1 = BlockId(1);
+        assert!(fa.liveness(&f).live_in[b1.index()].contains(Reg(2)));
+        // With the copy gone, `b` is no longer live around the loop: it
+        // was only because the next trip's copy read it. Mapping the old
+        // sets through the merge would keep it live there.
+        let regs = merge_3_into_2(&mut f);
+        fa.note_regs_changed(&f, [b1, BlockId(2)], &regs);
+        let live = fa.liveness(&f).clone();
+        assert_eq!(fa.builds.liveness, 1, "updated, not solved again");
+        assert!(!live.live_in[b1.index()].contains(Reg(2)));
+        assert_eq!(live, crate::liveness(&f, fa.cfg(&f)));
+    }
+
+    #[test]
+    fn an_update_without_a_current_solve_only_invalidates() {
+        let f = ir::parse_module(LOOP_COPY).unwrap().funcs.remove(0);
+        let mut fa = FunctionAnalyses::new();
+        fa.liveness(&f);
+        fa.note_body_changed();
+        let solved = fa.dataflow;
+        let regs = RegSet::new(f.next_reg as usize);
+        fa.note_regs_changed(&f, [BlockId(1)], &regs);
+        assert_eq!(fa.dataflow, solved, "nothing to update");
+        fa.liveness(&f);
         assert_eq!(fa.builds.liveness, 2);
     }
 

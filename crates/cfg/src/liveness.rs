@@ -5,13 +5,17 @@
 //! only) when their live-in set actually changes. The per-block use/def
 //! summaries live in [`LiveSummaries`] so the analysis cache can keep them
 //! across regalloc's spill rounds and rescan only the blocks a round
-//! actually touched; the boundary in/out sets are always re-solved from
-//! empty, which keeps the result the exact least fixpoint (a warm-started
+//! actually touched. A solve starts every boundary in/out set from empty,
+//! which keeps the result the exact least fixpoint (a warm-started
 //! boundary set could carry stale bits around a loop forever).
+//! The analysis cache keeps that guarantee across an edit that changed how
+//! a few registers occur (regalloc's merges, renames and spills): it
+//! clears just their bits and re-solves them one register at a time, from
+//! the blocks that use them.
 
 use crate::dataflow::{BlockWorklist, DataflowStats, Direction};
 use crate::graph::Cfg;
-use ir::{Function, Instr, Reg};
+use ir::{BlockId, Function, Instr, Reg};
 use std::collections::BTreeSet;
 
 /// A dense bitset over virtual registers.
@@ -45,6 +49,14 @@ impl RegSet {
         !was
     }
 
+    /// Resizes the set for `n` registers, keeping its members below `n`.
+    pub fn resize(&mut self, n: usize) {
+        self.bits.resize(n.div_ceil(64), 0);
+        if let Some(last) = self.bits.last_mut().filter(|_| !n.is_multiple_of(64)) {
+            *last &= (1 << (n % 64)) - 1;
+        }
+    }
+
     /// Removes `r`.
     pub fn remove(&mut self, r: Reg) {
         let w = r.index() / 64;
@@ -75,6 +87,12 @@ impl RegSet {
         for (a, b) in self.bits.iter_mut().zip(&other.bits) {
             *a &= !*b;
         }
+    }
+
+    /// Whether `self` and `other` share a member. Only the overlapping
+    /// words are compared, as in [`union_with`](Self::union_with).
+    pub fn intersects(&self, other: &RegSet) -> bool {
+        self.bits.iter().zip(&other.bits).any(|(a, b)| a & b != 0)
     }
 
     /// Empties the set without changing its capacity.
@@ -124,7 +142,7 @@ impl RegSet {
 }
 
 /// Per-block live-in/live-out sets.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Liveness {
     /// Live-in per block.
     pub live_in: Vec<RegSet>,
@@ -184,6 +202,12 @@ impl LiveSummaries {
             out.union_with(u);
             out.union_with(d);
         }
+    }
+
+    /// Whether block `bi` mentions a register of `regs`, as a definition
+    /// or a use.
+    pub(crate) fn mentions(&self, bi: usize, regs: &RegSet) -> bool {
+        self.use_s[bi].intersects(regs) || self.def_s[bi].intersects(regs)
     }
 
     /// Rescans every block of `func`, reusing the per-block sets in place.
@@ -248,12 +272,14 @@ pub fn liveness_sparse(
 }
 
 /// Reusable working memory for [`liveness_sparse_into`]: the block
-/// worklist and the candidate live-in set. The analysis cache keeps one
-/// per function shell so repeat solves allocate nothing.
+/// worklist and the candidate live-in set, and the pending (block,
+/// register) pairs of an update. The analysis cache keeps one per function
+/// shell so repeat solves allocate nothing.
 #[derive(Debug, Default)]
 pub struct LiveScratch {
     wl: BlockWorklist,
     inn: RegSet,
+    pending: Vec<(BlockId, Reg)>,
     /// Parked live-in/live-out sets from shrinking solves (see
     /// `util::resize_pooled`).
     spare: Vec<RegSet>,
@@ -300,6 +326,75 @@ pub fn liveness_sparse_into(
             std::mem::swap(inn, &mut live_in[bi]);
             for &p in &cfg.preds[bi] {
                 wl.push(p, stats);
+            }
+        }
+    }
+}
+
+/// Re-solves the bits of `regs` in `result` after an edit that changed
+/// how those registers occur and nothing else: every other register has
+/// the uses and definitions it had when `result` was solved, and the
+/// edges are the same. `summaries` must already describe the edited
+/// body. Every set is resized for `func.next_reg` and the bits of `regs`
+/// are cleared everywhere. A register's liveness does not depend on any
+/// other's, so each cleared bit is then re-solved on its own, sparsely: a
+/// register is live into a reachable block that uses it before any
+/// definition, and from there live out of each reachable predecessor and
+/// into each one that does not define it. Each (block, register) pair is
+/// pushed once, when its live-in bit is set, and counts as one visit,
+/// transfer and push in `stats`. The other registers' bits are untouched,
+/// so the result is the least fixpoint of the edited body, whatever the
+/// edit renamed, merged or deleted.
+pub(crate) fn liveness_update_into(
+    func: &Function,
+    cfg: &Cfg,
+    summaries: &LiveSummaries,
+    regs: &RegSet,
+    stats: &mut DataflowStats,
+    scratch: &mut LiveScratch,
+    result: &mut Liveness,
+) {
+    let nregs = func.next_reg as usize;
+    debug_assert_eq!(summaries.len(), func.blocks.len());
+    debug_assert_eq!(result.live_in.len(), func.blocks.len());
+    let (live_in, live_out) = (&mut result.live_in, &mut result.live_out);
+    for set in live_in.iter_mut().chain(live_out.iter_mut()) {
+        set.resize(nregs);
+        set.difference_with(regs);
+    }
+    let pending = &mut scratch.pending;
+    pending.clear();
+    for &b in &cfg.rpo {
+        let bi = b.index();
+        for (w, (&u, &r)) in summaries.use_s[bi].bits.iter().zip(&regs.bits).enumerate() {
+            let mut bits = u & r;
+            while bits != 0 {
+                let reg = Reg((w * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+                live_in[bi].insert(reg);
+                pending.push((b, reg));
+            }
+        }
+    }
+    stats.worklist_pushes += pending.len() as u64;
+    while let Some((b, reg)) = pending.pop() {
+        stats.blocks_visited += 1;
+        stats.transfer_evals += 1;
+        for &p in cfg.preds[b.index()]
+            .iter()
+            .filter(|&&p| cfg.is_reachable(p))
+        {
+            let pi = p.index();
+            live_out[pi].insert(reg);
+            // A summary the edit did not rescan may be sized for fewer
+            // registers; the new ones are not defined there.
+            let defined = summaries.def_s[pi]
+                .bits
+                .get(reg.index() / 64)
+                .is_some_and(|w| w & (1 << (reg.index() % 64)) != 0);
+            if !defined && live_in[pi].insert(reg) {
+                stats.worklist_pushes += 1;
+                pending.push((p, reg));
             }
         }
     }
@@ -354,6 +449,28 @@ mod tests {
         assert_eq!(s.len(), 2);
         s.remove(Reg(0));
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![Reg(129)]);
+    }
+
+    #[test]
+    fn regset_resize_keeps_the_members_below_the_new_size() {
+        let mut s = RegSet::new(70);
+        for r in [3, 63, 64, 69] {
+            s.insert(Reg(r));
+        }
+        s.resize(200);
+        s.insert(Reg(199));
+        assert_eq!(
+            s.iter().map(|r| r.0).collect::<Vec<_>>(),
+            [3, 63, 64, 69, 199]
+        );
+        s.resize(65);
+        assert_eq!(s, {
+            let mut t = RegSet::new(65);
+            for r in [3, 63, 64] {
+                t.insert(Reg(r));
+            }
+            t
+        });
     }
 
     /// A set over `n` registers holding each one with probability ~1/4,

@@ -23,6 +23,15 @@
 //! reproduces exactly the tag table a sequential allocation would build,
 //! which is what lets the driver fan functions out across threads without
 //! perturbing printed IL.
+//!
+//! The rounds are incremental. A function's liveness is solved once, at
+//! its first interference build; the parameter rename, each coalescing
+//! sweep and each spill round report the registers they changed to the
+//! analysis cache, which keeps liveness current
+//! ([`FunctionAnalyses::note_regs_changed`]), and a spill round in a
+//! function without parameters patches the interference graph instead of
+//! rebuilding it. Debug builds check every such step against a solve and
+//! a build from scratch.
 
 use crate::matrix::BitMatrix;
 use cfg::{for_each_instr_backwards_in, Cfg, FunctionAnalyses, Liveness, RegSet};
@@ -50,6 +59,8 @@ pub struct AllocScratch {
     copies: Vec<(Reg, Reg)>,
     other_adj: Vec<u32>,
     dirty: Vec<BlockId>,
+    blocks: Vec<BlockId>,
+    changed: RegSet,
     costs: Vec<f64>,
     simplify: Simplify,
     color: Vec<Option<u32>>,
@@ -60,6 +71,9 @@ pub struct AllocScratch {
     remap_tmp: Vec<Reg>,
     occurs: RegSet,
     rw: RewriteBuf,
+    /// Debug builds' rebuild that checks the graph patched after a spill
+    /// round.
+    check: BitMatrix,
 }
 
 impl Default for AllocScratch {
@@ -73,6 +87,8 @@ impl Default for AllocScratch {
             copies: Vec::new(),
             other_adj: Vec::new(),
             dirty: Vec::new(),
+            blocks: Vec::new(),
+            changed: RegSet::new(0),
             costs: Vec::new(),
             simplify: Simplify::default(),
             color: Vec::new(),
@@ -83,6 +99,7 @@ impl Default for AllocScratch {
             remap_tmp: Vec::new(),
             occurs: RegSet::new(0),
             rw: RewriteBuf::new(),
+            check: BitMatrix::new(0),
         }
     }
 }
@@ -458,7 +475,9 @@ pub fn interference_graph_in(
 /// of `analyses` (warm after the pass chain); only the graph itself is
 /// allocator-private. The payoff is the coalescing fixpoint: its final
 /// sweep (the one that merges nothing) leaves a fresh graph behind, which
-/// the simplify/select phase then reuses instead of rebuilding.
+/// the simplify/select phase then reuses instead of rebuilding. A spill
+/// round in a function without parameters patches the graph and keys it on
+/// the version it leaves, so it is not rebuilt after that either.
 fn ensure_graph(
     version: &mut Option<u64>,
     graph: &mut BitMatrix,
@@ -502,8 +521,11 @@ fn spill_costs(func: &Function, analyses: &mut FunctionAnalyses, cost: &mut Vec<
 /// (the caller provides it out of its graph cache, so the sweep that
 /// reaches the fixpoint shares its build with the simplify/select phase
 /// that follows). Returns copies eliminated; the blocks whose instructions
-/// actually changed are appended to `dirty` so the caller can scope the
-/// liveness invalidation.
+/// actually changed are appended to `dirty`, and `changed` holds the
+/// registers whose occurrences changed: every register that took part in
+/// a merge, and the register of an identity copy. No other register is
+/// renamed or loses a use or a definition, which is what lets the caller
+/// keep liveness ([`FunctionAnalyses::note_regs_changed`]).
 #[allow(clippy::too_many_arguments)]
 fn coalesce_once(
     func: &mut Function,
@@ -515,6 +537,7 @@ fn coalesce_once(
     copies: &mut Vec<(Reg, Reg)>,
     other_adj: &mut Vec<u32>,
     dirty: &mut Vec<BlockId>,
+    changed: &mut RegSet,
 ) -> usize {
     let nregs = func.next_reg as usize;
     let precolored = func.arity as u32;
@@ -549,6 +572,7 @@ fn coalesce_once(
     // then: the sweep that merges nothing copies no matrix. `significant`
     // marks its nodes of degree >= k, so both tests below are word-wise.
     let mut forked = false;
+    changed.reset(nregs);
     g.significant_into(k, significant);
     for ci in 0..copies.len() {
         let (dst, src) = copies[ci];
@@ -582,6 +606,8 @@ fn coalesce_once(
         // Merge b into a, preferring a precolored representative.
         let (rep, other) = if b < precolored { (b, a) } else { (a, b) };
         parent[other as usize] = rep;
+        changed.insert(Reg(rep));
+        changed.insert(Reg(other));
         other_adj.clear();
         other_adj.extend(class_adj.row_iter(other));
         for &n in other_adj.iter() {
@@ -601,7 +627,9 @@ fn coalesce_once(
     if merged == 0 {
         return 0;
     }
-    // Rewrite registers to representatives and drop identity copies.
+    // Rewrite registers to representatives and drop identity copies. A
+    // class that merged is already in `changed`; an identity copy that was
+    // there before the sweep adds its register.
     for (bi, block) in func.blocks.iter_mut().enumerate() {
         let mut touched = false;
         for instr in &mut block.instrs {
@@ -621,9 +649,13 @@ fn coalesce_once(
             });
         }
         let before = block.instrs.len();
-        block
-            .instrs
-            .retain(|i| !matches!(i, Instr::Copy { dst, src } if dst == src));
+        block.instrs.retain(|i| match i {
+            Instr::Copy { dst, src } if dst == src => {
+                changed.insert(*dst);
+                false
+            }
+            _ => true,
+        });
         if touched || block.instrs.len() != before {
             dirty.push(BlockId(bi as u32));
         }
@@ -644,10 +676,13 @@ fn is_constant_like(instr: &Instr) -> bool {
 /// the Chaitin/Briggs treatment of never-killed values and is essential
 /// for honest spill counts — most high-degree values in optimized code are
 /// loop-hoisted constants and addresses. Rematerialized victims leave
-/// `s.victims`; returns how many there were.
+/// `s.victims`; returns how many there were. `blocks` are the blocks that
+/// mention a victim; no other block is read or rebuilt.
 fn try_rematerialize(
     func: &mut Function,
     s: &mut SpillTables,
+    blocks: &[BlockId],
+    rw: &mut RewriteBuf,
     used: &mut Vec<u32>,
     remap: &mut Vec<Reg>,
     dirty: &mut Vec<BlockId>,
@@ -660,7 +695,7 @@ fn try_rematerialize(
         s.remat[v as usize] = NONE;
     }
     s.remat_defs.clear();
-    for instr in func.blocks.iter().flat_map(|b| &b.instrs) {
+    for instr in blocks.iter().flat_map(|&b| &func.block(b).instrs) {
         if let Some(d) = instr.def().filter(|d| s.remat[d.index()] != MANY) {
             let slot = &mut s.remat[d.index()];
             *slot = if *slot == NONE && is_constant_like(instr) {
@@ -679,70 +714,65 @@ fn try_rematerialize(
     if n == 0 {
         return 0;
     }
-    for bi in 0..func.blocks.len() {
+    let s_ro = &*s;
+    let mut next_reg = func.next_reg;
+    for &b in blocks {
         let mut touched = false;
-        let mut i = 0;
-        while i < func.blocks[bi].instrs.len() {
-            let instr = &func.blocks[bi].instrs[i];
-            // Leave the original definitions alone (they become dead and
-            // are cheap).
-            if instr.def().is_some_and(|d| s.remat_def(d).is_some()) {
-                i += 1;
-                continue;
+        rw.rebuild(func.block_mut(b), |mut instr, out| {
+            // Drop the original definitions: every use gets a fresh
+            // recomputation, so they are dead — and a dead def is not
+            // merely wasteful. It keeps its node (and full degree) in the
+            // interference graph, so select can pick it as the victim again
+            // next round, and rematerialization would "handle" it without
+            // touching the body: allocation livelocks re-spilling the same
+            // register forever.
+            if instr.def().is_some_and(|d| s_ro.remat_def(d).is_some()) {
+                touched = true;
+                return;
             }
             used.clear();
             instr.visit_uses(|r| {
-                if s.remat_def(r).is_some() && !used.contains(&r.0) {
+                if s_ro.remat_def(r).is_some() && !used.contains(&r.0) {
                     used.push(r.0);
                 }
             });
             if used.is_empty() {
-                i += 1;
-                continue;
+                out.push(instr);
+                return;
             }
             touched = true;
             remap.clear();
             for &v in used.iter() {
-                let tmp = Reg(func.next_reg);
-                func.next_reg += 1;
-                let mut clone = s.remat_def(Reg(v)).expect("rematerializable").clone();
+                let tmp = Reg(next_reg);
+                next_reg += 1;
+                let mut clone = s_ro.remat_def(Reg(v)).expect("rematerializable").clone();
                 if let Some(d) = clone.def_mut() {
                     *d = tmp;
                 }
-                func.blocks[bi].instrs.insert(i, clone);
-                i += 1;
+                out.push(clone);
                 remap.push(tmp);
             }
-            func.blocks[bi].instrs[i].visit_uses_mut(|r| {
+            instr.visit_uses_mut(|r| {
                 if let Some(pos) = used.iter().position(|&v| v == r.0) {
                     *r = remap[pos];
                 }
             });
-            i += 1;
-        }
-        // Drop the original definitions: every use now has a fresh
-        // recomputation, so they are dead — and a dead def is not merely
-        // wasteful. It keeps its node (and full degree) in the interference
-        // graph, so select can pick it as the victim again next round, and
-        // rematerialization would "handle" it without touching the body:
-        // allocation livelocks re-spilling the same register forever.
-        let block = &mut func.blocks[bi];
-        let before = block.instrs.len();
-        block
-            .instrs
-            .retain(|instr| !instr.def().is_some_and(|d| s.remat_def(d).is_some()));
-        if touched || block.instrs.len() != before {
-            dirty.push(BlockId(bi as u32));
+            out.push(instr);
+        });
+        if touched {
+            dirty.push(b);
         }
     }
+    func.next_reg = next_reg;
     let remat = &s.remat;
     s.victims.retain(|&v| remat[v as usize] >= MANY);
     n
 }
 
 /// Inserts spill code for `s.victims`; returns the (loads, stores)
-/// inserted. Every register it creates is a short-range temporary (the
-/// caller marks them in `s.no_spill`).
+/// inserted. Every register it creates is a temporary defined and used
+/// inside one block (the caller marks them in `s.no_spill`). `blocks` are
+/// the blocks that mention a victim; no other block is rebuilt.
 ///
 /// Spill tags are *not* interned here: each victim gets a provisional id
 /// recorded in `pending`, so the caller (or the driver's parallel commit)
@@ -751,6 +781,7 @@ fn try_rematerialize(
 fn insert_spill_code(
     func: &mut Function,
     s: &mut SpillTables,
+    blocks: &[BlockId],
     spill_base: usize,
     pending: &mut Vec<PendingSpill>,
     dirty: &mut Vec<BlockId>,
@@ -758,9 +789,6 @@ fn insert_spill_code(
     used_regs: &mut Vec<u32>,
     remap_tmp: &mut Vec<Reg>,
 ) -> (usize, usize) {
-    if s.victims.is_empty() {
-        return (0, 0);
-    }
     // One spill tag per victim, named sequentially over all spill tags this
     // function has ever received (pre-existing `spill_base` plus the ones
     // requested so far), so names stay unique across spill rounds.
@@ -773,44 +801,14 @@ fn insert_spill_code(
         s.tag[v as usize] = provisional.0;
     }
     let s = &*s;
-    let arity = func.arity as u32;
     let mut loads = 0;
     let mut stores = 0;
-    // Spilled parameters are stored once on entry, in descending victim
-    // number at the block head.
-    let entry = func.entry;
-    let params = || {
-        s.victims
-            .iter()
-            .rev()
-            .filter(|&&v| v < arity)
-            .map(|&v| Reg(v))
-    };
-    let spilled_params = params().count();
-    if spilled_params > 0 {
-        func.block_mut(entry).instrs.splice(
-            0..0,
-            params().map(|v| Instr::SStore {
-                src: v,
-                tag: s.tag_of(v).expect("victim"),
-            }),
-        );
-        stores += spilled_params;
-        dirty.push(entry);
-    }
     // Rebuild each block in one retain-style sweep: reloads go out before
     // the rewritten instruction, the post-def store right after it.
     let mut next_reg = func.next_reg;
-    for bi in 0..func.blocks.len() {
+    for &b in blocks {
         let mut touched = false;
-        rw.rebuild(&mut func.blocks[bi], |mut instr, out| {
-            // Pass the entry stores just inserted through untouched.
-            if let Instr::SStore { src, tag } = &instr {
-                if s.tag_of(*src) == Some(*tag) {
-                    out.push(instr);
-                    return;
-                }
-            }
+        rw.rebuild(func.block_mut(b), |mut instr, out| {
             used_regs.clear();
             instr.visit_uses(|r| {
                 if s.tag_of(r).is_some() && !used_regs.contains(&r.0) {
@@ -855,11 +853,42 @@ fn insert_spill_code(
             }
         });
         if touched {
-            dirty.push(BlockId(bi as u32));
+            dirty.push(b);
         }
     }
     func.next_reg = next_reg;
     (loads, stores)
+}
+
+/// Adds to `g` the interference of every definition in `blocks` of a
+/// register at or above `first`: the build's rule (the defined register
+/// against everything live after it, except a copy's source) applied to
+/// those definitions only. It adds no edge a build would not.
+fn add_def_edges(
+    g: &mut BitMatrix,
+    func: &Function,
+    cfg: &Cfg,
+    live: &Liveness,
+    blocks: &[BlockId],
+    first: u32,
+    cursor: &mut RegSet,
+) {
+    for &b in blocks.iter().filter(|&&b| cfg.is_reachable(b)) {
+        for_each_instr_backwards_in(func, live, b, cursor, |_, instr, live_after| {
+            let Some(d) = instr.def().filter(|d| d.0 >= first) else {
+                return;
+            };
+            let src = match instr {
+                Instr::Copy { src, .. } => Some(*src),
+                _ => None,
+            };
+            for x in live_after.iter() {
+                if x != d && Some(x) != src {
+                    g.insert_edge(d.0, x.0);
+                }
+            }
+        });
+    }
 }
 
 /// The lowest color below `k` that the mask `used` leaves free.
@@ -883,7 +912,9 @@ fn first_free_color(used: &[u64], k: usize) -> Option<u32> {
 /// when none is left does it compute spill costs (and the loop forest they
 /// read) and push the rest onto a heap ordered by cost per neighbor. Select
 /// colors in reverse removal order; what it cannot color is
-/// rematerialized or spilled, and the next round starts over.
+/// rematerialized or spilled, and the next round starts over from the kept
+/// liveness and, in a function without parameters, the patched
+/// interference graph.
 ///
 /// # Errors
 ///
@@ -914,6 +945,8 @@ pub fn allocate_function_in(
         copies,
         other_adj,
         dirty,
+        blocks,
+        changed,
         costs,
         simplify,
         color,
@@ -924,6 +957,7 @@ pub fn allocate_function_in(
         remap_tmp,
         occurs,
         rw,
+        check,
     } = scratch;
     // Versions are per-`FunctionAnalyses`; a cached graph from a previous
     // function must never be mistaken for this one's.
@@ -936,12 +970,10 @@ pub fn allocate_function_in(
         func.name,
         func.arity
     );
-    // Spill tags this function already owns (normally zero; nonzero only if
-    // allocation is re-run on an already-allocated module).
-    let spill_base = tags
-        .iter()
-        .filter(|(_, t)| matches!(t.kind, TagKind::Spill { owner } if owner == func_id.0))
-        .count();
+    // Spill tags this function already owns, counted when it first spills
+    // (normally zero; nonzero only if allocation is re-run on an
+    // already-allocated module).
+    let mut spill_base = None;
     spill.no_spill.clear();
     loop {
         report.rounds += 1;
@@ -953,7 +985,9 @@ pub fn allocate_function_in(
         // function would make tight functions uncolorable. This runs at
         // the start of *every* round because pre-spill coalescing may
         // legitimately undo it; once spilling starts, coalescing freezes
-        // and the decoupling sticks.
+        // and the decoupling sticks. Only the parameters and their shadows
+        // change how they occur, so liveness stays solved if it was; the
+        // graph is rebuilt from it.
         {
             let arity = func.arity as u32;
             if arity > 0 {
@@ -991,7 +1025,11 @@ pub fn allocate_function_in(
                     }),
                 );
                 dirty.push(entry);
-                analyses.note_body_changed_blocks(dirty.drain(..));
+                changed.reset(func.next_reg as usize);
+                for r in (0..arity).map(Reg).chain(shadows.iter().copied()) {
+                    changed.insert(r);
+                }
+                analyses.note_regs_changed(func, dirty.drain(..), changed);
             }
         }
         if report.rounds > opts.max_rounds {
@@ -1005,7 +1043,8 @@ pub fn allocate_function_in(
         // Iterating coalescing against spilling can oscillate (a merge
         // makes the graph uncolorable, spill code re-enables the merge,
         // ...), so once spill code exists, coalescing is frozen: the
-        // classic iterated-coalescing discipline.
+        // classic iterated-coalescing discipline. A sweep that merges
+        // keeps liveness solved and leaves the graph to be rebuilt.
         if report.spilled == 0 {
             debug_assert!(dirty.is_empty());
             loop {
@@ -1020,17 +1059,20 @@ pub fn allocate_function_in(
                     copies,
                     other_adj,
                     dirty,
+                    changed,
                 );
                 report.coalesced += c;
                 if c == 0 {
                     break;
                 }
-                analyses.note_body_changed_blocks(dirty.drain(..));
+                analyses.note_regs_changed(func, dirty.drain(..), changed);
             }
         }
         // The final coalescing sweep merged nothing, so its graph describes
         // the current body: ensure_graph() is a no-op there and the build
-        // is shared with simplify/select below.
+        // is shared with simplify/select below. After a spill round in a
+        // function without parameters the graph was patched, and it is a
+        // no-op as well.
         ensure_graph(graph_version, graph, occurs, func, analyses);
         let g = &*graph;
         let precolored = func.arity as u32;
@@ -1089,8 +1131,21 @@ pub fn allocate_function_in(
             analyses.note_body_changed();
             return Ok(report);
         }
+        // Spill round. Simplify stacks only registers at or above the
+        // arity, so no parameter is a victim. Afterwards no victim occurs,
+        // and every new register is a temporary defined and used inside one
+        // block, so liveness changes only by losing the victims and the
+        // graph only by losing their edges and gaining the temporaries'.
         spill.victims.sort_unstable();
-        report.rematerialized += try_rematerialize(func, spill, used_regs, remap_tmp, dirty);
+        debug_assert!(spill.victims.iter().all(|&v| v >= precolored));
+        changed.reset(nregs);
+        for &v in &spill.victims {
+            changed.insert(Reg(v));
+        }
+        analyses.blocks_mentioning(func, changed, blocks);
+        let first_temp = func.next_reg;
+        report.rematerialized +=
+            try_rematerialize(func, spill, blocks, rw, used_regs, remap_tmp, dirty);
         report.spilled += spill.victims.len();
         if tr.enabled() {
             for &r in &spill.victims {
@@ -1103,15 +1158,51 @@ pub fn allocate_function_in(
                 );
             }
         }
-        let (l, s) = insert_spill_code(
-            func, spill, spill_base, pending, dirty, rw, used_regs, remap_tmp,
-        );
+        if !spill.victims.is_empty() {
+            let base = *spill_base.get_or_insert_with(|| {
+                tags.iter()
+                    .filter(
+                        |(_, t)| matches!(t.kind, TagKind::Spill { owner } if owner == func_id.0),
+                    )
+                    .count()
+            });
+            let (l, s) = insert_spill_code(
+                func, spill, blocks, base, pending, dirty, rw, used_regs, remap_tmp,
+            );
+            report.spill_loads += l;
+            report.spill_stores += s;
+        }
         // Every register rematerialization and spill code created is a
         // temporary.
         spill.no_spill.resize(func.next_reg as usize, true);
-        report.spill_loads += l;
-        report.spill_stores += s;
-        analyses.note_body_changed_blocks(dirty.drain(..));
+        dirty.sort_unstable();
+        dirty.dedup();
+        analyses.note_regs_changed(func, dirty.iter().copied(), changed);
+        // A function with parameters renames them at the start of the next
+        // round, which leaves any graph stale, so only a function without
+        // parameters patches it.
+        if func.arity == 0 {
+            for v in changed.iter() {
+                graph.isolate(v.0, other_adj);
+            }
+            graph.grow(func.next_reg as usize);
+            let version = analyses.body_version();
+            let (cfg, live) = analyses.cfg_liveness(func);
+            add_def_edges(graph, func, cfg, live, dirty, first_temp, occurs);
+            *graph_version = Some(version);
+            // Debug builds: the patched graph must equal a build from the
+            // kept liveness, which they have already checked against a
+            // solve from scratch.
+            if cfg!(debug_assertions) {
+                interference_graph_in(func, cfg, live, occurs, check);
+                assert!(
+                    *graph == *check,
+                    "@{}: the interference graph patched after a spill round differs from a rebuild",
+                    func.name
+                );
+            }
+        }
+        dirty.clear();
     }
 }
 

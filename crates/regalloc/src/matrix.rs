@@ -4,10 +4,10 @@
 //! pointer-chasing and a node allocation per edge, in the hottest pass of
 //! the whole pipeline (regalloc is the largest pass of the per-function
 //! chain: about a quarter of `driver.pipeline_us` on the suite at 32
-//! registers and nearly two fifths at 8, in `promo-benchmark --trace 1`
-//! runs). [`BitMatrix`] replaces it with one flat `Vec<u64>` of `n` rows
-//! (`n` = virtual-register count): membership is a bit test, "union a
-//! live set into a row" is a word-wise OR (the same kernel style as
+//! registers and over a third at 8, 26% and 36% in `promo-benchmark
+//! --trace 1` runs). [`BitMatrix`] replaces it with one flat `Vec<u64>`
+//! of `n` rows (`n` = virtual-register count): membership is a bit test,
+//! "union a live set into a row" is a word-wise OR (the same kernel style as
 //! `ir::DenseTagSet`), and the Briggs/George coalescing tests are word
 //! operations against a mask of the significant nodes instead of walks
 //! over tree nodes.
@@ -18,7 +18,9 @@
 //! mirrors every bit and computes degrees in one sweep. After that, the
 //! symmetric editing ops ([`insert_edge`], [`remove_edge`]) keep the
 //! matrix and the degree vector consistent — that is what the coalescer's
-//! evolving class-adjacency needs.
+//! evolving class-adjacency needs, and what a spill round's patch uses:
+//! [`isolate`] drops a victim's edges, and [`grow`] adds nodes for the
+//! temporaries without a rebuild.
 //!
 //! [`or_row_words`]: BitMatrix::or_row_words
 //! [`set_raw`]: BitMatrix::set_raw
@@ -26,9 +28,12 @@
 //! [`finalize_symmetric`]: BitMatrix::finalize_symmetric
 //! [`insert_edge`]: BitMatrix::insert_edge
 //! [`remove_edge`]: BitMatrix::remove_edge
+//! [`isolate`]: BitMatrix::isolate
+//! [`grow`]: BitMatrix::grow
 
-/// A square bit matrix over `n` nodes with per-node degree counts.
-#[derive(Debug, Clone)]
+/// A square bit matrix over `n` nodes with per-node degree counts. Two
+/// matrices are equal when they have the same nodes, bits and degrees.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitMatrix {
     n: usize,
     /// Words per row.
@@ -76,6 +81,34 @@ impl BitMatrix {
         self.bits.extend_from_slice(&other.bits);
         self.deg.clear();
         self.deg.extend_from_slice(&other.deg);
+    }
+
+    /// Adds nodes up to `n` (no edges), keeping every edge and degree.
+    /// When the row stride grows, rows move up in place, last row first,
+    /// so none is overwritten before it moves.
+    pub fn grow(&mut self, n: usize) {
+        debug_assert!(n >= self.n);
+        let (old, stride) = (self.stride, n.div_ceil(64));
+        self.bits.resize(n * stride, 0);
+        if stride != old {
+            for a in (0..self.n).rev() {
+                self.bits.copy_within(a * old..(a + 1) * old, a * stride);
+                self.bits[a * stride + old..(a + 1) * stride].fill(0);
+            }
+        }
+        self.n = n;
+        self.stride = stride;
+        self.deg.resize(n, 0);
+    }
+
+    /// Removes every edge of `a`, keeping degrees consistent, and writes
+    /// its former neighbors into `neighbors` in ascending order.
+    pub fn isolate(&mut self, a: u32, neighbors: &mut Vec<u32>) {
+        neighbors.clear();
+        neighbors.extend(self.row_iter(a));
+        for &n in neighbors.iter() {
+            self.remove_edge(a, n);
+        }
     }
 
     /// Number of nodes.
@@ -317,6 +350,31 @@ mod tests {
             vec![0, 3],
             "row iteration is ascending"
         );
+    }
+
+    #[test]
+    fn growing_keeps_edges_across_a_stride_change() {
+        let edges = [(0, 63), (1, 2), (62, 63), (5, 40)];
+        let mut m = BitMatrix::new(64);
+        for &(a, b) in &edges {
+            m.insert_edge(a, b);
+        }
+        m.grow(64);
+        m.grow(130);
+        m.insert_edge(129, 0);
+        let mut want = BitMatrix::new(130);
+        for &(a, b) in edges.iter().chain(&[(129, 0)]) {
+            want.insert_edge(a, b);
+        }
+        assert_eq!(m, want);
+        let mut neighbors = Vec::new();
+        m.isolate(0, &mut neighbors);
+        assert_eq!(neighbors, [63, 129]);
+        want.remove_edge(0, 63);
+        want.remove_edge(0, 129);
+        assert_eq!(m, want);
+        assert_eq!(m.degree(0), 0);
+        assert_eq!(m.degree(63), 1);
     }
 
     #[test]

@@ -41,6 +41,8 @@ mod profile;
 mod value;
 
 pub use counts::ExecCounts;
-pub use machine::{Outcome, Vm, VmError, VmOptions, MAX_HEAP_CELLS, MAX_OUTPUT_LINES};
+pub use machine::{
+    Outcome, Vm, VmError, VmOptions, MAX_HEAP_CELLS, MAX_OUTPUT_BYTES, MAX_OUTPUT_LINES,
+};
 pub use profile::{BlockProfile, FuncProfile, Profile};
 pub use value::{ObjId, Ptr, Value};

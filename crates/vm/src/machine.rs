@@ -40,6 +40,17 @@ pub const MAX_HEAP_CELLS: u64 = 1 << 20;
 /// 55 bytes a short line it keeps a runaway program's output under 1 GiB.
 pub const MAX_OUTPUT_LINES: u64 = 1 << 24;
 
+/// The most bytes of text one run may print, summed over its lines. The
+/// line bound alone lets long lines through: `print_float` of `-f64::MAX`
+/// prints 317 characters, held in about 650 bytes, so 2^24 such lines
+/// would take about 11 GB. 2^28 bytes is 62 times the most text the
+/// programs here print (an edit-campaign mutant prints 4,309,100 bytes on
+/// 3,521,306 lines; none of the first 1,000 CI fuzz-campaign programs
+/// prints 4 MB, and no benchmark run prints over 73,803 lines, which at
+/// 317 bytes a line is under 24 MB), and it keeps a run of the longest
+/// lines to about 0.5 GiB.
+pub const MAX_OUTPUT_BYTES: u64 = 1 << 28;
+
 /// Execution limits and switches.
 #[derive(Debug, Clone)]
 pub struct VmOptions {
@@ -82,7 +93,8 @@ pub enum VmError {
     Malformed(String),
     /// A `malloc` the VM cannot hold: it would take the run's heap past
     /// [`MAX_HEAP_CELLS`], or its cells' storage cannot be reserved. Or a
-    /// print that would take the run's output past [`MAX_OUTPUT_LINES`].
+    /// print that would take the run's output past [`MAX_OUTPUT_LINES`] or
+    /// [`MAX_OUTPUT_BYTES`].
     OutOfMemory(String),
 }
 
@@ -179,6 +191,19 @@ impl From<VmError> for Stop {
 
 type Exec<T> = Result<T, Stop>;
 
+/// The fault of a print past [`MAX_OUTPUT_LINES`] (`lines`) or past
+/// [`MAX_OUTPUT_BYTES`]; out of line, so the print path stays small.
+#[cold]
+#[inline(never)]
+fn past_the_output_bound(lines: bool) -> Stop {
+    VmError::OutOfMemory(if lines {
+        format!("printing past the {MAX_OUTPUT_LINES}-line output bound")
+    } else {
+        format!("printing past the {MAX_OUTPUT_BYTES}-byte output bound")
+    })
+    .into()
+}
+
 #[derive(Debug, Clone, Copy)]
 struct ObjRef {
     id: ObjId,
@@ -210,6 +235,8 @@ pub struct Vm {
     /// Cells allocated by `malloc` so far (all still live).
     heap_cells: u64,
     output: Vec<String>,
+    /// Bytes of text in `output`.
+    output_bytes: u64,
     depth: usize,
 }
 
@@ -329,6 +356,7 @@ impl Vm {
             steps: 0,
             heap_cells: 0,
             output: Vec::new(),
+            output_bytes: 0,
             depth: 0,
         };
         for g in &module.globals {
@@ -405,14 +433,14 @@ impl Vm {
     }
 
     /// Appends a printed line: refused when it would take the output past
-    /// [`MAX_OUTPUT_LINES`].
+    /// [`MAX_OUTPUT_LINES`] or [`MAX_OUTPUT_BYTES`].
     fn print(&mut self, line: String) -> Exec<()> {
-        if self.output.len() as u64 >= MAX_OUTPUT_LINES {
-            return Err(VmError::OutOfMemory(format!(
-                "printing past the {MAX_OUTPUT_LINES}-line output bound"
-            ))
-            .into());
+        let bytes = line.len() as u64;
+        let lines = self.output.len() as u64 >= MAX_OUTPUT_LINES;
+        if lines || bytes > MAX_OUTPUT_BYTES - self.output_bytes {
+            return Err(past_the_output_bound(lines));
         }
+        self.output_bytes += bytes;
         self.output.push(line);
         Ok(())
     }
@@ -1011,4 +1039,37 @@ fn eval_cmp(op: CmpOp, a: Value, b: Value) -> Exec<bool> {
         _ => return Err(type_err(op.mnemonic(), a, b)),
     };
     Ok(holds(op, ord))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Prints `line` on a VM for an empty module whose output already
+    /// holds `bytes` bytes.
+    fn print_after(bytes: u64, line: &str) -> Result<(), VmError> {
+        let module = Module::default();
+        let code = Program::decode(&module);
+        let mut vm = Vm::new(&code, VmOptions::default());
+        vm.output_bytes = bytes;
+        vm.print(line.to_string()).map_err(|stop| match stop {
+            Stop::Error(e) => *e,
+            Stop::Exit(code) => panic!("exit {code}"),
+        })
+    }
+
+    #[test]
+    fn the_output_bound_counts_every_printed_byte() {
+        // The longest line `print_float` makes.
+        let line = format!("{:.6}", -f64::MAX);
+        assert_eq!(line.len(), 317);
+        let room = MAX_OUTPUT_BYTES - line.len() as u64;
+        print_after(room, &line).expect("exactly the bound fits");
+        let e = print_after(room + 1, &line).expect_err("one byte over");
+        assert!(
+            matches!(&e, VmError::OutOfMemory(m) if m.contains(&MAX_OUTPUT_BYTES.to_string())),
+            "{e}"
+        );
+        print_after(MAX_OUTPUT_BYTES, "").expect("an empty line adds no byte");
+    }
 }
