@@ -50,15 +50,10 @@ const KEYS: [&str; 4] = [
     "trace_on_ms",
 ];
 
-/// A one-worker session with barrier validation off, so a timed run
-/// measures the pipeline alone. The pool handed to [`run_pipeline_in`],
-/// not this configuration, sets a timed run's worker count.
+/// A one-worker session. The pool handed to [`run_pipeline_in`], not this
+/// configuration, sets a timed run's worker count.
 fn session(trace: bool) -> Session {
-    Session::builder()
-        .threads(Some(1))
-        .validate_each_pass(false)
-        .trace(trace)
-        .build()
+    Session::builder().threads(Some(1)).trace(trace).build()
 }
 
 const USAGE: &str =

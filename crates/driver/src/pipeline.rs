@@ -13,10 +13,18 @@
 //! interprocedural analysis needs every function normalized), then one
 //! *fused* round that carries each function through its entire
 //! intra-procedural chain — strengthen → promote → lvn → loadelim →
-//! constprop → licm → (pointer-promote) → lvn(2) → dce → clean →
-//! regalloc → clean(final) — with no barrier between passes. Barriers
-//! exist only where whole-module state is genuinely required: before the
-//! interprocedural analysis and at the sequential spill-tag commit.
+//! constprop → licm → (pointer-promote) → lvn(2) → dce → regalloc →
+//! clean — with no barrier between passes. Barriers exist only where
+//! whole-module state is genuinely required: before the interprocedural
+//! analysis and at the sequential spill-tag commit.
+//!
+//! Loops are normalized twice: at the barrier, and again before LICM,
+//! after value numbering and constant propagation may have folded
+//! branches. Only those two passes and the cleaner change edges, and they
+//! only remove them, so promotion and pointer promotion see every loop
+//! with its landing pad and dedicated exits, and the allocator an entry
+//! block that no edge re-enters. The one cleaning pass, which removes the
+//! pads and exits left empty, runs last, as in the paper.
 //!
 //! The output is bit-identical at any thread count: per-function passes
 //! share only the read-only tag table, and the allocator's spill tags are
@@ -58,13 +66,6 @@ pub struct PipelineConfig {
     pub(crate) optimize: bool,
     /// Register allocation parameters; `None` leaves virtual registers.
     pub(crate) regalloc: Option<AllocOptions>,
-    /// Validate the module at every fan-out barrier (on in debug builds):
-    /// after normalization, after the interprocedural analysis, and after
-    /// the fused per-function chain has run and spill tags are committed.
-    /// (Passes inside the fused chain see functions at different stages
-    /// concurrently, so whole-module validation between them is no longer
-    /// meaningful.)
-    pub(crate) validate_each_pass: bool,
     /// Worker threads for the per-function stages. `None` defers to the
     /// `PROMO_THREADS` environment variable, then to
     /// `std::thread::available_parallelism()`; `Some(1)` forces the
@@ -85,7 +86,6 @@ impl Default for PipelineConfig {
             promotion_cap: None,
             optimize: true,
             regalloc: Some(AllocOptions::default()),
-            validate_each_pass: cfg!(debug_assertions),
             threads: None,
             trace: false,
         }
@@ -189,8 +189,13 @@ pub struct PipelineReport {
     pub incremental: Option<crate::incremental::IncrementalReport>,
 }
 
-fn validate_if(module: &Module, enabled: bool, pass: &str) {
-    if enabled {
+/// Validates the module at a fan-out barrier, in debug builds: after
+/// normalization, after the interprocedural analysis, and after the fused
+/// per-function chain has run and spill tags are committed. (Passes inside
+/// the fused chain see functions at different stages concurrently, so
+/// whole-module validation between them is not meaningful.)
+fn validate_at_barrier(module: &Module, pass: &str) {
+    if cfg!(debug_assertions) {
         if let Err(e) = ir::validate(module) {
             panic!("pipeline produced invalid IL after {pass}: {e}");
         }
@@ -303,7 +308,6 @@ fn run_fused_chain(
     if config.promote {
         let cap = config.promotion_cap;
         o.scalar = timed(&mut rows, "promote", || {
-            normalize(func, fa, tr);
             tr.stage("promote", func, |f, tr| {
                 let r = promote::promote_scalars_in_func(tags, f, fid, recursive, cap, fa, tr);
                 (r, true)
@@ -333,11 +337,9 @@ fn run_fused_chain(
         });
     }
     if config.pointer_promote {
-        // LICM has hoisted invariant base addresses; normalize again in
-        // case earlier folding perturbed loop shapes (a no-op — and zero
-        // rebuilds — when they did not).
+        // LICM has hoisted invariant base addresses, and nothing between
+        // its normalization and here changes an edge.
         o.pointer = timed(&mut rows, "pointer-promote", || {
-            normalize(func, fa, tr);
             tr.stage("pointer-promote", func, |f, tr| {
                 (promote::promote_pointers_in_func(f, fa, tr), true)
             })
@@ -349,11 +351,6 @@ fn run_fused_chain(
         });
         o.dce_removed = timed(&mut rows, "dce", || {
             opt_pass(tr, "dce", func, |f| opt::dce_function_in(f, fa, &mut s.dce))
-        });
-        o.cleaned += timed(&mut rows, "clean", || {
-            opt_pass(tr, "clean", func, |f| {
-                opt::clean_function_in(f, fa, &mut s.clean)
-            })
         });
     }
     if let Some(opts) = &config.regalloc {
@@ -372,15 +369,18 @@ fn run_fused_chain(
             (r, pending)
         });
         o.alloc = Some(r);
-        if config.optimize {
-            // Block cleaning is tag-agnostic, so it can run before the
-            // provisional spill tags are interned.
-            o.cleaned += timed(&mut rows, "clean(final)", || {
-                opt_pass(tr, "clean", func, |f| {
-                    opt::clean_function_in(f, fa, &mut s.clean)
-                })
-            });
-        }
+    }
+    if config.optimize {
+        // The paper's one cleaning pass, last. Until here every loop keeps
+        // the landing pad and exit blocks that normalization gave it, so
+        // the allocator's parameter copies land in an entry block no edge
+        // re-enters. Cleaning is tag-agnostic, so it can run before the
+        // provisional spill tags are interned.
+        o.cleaned = timed(&mut rows, "clean", || {
+            opt_pass(tr, "clean", func, |f| {
+                opt::clean_function_in(f, fa, &mut s.clean)
+            })
+        });
     }
     o.timings = rows;
     o
@@ -417,7 +417,6 @@ pub(crate) fn run_pipeline_core(
     pool: &WorkerPool,
     mut cache: Option<&mut FuncCache>,
 ) -> (PipelineReport, TraceLog) {
-    let v = config.validate_each_pass;
     let mut report = PipelineReport::default();
     // One analysis cache per function, alive from normalization to the
     // final clean: every pass both consumes it and reports what it
@@ -449,7 +448,7 @@ pub(crate) fn run_pipeline_core(
             .collect();
         pool.run(items, |_, ((f, fa), tr)| normalize(f, fa, tr));
     });
-    validate_if(module, v, "normalize");
+    validate_at_barrier(module, "normalize");
     let outcome = timed(&mut rows, "analysis", || {
         analysis::analyze_traced(
             module,
@@ -459,7 +458,7 @@ pub(crate) fn run_pipeline_core(
     });
     let barrier_rows = rows.len();
     report.dataflow_stats.add(&outcome.dataflow);
-    validate_if(module, v, "analysis");
+    validate_at_barrier(module, "analysis");
     // The interprocedural barrier mutates instruction tag sets (no
     // registers, no edges) — except the SSA-roundtrip level, which
     // restructures bodies wholesale.
@@ -619,7 +618,7 @@ pub(crate) fn run_pipeline_core(
             allocs,
         })
         .collect();
-    validate_if(module, v, "fused per-function chain");
+    validate_at_barrier(module, "fused per-function chain");
     if let Some(cache) = cache {
         let rep = incr_report.as_mut().expect("incremental report started");
         rep.evictions = cache.evict_to_budget();
@@ -705,6 +704,11 @@ int main() {
         assert!(report.timings.get("analysis").is_some());
         assert!(report.timings.get("regalloc").is_some());
         assert!(report.timings.total() > Duration::ZERO);
+        // One clean, the chain's last stage.
+        let names: Vec<_> = report.timings.passes.iter().map(|p| p.name).collect();
+        assert_eq!(names.iter().filter(|&&n| n == "clean").count(), 1);
+        assert_eq!(names.last(), Some(&"clean"), "{names:?}");
+        assert!(!names.contains(&"clean(final)"), "{names:?}");
     }
 
     #[test]

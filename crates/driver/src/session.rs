@@ -290,12 +290,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Enables or disables module validation at the fan-out barriers.
-    pub fn validate_each_pass(mut self, on: bool) -> Self {
-        self.config.validate_each_pass = on;
-        self
-    }
-
     /// Sets the worker-thread count (`None` = environment/default).
     pub fn threads(mut self, threads: Option<usize>) -> Self {
         self.config.threads = threads;

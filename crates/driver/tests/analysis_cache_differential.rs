@@ -193,7 +193,6 @@ fn cached_artifacts_match_fresh_builds_after_every_pass() {
         assert_cache_fresh_normalized(f, &mut fa, case, "normalize");
         opt::strengthen_function(&tags, f, fid, false, &mut fa);
         assert_cache_fresh(f, &mut fa, case, "strengthen");
-        cfg::normalize_loops_in(f, &mut fa);
         promote::promote_scalars_in_func(
             &tags,
             f,
@@ -213,15 +212,12 @@ fn cached_artifacts_match_fresh_builds_after_every_pass() {
         cfg::normalize_loops_in(f, &mut fa);
         opt::licm_function_in(f, &mut fa, &mut opt::LicmScratch::default());
         assert_cache_fresh_normalized(f, &mut fa, case, "licm");
-        cfg::normalize_loops_in(f, &mut fa);
         promote::promote_pointers_in_func(f, &mut fa, &mut FuncTrace::off());
         assert_cache_fresh_normalized(f, &mut fa, case, "pointer-promote");
         opt::lvn_function_in(f, &mut fa, &mut opt::LvnScratch::default());
         assert_cache_fresh(f, &mut fa, case, "lvn(2)");
         opt::dce_function_in(f, &mut fa, &mut opt::DceScratch::default());
         assert_cache_fresh(f, &mut fa, case, "dce");
-        opt::clean_function_in(f, &mut fa, &mut opt::CleanScratch::default());
-        assert_cache_fresh(f, &mut fa, case, "clean");
         let mut pending = Vec::new();
         regalloc::allocate_function_in(
             &tags,
@@ -236,7 +232,7 @@ fn cached_artifacts_match_fresh_builds_after_every_pass() {
         .expect("allocation converges");
         assert_cache_fresh(f, &mut fa, case, "regalloc");
         opt::clean_function_in(f, &mut fa, &mut opt::CleanScratch::default());
-        assert_cache_fresh(f, &mut fa, case, "clean(final)");
+        assert_cache_fresh(f, &mut fa, case, "clean");
     }
 }
 

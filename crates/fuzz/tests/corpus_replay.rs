@@ -3,6 +3,7 @@
 //! configuration matrix. `promo-fuzz --replay corpus/<file>.c` runs the
 //! same check from the command line.
 
+use driver::prelude::*;
 use fuzz::{Oracle, OracleOptions, Verdict};
 use std::path::Path;
 
@@ -23,5 +24,33 @@ fn checked_in_reproducers_stay_fixed() {
             Verdict::Pass => {}
             v => panic!("{}: regressed: {v:?}", path.display()),
         }
+    }
+}
+
+/// The oracle allocates onto 32 and 8 registers. This reproducer also
+/// looped forever at 4 and did not converge at 2, so it runs at each of
+/// those too, against the output C gives.
+#[test]
+fn entry_loop_reproducer_returns_at_every_register_count() {
+    let path =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus/param-reassigned-in-entry-loop.c");
+    let source = std::fs::read_to_string(&path).expect("readable reproducer");
+    for num_regs in [32, 8, 4, 2] {
+        let session = Session::builder()
+            .regalloc(Some(AllocOptions {
+                num_regs,
+                ..AllocOptions::default()
+            }))
+            .build();
+        let out = session
+            .compile(&source)
+            .and_then(|c| {
+                c.run(VmOptions {
+                    max_steps: 100_000,
+                    ..VmOptions::default()
+                })
+            })
+            .unwrap_or_else(|e| panic!("{num_regs} registers: {e}"));
+        assert_eq!(out.output, ["0"], "{num_regs} registers");
     }
 }

@@ -10,7 +10,7 @@ use cfg::{remove_unreachable_blocks_in, FunctionAnalyses};
 use ir::{BlockId, Function, Instr, Module};
 
 /// Reusable buffers for [`clean_function_in`]: the jump-forwarding table,
-/// length-reset per call so its capacity survives across functions.
+/// length-reset per round so its capacity survives across functions.
 #[derive(Default)]
 pub struct CleanScratch {
     forward: Vec<Option<BlockId>>,
@@ -31,9 +31,46 @@ pub fn clean_function_in(
         block.instrs.retain(|i| !matches!(i, Instr::Nop));
         changes += before - block.instrs.len();
     }
-    // 2. Fold branches with equal targets into jumps (shape tier: the
-    //    duplicate edge collapses).
+    // 2. Fold branches with equal targets, then 3. thread jumps through
+    //    empty forwarders. The two feed each other: threading can leave a
+    //    branch whose arms now agree, and folding it can leave its block a
+    //    forwarder. So they repeat until a round changes nothing. Without
+    //    a forwarder cycle, a round after the first changes something
+    //    only if the one before it folded a branch, so the block count
+    //    bounds the rounds. The loop stops there in any case, so a cycle
+    //    of empty forwarders, which the hop guard cuts off at an
+    //    arbitrary block, cannot make it spin.
+    //    Threading would have to change the predecessor labels of
+    //    φ-nodes, so a function with any is not threaded (the pipeline is
+    //    φ-free, but stay safe).
+    let has_phis = func
+        .blocks
+        .iter()
+        .any(|b| b.instrs.iter().any(|i| matches!(i, Instr::Phi { .. })));
     let mut shape_changes = 0;
+    for _ in 0..=func.blocks.len() {
+        let mut round = fold_equal_branches(func);
+        if !has_phis {
+            round += thread_jumps(func, &mut scratch.forward);
+        }
+        if round == 0 {
+            break;
+        }
+        shape_changes += round;
+    }
+    changes += shape_changes;
+    if shape_changes > 0 {
+        analyses.note_shape_changed();
+    }
+    // 4. Delete newly unreachable blocks (reports its own invalidation).
+    changes += remove_unreachable_blocks_in(func, analyses);
+    changes
+}
+
+/// Folds branches with equal targets into jumps (shape tier: the
+/// duplicate edge collapses). Returns the number folded.
+fn fold_equal_branches(func: &mut Function) -> usize {
+    let mut folded = 0;
     for block in &mut func.blocks {
         if let Some(Instr::Branch {
             then_bb, else_bb, ..
@@ -42,17 +79,18 @@ pub fn clean_function_in(
             if then_bb == else_bb {
                 let t = *then_bb;
                 *block.instrs.last_mut().expect("terminator") = Instr::Jump { target: t };
-                changes += 1;
-                shape_changes += 1;
+                folded += 1;
             }
         }
     }
-    // 3. Thread jumps through empty forwarding blocks (a block whose only
-    //    instruction is `jump`). Do not thread the entry block away and
-    //    respect φ-nodes in targets (their predecessor labels would have to
-    //    change; the pipeline is φ-free, but stay safe).
+    folded
+}
+
+/// Threads jumps through empty forwarding blocks (a block whose only
+/// instruction is `jump`), moving the entry past a forwarder too. Returns
+/// the number of edges retargeted, plus one if the entry moved.
+fn thread_jumps(func: &mut Function, forward: &mut Vec<Option<BlockId>>) -> usize {
     let n = func.blocks.len();
-    let forward = &mut scratch.forward;
     forward.clear();
     forward.resize(n, None);
     for id in func.block_ids() {
@@ -65,49 +103,36 @@ pub fn clean_function_in(
             }
         }
     }
-    let has_phis = func
-        .blocks
-        .iter()
-        .any(|b| b.instrs.iter().any(|i| matches!(i, Instr::Phi { .. })));
-    if !has_phis {
-        // Resolve forwarding chains (with cycle guard).
-        let resolve = |mut b: BlockId| {
-            let mut hops = 0;
-            while let Some(next) = forward[b.index()] {
-                b = next;
-                hops += 1;
-                if hops > n {
-                    break;
+    // Resolve forwarding chains (with cycle guard).
+    let resolve = |mut b: BlockId| {
+        let mut hops = 0;
+        while let Some(next) = forward[b.index()] {
+            b = next;
+            hops += 1;
+            if hops > n {
+                break;
+            }
+        }
+        b
+    };
+    let mut threaded = 0;
+    for id in func.block_ids() {
+        if let Some(t) = func.block_mut(id).terminator_mut() {
+            t.retarget_blocks(|b| {
+                let r = resolve(b);
+                if r != b {
+                    threaded += 1;
                 }
-            }
-            b
-        };
-        for id in func.block_ids() {
-            let mut local = 0;
-            if let Some(t) = func.block_mut(id).terminator_mut() {
-                t.retarget_blocks(|b| {
-                    let r = resolve(b);
-                    if r != b {
-                        local += 1;
-                    }
-                    r
-                });
-            }
-            changes += local;
-            shape_changes += local;
-        }
-        let new_entry = resolve(func.entry);
-        if new_entry != func.entry {
-            func.entry = new_entry;
-            shape_changes += 1;
+                r
+            });
         }
     }
-    if shape_changes > 0 {
-        analyses.note_shape_changed();
+    let new_entry = resolve(func.entry);
+    if new_entry != func.entry {
+        func.entry = new_entry;
+        threaded += 1;
     }
-    // 4. Delete newly unreachable blocks (reports its own invalidation).
-    changes += remove_unreachable_blocks_in(func, analyses);
-    changes
+    threaded
 }
 
 /// Runs the cleaner over every function, sharing one scratch.
@@ -187,6 +212,54 @@ mod tests {
             f.block(f.entry).terminator(),
             Some(Instr::Ret { .. })
         ));
+    }
+
+    #[test]
+    fn branch_to_forwarders_of_one_block_becomes_a_jump() {
+        // Threading both arms leaves `branch c, end, end`, which the same
+        // call must fold.
+        let mut b = FunctionBuilder::new("f", 0);
+        let c = b.iconst(1);
+        let left = b.new_block();
+        let right = b.new_block();
+        let end = b.new_block();
+        b.branch(c, left, right);
+        b.switch_to(left);
+        b.jump(end);
+        b.switch_to(right);
+        b.jump(end);
+        b.switch_to(end);
+        b.ret(None);
+        let mut f = b.finish();
+        clean_alone(&mut f);
+        assert_eq!(f.blocks.len(), 2);
+        let Some(&Instr::Jump { target }) = f.block(f.entry).terminator() else {
+            panic!("entry should end in a jump: {f:?}");
+        };
+        assert!(matches!(
+            f.block(target).terminator(),
+            Some(Instr::Ret { .. })
+        ));
+        assert_eq!(clean_alone(&mut f), 0, "one call reaches the fixpoint");
+    }
+
+    #[test]
+    fn forwarder_cycles_terminate_and_validate() {
+        // The entry forwards into a cycle of `len` empty forwarders.
+        for len in [2, 3] {
+            let mut b = FunctionBuilder::new("f", 0);
+            let cycle: Vec<_> = (0..len).map(|_| b.new_block()).collect();
+            b.jump(cycle[0]);
+            for (i, &blk) in cycle.iter().enumerate() {
+                b.switch_to(blk);
+                b.jump(cycle[(i + 1) % len]);
+            }
+            let mut f = b.finish();
+            clean_alone(&mut f);
+            let mut m = Module::new();
+            m.add_func(f);
+            ir::validate(&m).unwrap_or_else(|e| panic!("{len}-cycle: {e}"));
+        }
     }
 
     #[test]

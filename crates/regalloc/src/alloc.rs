@@ -970,6 +970,18 @@ pub fn allocate_function_in(
         func.name,
         func.arity
     );
+    // The parameter copies go at the top of the entry block, so they must
+    // run once per call: no edge may lead back into it. Loop normalization
+    // guarantees that, and nothing before allocation adds an edge.
+    debug_assert!(
+        func.arity == 0
+            || func
+                .blocks
+                .iter()
+                .all(|b| b.successors().all(|s| s != func.entry)),
+        "@{}: the entry block of a function with parameters has a predecessor",
+        func.name
+    );
     // Spill tags this function already owns, counted when it first spills
     // (normally zero; nonzero only if allocation is re-run on an
     // already-allocated module).

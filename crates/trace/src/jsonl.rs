@@ -289,13 +289,11 @@ fn intern_pass(name: &str) -> Result<&'static str, JsonlError> {
         "promote",
         "pointer-promote",
         "lvn",
-        "lvn(2)",
         "loadelim",
         "constprop",
         "licm",
         "dce",
         "clean",
-        "clean(final)",
         "regalloc",
     ];
     KNOWN
