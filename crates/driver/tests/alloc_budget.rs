@@ -1,26 +1,28 @@
-//! Allocation-budget regression test for the zero-allocation hot loop.
+//! Allocation-budget regression tests for the zero-allocation hot loops.
 //!
 //! The steady-state claim — a warm session compiles a program it has seen
 //! before almost entirely out of recycled shells and per-worker scratch
 //! arenas — is enforced here as a hard budget, not just reported by the
-//! benchmark. The test installs [`trace::CountingAlloc`] as the process
-//! allocator, warms a single-threaded session on every suite program
-//! once, then counts allocator calls across a second compile of each and
-//! pins the total. The budget is the benchmark's measured steady state
+//! benchmark. The tests install [`trace::CountingAlloc`] as the process
+//! allocator, warm a single-threaded session on every suite program
+//! once, then count allocator calls across a second compile of each and
+//! pin the total. The budget is the benchmark's measured steady state
 //! (~1.5k calls across the suite) plus headroom for platform variance;
 //! losing scratch reuse anywhere in the chain puts the total back in the
 //! fresh-allocation regime (~10k calls) and trips the gate immediately.
+//! The front end has a budget of its own, and so does the VM: a second
+//! run of each compiled suite program on a warm thread.
 //!
 //! Counts, not bytes, are pinned: a count regression means a per-function
-//! allocation crept back into a pass loop, which is exactly the bug class
-//! this PR removes.
+//! or per-run allocation crept back into a hot loop.
 
 #[global_allocator]
 static ALLOC: trace::CountingAlloc = trace::CountingAlloc;
 
-use driver::Session;
+use driver::{Compilation, Session};
 use std::sync::{Mutex, MutexGuard};
 use trace::AllocStats;
+use vm::VmOptions;
 
 /// The allocator counters are process-wide and the test harness runs
 /// tests on parallel threads, so each test holds this lock while it
@@ -44,6 +46,18 @@ const STEADY_STATE_ALLOC_BUDGET: u64 = 2_600;
 /// [`minic::Frontend`]). Measured at ~1.6k after the interned front end
 /// landed (vs ~8.7k through the since-deleted `String`/`Box` front end).
 const FRONTEND_ALLOC_BUDGET: u64 = 2_500;
+
+/// Upper bound on allocator calls for a second run of every compiled
+/// suite program on a warm thread. Measured at 79, 56 of them the
+/// printed lines' `String`s and most of the rest the output vectors'
+/// growth, against 409 when every run decoded into fresh tables and
+/// built its VM from fresh storage.
+const STEADY_STATE_RUN_ALLOC_BUDGET: u64 = 120;
+
+/// Upper bound on allocator calls one such run makes beyond one per
+/// printed line: its output vector's growth (two calls up to eight
+/// lines) and a float line's formatting. Measured at most 3.
+const RUN_BEYOND_OUTPUT_ALLOC_BUDGET: u64 = 5;
 
 #[test]
 fn steady_state_suite_compile_stays_within_alloc_budget() {
@@ -119,6 +133,44 @@ fn steady_state_frontend_compile_stays_within_alloc_budget() {
         "steady-state front-end suite compile used {} allocs ({} KiB), \
          budget is {FRONTEND_ALLOC_BUDGET} — a per-compile allocation has \
          crept back into the lexer, parser, or lowerer",
+        total.count,
+        total.bytes / 1024,
+    );
+}
+
+#[test]
+fn steady_state_suite_runs_stay_within_alloc_budget() {
+    let _alone = counting_alone();
+    let session = Session::builder().threads(Some(1)).build();
+    let compiled: Vec<Compilation> = benchsuite::SUITE
+        .iter()
+        .map(|b| session.compile(b.source).expect("suite program compiles"))
+        .collect();
+    // Warm the thread's VM pool on a first run of every program.
+    for c in &compiled {
+        c.run(VmOptions::default()).expect("suite program runs");
+    }
+    // Steady state: a second run of every program on the warm thread.
+    let mut total = AllocStats::default();
+    for (b, c) in benchsuite::SUITE.iter().zip(&compiled) {
+        let before = AllocStats::now();
+        let out = c.run(VmOptions::default()).expect("suite program runs");
+        let used = AllocStats::now().since(&before);
+        total.merge(&used);
+        let lines = out.output.len() as u64;
+        assert!(
+            used.count <= lines + RUN_BEYOND_OUTPUT_ALLOC_BUDGET,
+            "steady-state run of {} used {} allocs for {lines} printed lines \
+             (budget: one per line and {RUN_BEYOND_OUTPUT_ALLOC_BUDGET} more)",
+            b.name,
+            used.count,
+        );
+    }
+    assert!(
+        total.count <= STEADY_STATE_RUN_ALLOC_BUDGET,
+        "steady-state suite runs used {} allocs ({} KiB), budget is \
+         {STEADY_STATE_RUN_ALLOC_BUDGET} — a run no longer takes its tables \
+         and storage from the thread's pool",
         total.count,
         total.bytes / 1024,
     );

@@ -253,3 +253,71 @@ int main() {
         assert_eq!(run.stdout, "7\n", "{flags:?}");
     }
 }
+
+/// Inputs that nested deeper than a thread's stack: 20,000 parentheses,
+/// 20,000 blocks, and a sum of 50,000 terms.
+fn too_deep() -> [(&'static str, String); 3] {
+    [
+        (
+            "parens",
+            format!(
+                "int main() {{ return {}1{}; }}\n",
+                "(".repeat(20_000),
+                ")".repeat(20_000)
+            ),
+        ),
+        (
+            "blocks",
+            format!(
+                "int main() {{ {}{} return 0; }}\n",
+                "{".repeat(20_000),
+                "}".repeat(20_000)
+            ),
+        ),
+        (
+            "sum",
+            format!(
+                "int main() {{ int x = 1; return x{}; }}\n",
+                "+x".repeat(49_999)
+            ),
+        ),
+    ]
+}
+
+#[test]
+fn nesting_past_the_bound_is_reported() {
+    let want = format!("nesting deeper than {} levels", minic::MAX_NESTING);
+    for (name, source) in too_deep() {
+        let run = promoc(&format!("deep-{name}"), &source, "run", &[]);
+        assert_rejected(&run, &want);
+        assert_eq!(run.stderr.lines().count(), 1, "{}", run.stderr);
+    }
+}
+
+#[test]
+fn a_session_on_a_small_stack_recovers_from_too_deep_input() {
+    let suite = benchsuite::SUITE.first().expect("a suite program");
+    let fresh = Session::default()
+        .compile(suite.source)
+        .expect("compiles")
+        .module
+        .to_string();
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || {
+            let session = Session::builder().threads(Some(1)).build();
+            for (name, source) in too_deep() {
+                let e = session.compile(&source).expect_err(name);
+                assert!(e.to_string().contains("nesting deeper than"), "{name}: {e}");
+                let il = session.compile(suite.source).expect("compiles");
+                assert!(
+                    il.module.to_string() == fresh,
+                    "{} after rejecting {name} differs from a fresh session's IL",
+                    suite.name
+                );
+            }
+        })
+        .expect("spawn")
+        .join()
+        .expect("no stack overflow or panic");
+}

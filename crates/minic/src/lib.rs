@@ -47,4 +47,5 @@ mod token;
 pub use error::{FrontError, Phase};
 pub use frontend::{compile, Frontend};
 pub use intern::{Interner, Symbol};
+pub use parser::MAX_NESTING;
 pub use token::{Pos, Tok, Token};

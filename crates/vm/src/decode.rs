@@ -21,8 +21,10 @@
 
 use crate::counts::ExecCounts;
 use crate::machine::VmError;
+use crate::pool;
 use ir::{BinOp, BlockId, Callee, CmpOp, FuncId, Function, Instr, Module, TagId, TagKind, UnaryOp};
 use std::cell::Cell;
+use std::ops::Deref;
 
 /// "No register" in an optional register operand.
 pub(crate) const NONE: u32 = u32::MAX;
@@ -429,10 +431,10 @@ pub(crate) struct FuncCode {
     pub(crate) blocks: u32,
 }
 
-/// A decoded module.
-#[derive(Debug)]
-pub(crate) struct Program<'m> {
-    pub(crate) module: &'m Module,
+/// A decoded module's tables, and decoding's working vectors. Between
+/// runs they are parked on the thread (see [`crate::pool`]).
+#[derive(Debug, Default)]
+pub(crate) struct Tables {
     pub(crate) ops: Vec<Op>,
     pub(crate) segs: Vec<Seg>,
     pub(crate) edges: Vec<Edge>,
@@ -444,6 +446,37 @@ pub(crate) struct Program<'m> {
     pub(crate) block_segs: Vec<u32>,
     pub(crate) local_sizes: Vec<usize>,
     pub(crate) faults: Vec<VmError>,
+    /// Each tag's home: its global object, or its slot in its owner's
+    /// frame (the owner's tags in tag order); else [`NONE`].
+    home: Vec<u32>,
+    /// Function `f`'s owned objects are `local_sizes[locals[f]..locals[f
+    /// + 1]]`.
+    locals: Vec<u32>,
+    /// Edges into traps, resolved once every function's segments exist.
+    pending: Vec<(u32, VmError)>,
+}
+
+/// A decoded module: its tables, read through `Deref`, taken from the
+/// thread's pool and parked there again on drop.
+#[derive(Debug)]
+pub(crate) struct Program<'m> {
+    pub(crate) module: &'m Module,
+    tables: Tables,
+}
+
+impl Deref for Program<'_> {
+    type Target = Tables;
+
+    fn deref(&self) -> &Tables {
+        &self.tables
+    }
+}
+
+impl Drop for Program<'_> {
+    fn drop(&mut self) {
+        let tables = std::mem::take(&mut self.tables);
+        pool::park(&pool::TABLES, tables, |t| t.ops.capacity());
+    }
 }
 
 /// Adds `times` executions of `op` to `c`, by the paper's operation
@@ -518,70 +551,13 @@ fn body(instrs: &[Instr]) -> &[Instr] {
 }
 
 impl<'m> Program<'m> {
-    /// Decodes `module`. Globals are numbered as the VM allocates them:
-    /// object `i` is the `i`-th entry of `module.globals`.
+    /// Decodes `module` into the thread's parked tables. Globals are
+    /// numbered as the VM allocates them: object `i` is the `i`-th entry
+    /// of `module.globals`.
     pub(crate) fn decode(module: &'m Module) -> Program<'m> {
-        let funcs = module.funcs.len();
-        let owner = |kind: TagKind| kind.owner().filter(|&o| (o as usize) < funcs);
-        // Each tag's home: its global object, or its slot in its owner's
-        // frame (the owner's tags in tag order); else NONE.
-        let mut home = vec![NONE; module.tags.len()];
-        for (i, g) in module.globals.iter().enumerate() {
-            if module.tags.info(g.tag).kind == TagKind::Global {
-                home[g.tag.index()] = i as u32;
-            }
-        }
-        let mut locals = vec![0u32; funcs + 1];
-        for (id, info) in module.tags.iter() {
-            if let Some(o) = owner(info.kind) {
-                home[id.index()] = locals[o as usize + 1];
-                locals[o as usize + 1] += 1;
-            }
-        }
-        for f in 0..funcs {
-            locals[f + 1] += locals[f];
-        }
-        let mut local_sizes = vec![0; locals[funcs] as usize];
-        for (id, info) in module.tags.iter() {
-            if let Some(o) = owner(info.kind) {
-                local_sizes[(locals[o as usize] + home[id.index()]) as usize] = info.size;
-            }
-        }
-        // Size the tables from the block lengths: decoding runs before
-        // every execution.
-        let (mut instrs, mut blocks) = (0, 0);
-        for func in &module.funcs {
-            blocks += func.blocks.len() + 1;
-            instrs += func.blocks.iter().map(|b| b.instrs.len()).sum::<usize>();
-        }
-        let mut p = Program {
-            module,
-            ops: Vec::with_capacity(instrs + blocks),
-            segs: Vec::with_capacity(instrs + blocks),
-            edges: Vec::new(),
-            moves: Vec::new(),
-            calls: Vec::new(),
-            args: Vec::new(),
-            funcs: Vec::with_capacity(funcs),
-            block_segs: Vec::with_capacity(blocks),
-            local_sizes,
-            faults: Vec::new(),
-        };
-        // Edges into traps, resolved once every function's segments exist.
-        let mut pending: Vec<(u32, VmError)> = Vec::new();
-        for (f, func) in module.funcs.iter().enumerate() {
-            let code = p.decode_func(f as u32, func, &home, &mut pending);
-            p.funcs.push(FuncCode {
-                locals_start: locals[f],
-                locals_end: locals[f + 1],
-                ..code
-            });
-        }
-        for (edge, err) in pending {
-            let seg = p.trap_seg(err);
-            p.edges[edge as usize].seg = seg;
-        }
-        p
+        let mut tables = pool::take(&pool::TABLES);
+        tables.decode(module);
+        Program { module, tables }
     }
 
     /// Calls `visit(func, block, entries, counts)` for every block the
@@ -631,6 +607,77 @@ impl<'m> Program<'m> {
             tally(c, op, times);
         }
     }
+}
+
+impl Tables {
+    /// Decodes `module` into these tables, clearing each one first.
+    fn decode(&mut self, module: &Module) {
+        let funcs = module.funcs.len();
+        let owner = |kind: TagKind| kind.owner().filter(|&o| (o as usize) < funcs);
+        let mut home = std::mem::take(&mut self.home);
+        home.clear();
+        home.resize(module.tags.len(), NONE);
+        for (i, g) in module.globals.iter().enumerate() {
+            if module.tags.info(g.tag).kind == TagKind::Global {
+                home[g.tag.index()] = i as u32;
+            }
+        }
+        let locals = &mut self.locals;
+        locals.clear();
+        locals.resize(funcs + 1, 0);
+        for (id, info) in module.tags.iter() {
+            if let Some(o) = owner(info.kind) {
+                home[id.index()] = locals[o as usize + 1];
+                locals[o as usize + 1] += 1;
+            }
+        }
+        for f in 0..funcs {
+            locals[f + 1] += locals[f];
+        }
+        self.local_sizes.clear();
+        self.local_sizes.resize(locals[funcs] as usize, 0);
+        for (id, info) in module.tags.iter() {
+            if let Some(o) = owner(info.kind) {
+                self.local_sizes[(locals[o as usize] + home[id.index()]) as usize] = info.size;
+            }
+        }
+        // Reserve from the block lengths, so that a module bigger than the
+        // parked tables grows each of them once.
+        let (mut instrs, mut blocks) = (0, 0);
+        for func in &module.funcs {
+            blocks += func.blocks.len() + 1;
+            instrs += func.blocks.iter().map(|b| b.instrs.len()).sum::<usize>();
+        }
+        self.ops.clear();
+        self.ops.reserve(instrs + blocks);
+        self.segs.clear();
+        self.segs.reserve(instrs + blocks);
+        self.funcs.clear();
+        self.funcs.reserve(funcs);
+        self.block_segs.clear();
+        self.block_segs.reserve(blocks);
+        self.edges.clear();
+        self.moves.clear();
+        self.calls.clear();
+        self.args.clear();
+        self.faults.clear();
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.clear();
+        for (f, func) in module.funcs.iter().enumerate() {
+            let code = self.decode_func(module, f as u32, func, &home, &mut pending);
+            self.funcs.push(FuncCode {
+                locals_start: self.locals[f],
+                locals_end: self.locals[f + 1],
+                ..code
+            });
+        }
+        for (edge, err) in pending.drain(..) {
+            let seg = self.trap_seg(err);
+            self.edges[edge as usize].seg = seg;
+        }
+        self.home = home;
+        self.pending = pending;
+    }
 
     fn fault(&mut self, err: VmError) -> u32 {
         self.faults.push(err);
@@ -647,6 +694,7 @@ impl<'m> Program<'m> {
 
     fn decode_func(
         &mut self,
+        module: &Module,
         f: u32,
         func: &Function,
         home: &[u32],
@@ -672,7 +720,7 @@ impl<'m> Program<'m> {
         self.calls.reserve(calls);
         self.args.reserve(args);
 
-        let tags = &self.module.tags;
+        let tags = &module.tags;
         let home = |tag: TagId| {
             let info = tags.info(tag);
             match info.kind {
@@ -727,17 +775,17 @@ impl<'m> Program<'m> {
                     Instr::CLoad { dst, tag } | Instr::SLoad { dst, tag } => match home(*tag) {
                         Some(Home::Global(obj)) => Op::LoadGlobal { dst: dst.0, obj },
                         Some(Home::Local(slot)) => Op::LoadLocal { dst: dst.0, slot },
-                        None => self.no_object(*tag),
+                        None => self.no_object(module, *tag),
                     },
                     Instr::SStore { src, tag } => match home(*tag) {
                         Some(Home::Global(obj)) => Op::StoreGlobal { src: src.0, obj },
                         Some(Home::Local(slot)) => Op::StoreLocal { src: src.0, slot },
-                        None => self.no_object(*tag),
+                        None => self.no_object(module, *tag),
                     },
                     Instr::Lea { dst, tag } => match home(*tag) {
                         Some(Home::Global(obj)) => Op::LeaGlobal { dst: dst.0, obj },
                         Some(Home::Local(slot)) => Op::LeaLocal { dst: dst.0, slot },
-                        None => self.no_object(*tag),
+                        None => self.no_object(module, *tag),
                     },
                     Instr::Load { dst, addr, .. } => Op::Load {
                         dst: dst.0,
@@ -875,8 +923,8 @@ impl<'m> Program<'m> {
     }
 
     /// A counted op that fails: `tag` has no object in this function.
-    fn no_object(&mut self, tag: TagId) -> Op {
-        let info = self.module.tags.info(tag);
+    fn no_object(&mut self, module: &Module, tag: TagId) -> Op {
+        let info = module.tags.info(tag);
         let msg = match info.kind {
             TagKind::Global => format!("global \"{}\" has no definition", info.name),
             _ => format!("tag \"{}\" not owned by the running function", info.name),
@@ -991,8 +1039,8 @@ mod tests {
     /// The variant names of the ops `src` decodes to.
     fn decoded(src: &str) -> Vec<String> {
         let module = ir::parse_module(src).expect("parse");
-        Program::decode(&module)
-            .ops
+        let code = Program::decode(&module);
+        code.ops
             .iter()
             .map(|op| format!("{op:?}").split(' ').next().unwrap().to_string())
             .collect()

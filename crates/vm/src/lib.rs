@@ -37,6 +37,7 @@
 mod counts;
 mod decode;
 mod machine;
+mod pool;
 mod profile;
 mod value;
 

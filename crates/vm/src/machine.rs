@@ -17,6 +17,7 @@
 
 use crate::counts::ExecCounts;
 use crate::decode::{Op, Program, NONE};
+use crate::pool;
 use crate::profile::{BlockProfile, FuncProfile, Profile};
 use crate::value::{ObjId, Ptr, Value};
 use ir::{BinOp, Callee, CmpOp, FuncId, GlobalInit, Intrinsic, Module, UnaryOp};
@@ -31,6 +32,24 @@ use std::fmt;
 /// campaign's 400 use at most 40 cells), and at 24 bytes a cell it keeps
 /// a runaway program's heap under 25 MiB.
 pub const MAX_HEAP_CELLS: u64 = 1 << 20;
+
+/// The most cells a thread keeps parked between runs (see
+/// [`crate::pool`]), summed over the register files and cell buffers it
+/// keeps, smallest buffers first: a buffer that would take the sum past
+/// it is freed instead. 2^16 cells is 1.5 MiB at 24 bytes a cell, 16
+/// times under a full heap, and the benchmark suite's programs, run one
+/// after another, find every buffer they need parked.
+const POOLED_CELLS: usize = 1 << 16;
+
+/// The most objects whose cell buffers a thread keeps parked between
+/// runs, and the most entries a parked object, frame or free-slot table
+/// may have room for; a larger table is freed. A run that `malloc`s
+/// millions of one-cell objects leaves at most 2^12 buffers parked.
+const POOLED_OBJECTS: usize = 1 << 12;
+
+/// The most register files a thread keeps parked between runs: one per
+/// call depth reached, so a deep recursion frees the rest.
+const POOLED_REG_FILES: usize = 64;
 
 /// The most lines one run may print: every `print_int`/`print_float` line
 /// is held in [`Outcome::output`] until the run returns. 2^24 lines is 4.7
@@ -217,14 +236,45 @@ struct Obj {
     data: Vec<Value>,
 }
 
+/// What a VM's run allocates and leaves for the next run on its thread
+/// (see [`crate::pool`]): the [`Vm`] fields of the same names, and the
+/// objects' cell buffers.
+#[derive(Default)]
+pub(crate) struct Storage {
+    objects: Vec<Obj>,
+    cells: Vec<Vec<Value>>,
+    free_slots: Vec<u32>,
+    locals: Vec<ObjRef>,
+    spare_regs: Vec<Vec<Value>>,
+    phi_values: Vec<Value>,
+    invocations: Vec<u64>,
+}
+
+impl Storage {
+    /// Cells held in buffers, for keeping the larger of two parked sets.
+    fn cells_held(&self) -> usize {
+        self.cells
+            .iter()
+            .chain(&self.spare_regs)
+            .map(Vec::capacity)
+            .sum()
+    }
+}
+
 /// The interpreter's state for one run of a decoded module.
 pub struct Vm {
     options: VmOptions,
     objects: Vec<Obj>,
+    /// Cell buffers parked for objects not created yet, by capacity,
+    /// smallest first: a new object takes the smallest that holds it.
+    cells: Vec<Vec<Value>>,
     free_slots: Vec<u32>,
     /// The owned objects of every active frame, innermost last.
     locals: Vec<ObjRef>,
-    /// Register files of returned frames, kept for the next call.
+    /// Register files of returned frames, kept for the next call. Each is
+    /// empty: [`Vm::call`] clears a file as it returns it, unlike the
+    /// other storage, which whoever takes it clears (clearing in
+    /// [`Vm::call_with`] instead ran calls 4% slower).
     spare_regs: Vec<Vec<Value>>,
     /// Reusable buffer for parallel φ moves.
     phi_values: Vec<Value>,
@@ -322,7 +372,9 @@ impl Vm {
     /// Calls `func` and reports how the run ended; its counts are left
     /// in the segment frequencies.
     fn start(&mut self, code: &Program, func: FuncId, args: &[Value]) -> Result<Outcome, VmError> {
-        let (result, exit_code) = match self.call(code, func.0, args.to_vec()) {
+        let mut regs = self.spare_regs.pop().unwrap_or_default();
+        regs.extend_from_slice(args);
+        let (result, exit_code) = match self.call(code, func.0, regs) {
             Ok(result) => {
                 let exit_code = match result {
                     Some(Value::Int(v)) => v,
@@ -341,18 +393,35 @@ impl Vm {
         })
     }
 
-    /// Prepares a VM for `code`: allocates and initializes globals, the
-    /// `i`-th global as object `i`.
+    /// Prepares a VM for `code` on the storage parked on the thread:
+    /// initializes globals, the `i`-th global as object `i`.
     fn new(code: &Program, options: VmOptions) -> Self {
         let module = code.module;
+        let Storage {
+            mut objects,
+            cells,
+            mut free_slots,
+            mut locals,
+            spare_regs,
+            mut phi_values,
+            mut invocations,
+        } = pool::take(&pool::STORAGE);
+        objects.clear();
+        objects.reserve(module.globals.len());
+        free_slots.clear();
+        locals.clear();
+        phi_values.clear();
+        invocations.clear();
+        invocations.resize(code.funcs.len(), 0);
         let mut vm = Vm {
             options,
-            objects: Vec::with_capacity(module.globals.len()),
-            free_slots: Vec::new(),
-            locals: Vec::new(),
-            spare_regs: Vec::new(),
-            phi_values: Vec::new(),
-            invocations: vec![0; code.funcs.len()],
+            objects,
+            cells,
+            free_slots,
+            locals,
+            spare_regs,
+            phi_values,
+            invocations,
             steps: 0,
             heap_cells: 0,
             output: Vec::new(),
@@ -361,19 +430,25 @@ impl Vm {
         };
         for g in &module.globals {
             let size = module.tags.info(g.tag).size;
-            let mut data = vec![Value::Int(0); size];
+            let mut data = vm.new_cells(size);
+            data.resize(
+                size,
+                match g.init {
+                    // A float global is fully float-typed.
+                    GlobalInit::Floats(_) => Value::Float(0.0),
+                    _ => Value::Int(0),
+                },
+            );
             match &g.init {
                 GlobalInit::Zero => {}
                 GlobalInit::Ints(vs) => {
-                    for (i, v) in vs.iter().enumerate().take(size) {
-                        data[i] = Value::Int(*v);
+                    for (cell, v) in data.iter_mut().zip(vs) {
+                        *cell = Value::Int(*v);
                     }
                 }
                 GlobalInit::Floats(vs) => {
-                    // A float global is fully float-typed.
-                    data = vec![Value::Float(0.0); size];
-                    for (i, v) in vs.iter().enumerate().take(size) {
-                        data[i] = Value::Float(*v);
+                    for (cell, v) in data.iter_mut().zip(vs) {
+                        *cell = Value::Float(*v);
                     }
                 }
             }
@@ -386,12 +461,32 @@ impl Vm {
         vm
     }
 
+    /// An empty buffer for a new object of `size` cells: the smallest
+    /// parked one that holds them, else a new one. Fitting by size keeps
+    /// a scalar out of a buffer sized for another program's array.
+    fn new_cells(&mut self, size: usize) -> Vec<Value> {
+        let fits = self.cells.partition_point(|b| b.capacity() < size);
+        let mut data = match fits < self.cells.len() {
+            true => self.cells.remove(fits),
+            false => Vec::new(),
+        };
+        data.clear();
+        data
+    }
+
     /// An object of `size` cells, all `Uninit`, reusing a freed slot and
     /// its storage when one is available.
     fn alloc_object(&mut self, size: usize) -> ObjRef {
+        let r = self.alloc_slot(size);
+        self.objects[r.id.index()].data.resize(size, Value::Uninit);
+        r
+    }
+
+    /// A live object with no cells yet, where `size` will fit: a freed
+    /// slot with its storage, or a new object number.
+    fn alloc_slot(&mut self, size: usize) -> ObjRef {
         if let Some(slot) = self.free_slots.pop() {
             let obj = &mut self.objects[slot as usize];
-            obj.data.resize(size, Value::Uninit);
             obj.live = true;
             ObjRef {
                 id: ObjId(slot),
@@ -399,10 +494,11 @@ impl Vm {
             }
         } else {
             let id = ObjId(self.objects.len() as u32);
+            let data = self.new_cells(size);
             self.objects.push(Obj {
                 gen: 0,
                 live: true,
-                data: vec![Value::Uninit; size],
+                data,
             });
             ObjRef { id, gen: 0 }
         }
@@ -420,7 +516,7 @@ impl Vm {
             ))
             .into());
         }
-        let r = self.alloc_object(0);
+        let r = self.alloc_slot(cells as usize);
         let data = &mut self.objects[r.id.index()].data;
         if data.try_reserve_exact(cells as usize).is_err() {
             return Err(
@@ -859,6 +955,48 @@ impl Vm {
     }
 }
 
+impl Drop for Vm {
+    /// Parks the run's storage on its thread, within the caps, the
+    /// smaller cell buffers first.
+    fn drop(&mut self) {
+        let mut cells = std::mem::take(&mut self.cells);
+        let objects = self.objects.iter_mut().take(POOLED_OBJECTS);
+        cells.extend(objects.map(|obj| std::mem::take(&mut obj.data)));
+        cells.sort_unstable_by_key(Vec::capacity);
+        cells.truncate(POOLED_OBJECTS);
+        let mut spare_regs = std::mem::take(&mut self.spare_regs);
+        spare_regs.truncate(POOLED_REG_FILES);
+        let mut room = POOLED_CELLS;
+        for buf in spare_regs.iter_mut().chain(&mut cells) {
+            match room.checked_sub(buf.capacity()) {
+                Some(left) => room = left,
+                None => *buf = Vec::new(),
+            }
+        }
+        cells.retain(|buf| buf.capacity() > 0);
+        let storage = Storage {
+            objects: capped(&mut self.objects),
+            cells,
+            free_slots: capped(&mut self.free_slots),
+            locals: capped(&mut self.locals),
+            spare_regs,
+            phi_values: std::mem::take(&mut self.phi_values),
+            invocations: std::mem::take(&mut self.invocations),
+        };
+        pool::park(&pool::STORAGE, storage, Storage::cells_held);
+    }
+}
+
+/// The table `v` for parking, unless it has room for more than
+/// [`POOLED_OBJECTS`] entries: then an empty one, and `v` is freed.
+fn capped<T>(v: &mut Vec<T>) -> Vec<T> {
+    if v.capacity() > POOLED_OBJECTS {
+        Vec::new()
+    } else {
+        std::mem::take(v)
+    }
+}
+
 /// Where a fused compare closing segment `seg` branches.
 #[inline(always)]
 fn fused_target(seg: usize, taken: bool, then_rel: i16, else_rel: i16) -> usize {
@@ -1071,5 +1209,62 @@ mod tests {
             "{e}"
         );
         print_after(MAX_OUTPUT_BYTES, "").expect("an empty line adds no byte");
+    }
+
+    #[test]
+    fn a_run_with_a_full_heap_leaves_only_the_caps_parked() {
+        // 10,000 one-cell mallocs, then the rest of the heap in one, then
+        // recursion 100 deep: each is over one of the caps.
+        let module = ir::parse_module(
+            r#"
+tag "heap@0" heap site=0 size=1
+func @down(1) result {
+B0:
+  r1 = iconst 0
+  r2 = cmpeq r0, r1
+  branch r2, B2, B1
+B1:
+  r3 = iconst 1
+  r4 = sub r0, r3
+  r5 = call @down(r4) mods{} refs{}
+  ret r5
+B2:
+  ret r0
+}
+func @main(0) result {
+B0:
+  r0 = iconst 10000
+  r1 = iconst 1
+  jump B1
+B1:
+  r2 = alloc r1, "heap@0"
+  r0 = sub r0, r1
+  branch r0, B1, B2
+B2:
+  r3 = iconst 1038576
+  r4 = alloc r3, "heap@0"
+  r5 = iconst 100
+  r6 = call @down(r5) mods{} refs{}
+  ret r6
+}
+"#,
+        )
+        .expect("parse");
+        Vm::run_main(&module, VmOptions::default()).expect("the heap bound fits");
+        let parked = pool::take(&pool::STORAGE);
+        assert!(
+            parked.cells_held() <= POOLED_CELLS,
+            "{}",
+            parked.cells_held()
+        );
+        assert_eq!(parked.cells.len(), POOLED_OBJECTS);
+        assert_eq!(parked.spare_regs.len(), POOLED_REG_FILES);
+        for table in [
+            parked.objects.capacity(),
+            parked.free_slots.capacity(),
+            parked.locals.capacity(),
+        ] {
+            assert!(table <= POOLED_OBJECTS, "{table}");
+        }
     }
 }
