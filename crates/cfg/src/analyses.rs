@@ -289,8 +289,8 @@ impl FunctionAnalyses {
     /// Semantically equivalent to starting from [`FunctionAnalyses::new`]
     /// — all artifacts are stale and the build/solver ledgers are zeroed —
     /// except the next build round rebuilds into this shell's memory
-    /// instead of allocating. The driver's worker pool recycles shells
-    /// through this between pipeline runs.
+    /// instead of allocating. The driver recycles the shells each thread
+    /// keeps through this between pipeline runs.
     pub fn recycle(&mut self) {
         self.note_shape_changed();
         self.builds = BuildCounts::default();

@@ -185,6 +185,13 @@ fn cmd_compile(path: &str, opts: Options) -> Result<(), String> {
     Ok(())
 }
 
+/// Rejects the arguments left after a command that takes no flags,
+/// naming the first.
+fn no_flags(rest: &[String]) -> Result<(), String> {
+    rest.first()
+        .map_or(Ok(()), |extra| Err(format!("unknown flag `{extra}`")))
+}
+
 fn cmd_measure(name: &str, source: &str) -> Result<(), String> {
     let rows = measure_program(name, source).map_err(|e| e.to_string())?;
     for metric in [Metric::TotalOps, Metric::Stores, Metric::Loads] {
@@ -207,24 +214,23 @@ fn main() -> ExitCode {
         }
         "measure" => {
             let Some(path) = args.get(1) else { usage() };
-            match std::fs::read_to_string(path) {
+            no_flags(&args[2..]).and_then(|()| match std::fs::read_to_string(path) {
                 Ok(src) => cmd_measure(path, &src),
                 Err(e) => Err(format!("{path}: {e}")),
-            }
+            })
         }
         "bench" => {
             let Some(name) = args.get(1) else { usage() };
-            match benchsuite::find(name) {
+            no_flags(&args[2..]).and_then(|()| match benchsuite::find(name) {
                 Some(b) => cmd_measure(b.name, b.source),
                 None => Err(format!("unknown benchmark `{name}`; try `promoc suite`")),
-            }
+            })
         }
-        "suite" => {
+        "suite" => no_flags(&args[1..]).map(|()| {
             for b in benchsuite::SUITE {
                 println!("{:<10} {}", b.name, b.description);
             }
-            Ok(())
-        }
+        }),
         "--help" | "-h" | "help" => {
             println!("{}", HELP.trim());
             Ok(())

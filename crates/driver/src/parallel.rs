@@ -10,7 +10,7 @@
 //! benchmark suite.
 //!
 //! [`WorkerPool`] fixes the architecture: worker threads are spawned once
-//! (per pipeline run, or once per process for batch drivers that reuse a
+//! (per `Session`, or once per process for batch drivers that reuse a
 //! pool) and fed through a shared queue guarded by a mutex + condvar.
 //! A batch submitted via [`WorkerPool::run`] moves items through the
 //! queue's claim cursor and returns results over an `mpsc` channel — no
@@ -19,10 +19,12 @@
 //! `n - 1` OS threads and `threads <= 1` degenerates to a plain inline
 //! loop with zero synchronization.
 //!
+//! The pool only runs closures; the storage they reuse is parked on each
+//! thread (see [`crate::scratch`]).
+//!
 //! Only `std` is used — no thread-pool crates — because the build must
 //! work offline.
 
-use crate::scratch::PassScratch;
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -84,21 +86,7 @@ struct Queue {
 pub struct WorkerPool {
     shared: Arc<Shared>,
     handles: Vec<std::thread::JoinHandle<()>>,
-    /// One pass-scratch arena per worker (including the submitting
-    /// thread), claimed by [`WorkerPool::with_scratch`]. The slots live as
-    /// long as the pool, so arenas stay warm across batches *and* across
-    /// pipeline runs.
-    scratches: Vec<Mutex<PassScratch>>,
-    /// Recycled per-function analysis shells handed back by previous
-    /// pipeline runs ([`WorkerPool::return_analyses`]) and drawn at the
-    /// start of each run ([`WorkerPool::take_analyses`]), so artifact
-    /// rebuilds land in warm buffers instead of fresh allocations.
-    analyses: Mutex<Vec<cfg::FunctionAnalyses>>,
 }
-
-/// Upper bound on pooled analysis shells: enough for any realistic module,
-/// small enough that one huge compilation does not pin its peak memory.
-const MAX_POOLED_ANALYSES: usize = 256;
 
 impl WorkerPool {
     /// Creates a pool with `threads` total workers. The calling thread
@@ -137,81 +125,12 @@ impl WorkerPool {
                 })
             })
             .collect();
-        let scratches = (0..threads.max(1))
-            .map(|_| Mutex::new(PassScratch::default()))
-            .collect();
-        WorkerPool {
-            shared,
-            handles,
-            scratches,
-            analyses: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Takes `n` per-function analysis shells, drawing recycled ones from
-    /// the pool first and topping up with fresh ones. Recycled shells come
-    /// back fully invalidated (every artifact stale, ledgers zeroed) but
-    /// with their buffers warm, so the next build round allocates almost
-    /// nothing. Hand them back with
-    /// [`return_analyses`](Self::return_analyses) when the run is done.
-    pub(crate) fn take_analyses(&self, n: usize) -> Vec<cfg::FunctionAnalyses> {
-        let mut out = Vec::with_capacity(n);
-        {
-            // A poisoned pool mutex only means a panicking thread held it;
-            // the shells are recycled below regardless, so keep them.
-            let mut pool = self.analyses.lock().unwrap_or_else(|p| p.into_inner());
-            let k = pool.len().min(n);
-            let at = pool.len() - k;
-            out.extend(pool.drain(at..));
-        }
-        for fa in &mut out {
-            fa.recycle();
-        }
-        out.resize_with(n, cfg::FunctionAnalyses::new);
-        out
-    }
-
-    /// Returns analysis shells taken with
-    /// [`take_analyses`](Self::take_analyses) to the pool for the next
-    /// run. Shells beyond the pool's cap are dropped.
-    pub(crate) fn return_analyses(&self, mut shells: Vec<cfg::FunctionAnalyses>) {
-        let mut pool = self.analyses.lock().unwrap_or_else(|p| p.into_inner());
-        pool.append(&mut shells);
-        pool.truncate(MAX_POOLED_ANALYSES);
+        WorkerPool { shared, handles }
     }
 
     /// Total worker count, including the submitting thread.
     pub fn threads(&self) -> usize {
         self.handles.len() + 1
-    }
-
-    /// Runs `f` with an exclusive claim on one of the pool's per-worker
-    /// scratch arenas.
-    ///
-    /// There are exactly as many slots as threads that can concurrently
-    /// drain a batch (the submitter plus every spawned worker) and a
-    /// thread holds at most one claim at a time, so by pigeonhole the
-    /// `try_lock` scan always finds a free slot; the yield loop only
-    /// spins in the transient window where another thread is mid-release.
-    pub(crate) fn with_scratch<R>(&self, f: impl FnOnce(&mut PassScratch) -> R) -> R {
-        loop {
-            for slot in &self.scratches {
-                match slot.try_lock() {
-                    Ok(mut scratch) => return f(&mut scratch),
-                    Err(std::sync::TryLockError::Poisoned(poisoned)) => {
-                        // A pass panicked mid-claim (the pool survives item
-                        // panics), leaving this arena's contents suspect.
-                        // Replace it with a cold one rather than wedging
-                        // every later claimant on a poisoned slot.
-                        let mut scratch = poisoned.into_inner();
-                        *scratch = PassScratch::default();
-                        return f(&mut scratch);
-                    }
-                    Err(std::sync::TryLockError::WouldBlock) => {}
-                }
-            }
-            std::thread::yield_now();
-        }
     }
 
     /// Applies `f` to every item, across the pool's workers plus the

@@ -38,7 +38,7 @@
 
 use crate::incremental::FuncCache;
 use crate::parallel::WorkerPool;
-use crate::scratch::PassScratch;
+use crate::scratch::{return_analyses, take_analyses, with_scratch, PassScratch};
 use analysis::{tarjan_sccs, AnalysisLevel, CallGraph};
 use ir::{FuncId, Module};
 use promote::{PointerReport, PromotionReport, ScalarReport};
@@ -421,9 +421,9 @@ pub(crate) fn run_pipeline_core(
     // One analysis cache per function, alive from normalization to the
     // final clean: every pass both consumes it and reports what it
     // invalidated, so converged passes cost zero rebuilds downstream. The
-    // shells come recycled from the pool (warm buffers, stale artifacts)
-    // and go back to it at the end of the run.
-    let mut analyses = pool.take_analyses(module.funcs.len());
+    // shells come recycled from this thread's earlier runs (warm buffers,
+    // stale artifacts) and are parked on it again at the end of the run.
+    let mut analyses = take_analyses(module.funcs.len());
     // One trace buffer per function, alive across every round that touches
     // the function, so each function's events arrive in chain order.
     let mut traces: Vec<FuncTrace> = module
@@ -526,7 +526,7 @@ pub(crate) fn run_pipeline_core(
             .collect();
         pool.run(items, |_, (i, func, fa, tr)| {
             let fid = FuncId(i as u32);
-            let o = pool.with_scratch(|scratch| {
+            let o = with_scratch(|scratch| {
                 run_fused_chain(tags, func, fid, recursive[i], config, fa, scratch, tr)
             });
             (i, o)
@@ -600,7 +600,7 @@ pub(crate) fn run_pipeline_core(
         report.analysis_builds.add(&fa.builds);
         report.dataflow_stats.add(&fa.dataflow);
     }
-    pool.return_analyses(analyses);
+    return_analyses(analyses);
     let commit_elapsed = commit_start.elapsed();
     report.timings.passes = rows
         .into_iter()

@@ -10,6 +10,12 @@
 //! instrumented VM under the caller's [`VmOptions`] and folds any fault
 //! into the unified [`Error`].
 //!
+//! Warm storage (front end, pass scratch, VM tables) belongs to the
+//! calling thread, not the session (see [`crate::scratch`]), so threads
+//! that share a session never wait for it, and sessions that share a
+//! thread share it. Building a session frees the building thread's
+//! compiler storage, so its first compile starts cold.
+//!
 //! ```
 //! use driver::Session;
 //! use vm::VmOptions;
@@ -46,19 +52,16 @@ use std::sync::Mutex;
 use trace::TraceLog;
 use vm::{Outcome, Profile, Vm, VmOptions};
 
-/// A configured compiler instance: pipeline configuration + a persistent
-/// [`WorkerPool`] reused across every compilation, plus a
-/// warm [`minic::Frontend`] whose interner, token buffer, and AST pools
-/// are recycled across every program the session compiles.
+/// A configured compiler instance: pipeline configuration, a persistent
+/// [`WorkerPool`] reused across every compilation, and, on an incremental
+/// session, the function cache. Its compile entry points take `&self`,
+/// so threads may share one session.
 ///
 /// Construct with [`Session::builder()`] (or [`Session::default()`] for
 /// the paper's default arm).
 pub struct Session {
     config: PipelineConfig,
     pool: WorkerPool,
-    /// Warm front-end buffers; behind a mutex because compilation entry
-    /// points take `&self`.
-    frontend: Mutex<minic::Frontend>,
     /// The per-function incremental cache, present when the session was
     /// built with [`SessionBuilder::incremental`]. Compiles on such a
     /// session splice fingerprint-matching functions from here instead of
@@ -151,25 +154,15 @@ impl Session {
         Ok(())
     }
 
-    /// Compiles MiniC source through the full pipeline.
+    /// Compiles MiniC source through the full pipeline, on the calling
+    /// thread's warm front end ([`minic::compile`]).
     ///
     /// # Errors
     ///
     /// Returns [`Error::Front`] if the source does not compile, or what
     /// [`optimize`](Self::optimize) returns.
     pub fn compile(&self, src: &str) -> Result<Compilation, Error> {
-        let mut module = self
-            .frontend
-            .lock()
-            .unwrap_or_else(|poisoned| {
-                // A compile that panicked may have left the warm buffers
-                // mid-rebuild; swap in a fresh front end instead of
-                // wedging every later compile on this session.
-                let mut guard = poisoned.into_inner();
-                *guard = minic::Frontend::new();
-                guard
-            })
-            .compile(src)?;
+        let mut module = minic::compile(src)?;
         let (report, trace) = self.optimize(&mut module)?;
         Ok(Compilation {
             module,
@@ -325,12 +318,14 @@ impl SessionBuilder {
     }
 
     /// Builds the session, spawning its worker pool (sized from the
-    /// thread count).
+    /// thread count), and frees the calling thread's front end, pass
+    /// scratch and analysis shells, so that the same compiles on a new
+    /// session allocate the same however warm the thread was.
     pub fn build(self) -> Session {
+        crate::scratch::free_parked();
         Session {
             pool: WorkerPool::new(resolve_threads(self.config.threads)),
             config: self.config,
-            frontend: Mutex::new(minic::Frontend::new()),
             cache: self
                 .incremental
                 .then(|| Mutex::new(FuncCache::new(self.cache_budget))),
@@ -394,37 +389,5 @@ impl Compilation {
     /// schema).
     pub fn trace_jsonl(&self) -> String {
         self.trace.to_jsonl()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn session_survives_a_poisoned_frontend_mutex() {
-        let session = Arc::new(Session::builder().threads(Some(1)).build());
-        let src = "int main() { print_int(7); return 0; }";
-        let before = session.compile(src).expect("compile before poisoning");
-
-        // Poison the warm front-end mutex the way a panicking compile
-        // would: panic while holding the guard.
-        let poisoner = Arc::clone(&session);
-        std::thread::spawn(move || {
-            let _guard = poisoner.frontend.lock().unwrap();
-            panic!("deliberate poison");
-        })
-        .join()
-        .unwrap_err();
-        assert!(session.frontend.is_poisoned());
-
-        // The session must recover with a fresh front end, not wedge.
-        let after = session.compile(src).expect("compile after poisoning");
-        assert_eq!(before.module.to_string(), after.module.to_string());
-        // And subsequent compiles keep working on the replaced buffers.
-        session
-            .compile(src)
-            .expect("second compile after poisoning");
     }
 }

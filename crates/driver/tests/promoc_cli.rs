@@ -33,15 +33,22 @@ struct Run {
 }
 
 /// Writes `source` to a file of its own and runs `promoc <cmd> FILE
-/// <flags>` on it, killing the process if it outlives [`DEADLINE`].
+/// <flags>` on it.
 fn promoc(name: &str, source: &str, cmd: &str, flags: &[&str]) -> Run {
     let path: PathBuf =
         std::env::temp_dir().join(format!("promoc-cli-{}-{name}.c", std::process::id()));
     std::fs::write(&path, source).expect("write the source file");
+    let file = path.to_str().expect("a UTF-8 temp path");
+    let args: Vec<&str> = [cmd, file].iter().chain(flags).copied().collect();
+    let run = promoc_args(&args);
+    let _ = std::fs::remove_file(&path);
+    run
+}
+
+/// Runs `promoc <args>`, killing the process if it outlives [`DEADLINE`].
+fn promoc_args(args: &[&str]) -> Run {
     let mut child = Command::new(env!("CARGO_BIN_EXE_promoc"))
-        .arg(cmd)
-        .arg(&path)
-        .args(flags)
+        .args(args)
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -56,12 +63,10 @@ fn promoc(name: &str, source: &str, cmd: &str, flags: &[&str]) -> Run {
         if start.elapsed() > DEADLINE {
             child.kill().expect("kill promoc");
             child.wait().expect("reap promoc");
-            let _ = std::fs::remove_file(&path);
-            panic!("promoc {cmd} {flags:?} on {name} ran past {DEADLINE:?}");
+            panic!("promoc {args:?} ran past {DEADLINE:?}");
         }
         std::thread::sleep(Duration::from_millis(10));
     };
-    let _ = std::fs::remove_file(&path);
     Run {
         code: status.code(),
         stdout: stdout.join().expect("stdout reader"),
@@ -154,6 +159,36 @@ fn an_unknown_flag_is_named() {
     let run = promoc("flag", LOOP, "run", &["--bogus"]);
     assert_ne!(run.code, Some(0));
     assert!(run.stderr.contains("--bogus"), "{}", run.stderr);
+}
+
+/// Asserts that `run` answered an argument its command does not take the
+/// way `run` and `compile` answer an unknown flag: status 1, one
+/// `promoc:` line naming `extra`, and nothing on stdout.
+fn assert_extra_rejected(run: &Run, extra: &str) {
+    assert_rejected(run, &format!("unknown flag `{extra}`"));
+    assert_eq!(run.stderr.lines().count(), 1, "{}", run.stderr);
+    assert_eq!(run.stdout, "");
+}
+
+#[test]
+fn measure_names_an_extra_argument() {
+    let run = promoc(
+        "measure-extra",
+        LOOP,
+        "measure",
+        &["--regs", "1", "--bogus"],
+    );
+    assert_extra_rejected(&run, "--regs");
+}
+
+#[test]
+fn bench_names_an_extra_argument() {
+    assert_extra_rejected(&promoc_args(&["bench", "mlink", "--no-opt"]), "--no-opt");
+}
+
+#[test]
+fn suite_names_an_extra_argument() {
+    assert_extra_rejected(&promoc_args(&["suite", "extra"]), "extra");
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Differential test of scratch-arena reuse against compilation on a
 //! clean arena, on randomized modules.
 //!
-//! The zero-allocation hot loop threads per-worker `PassScratch`
-//! arenas and pool-recycled analysis shells through every pass. Two bug
+//! The zero-allocation hot loop threads per-thread `PassScratch`
+//! arenas and recycled analysis shells through every pass. Two bug
 //! classes hide in that kind of reuse. *Leakage*: a pass reads state left
 //! behind by the previous function (a dense table whose generation stamp
 //! was not bumped, a worklist that was not drained, a recycled shell whose
@@ -12,8 +12,9 @@
 //! functions and garbage only when the stale entry happens to collide.
 //! Both produce miscompiles that no single-compile test catches. The
 //! oracle is each function compiled alone: a one-function module with the
-//! same tag table, on a brand-new one-worker session, runs on a clean
-//! arena with fresh analysis shells. The random modules contain no calls,
+//! same tag table, on a brand-new one-worker session on a fresh thread,
+//! runs on a clean arena with fresh analysis shells (warm storage belongs
+//! to the thread, not the session). The random modules contain no calls,
 //! so nothing else about a function's compile depends on its neighbours.
 //! These tests compile the same randomized modules on long-lived sessions
 //! at several worker counts and demand, for every function, the
@@ -162,7 +163,8 @@ fn session(threads: usize) -> Session {
 
 /// The reference output of every function of `module`: each compiled
 /// alone, in a one-function module with the same tag table, on a
-/// brand-new one-worker session.
+/// brand-new one-worker session on a thread of its own, whose arenas and
+/// shells no earlier compile has touched.
 fn reference(module: &Module) -> Vec<FuncOutput> {
     module
         .funcs
@@ -171,7 +173,11 @@ fn reference(module: &Module) -> Vec<FuncOutput> {
             let mut alone = Module::new();
             alone.tags = module.tags.clone();
             alone.funcs.push(f.clone());
-            compile_on(&session(1), &alone).remove(0)
+            std::thread::scope(|s| {
+                s.spawn(|| compile_on(&session(1), &alone).remove(0))
+                    .join()
+                    .expect("reference compile")
+            })
         })
         .collect()
 }
@@ -210,7 +216,7 @@ fn scratch_reuse_is_byte_identical_across_workers() {
 
 /// Two consecutive runs of the same module on one session must both match
 /// the clean-arena reference: the second run executes entirely on the
-/// warm pool (recycled shells, dirtied arenas) that the first run left
+/// warm threads (recycled shells, dirtied arenas) that the first run left
 /// behind.
 #[test]
 fn consecutive_runs_on_one_pool_agree() {

@@ -394,9 +394,11 @@ impl Oracle {
 /// every program and edit it sees, and each compile is compared — IL
 /// text, rendered remarks, trace JSONL, program output, exit code, and
 /// full dynamic [`ExecCounts`] — against a fresh cold [`Session`] of the
-/// same configuration. Any divergence means cached splicing changed
-/// observable behavior, which the design forbids. The warm session's
-/// cache budget is small enough that checks also run after evictions.
+/// same configuration, compiled and run on a fresh thread so that its
+/// front end, scratch, analysis shells and VM storage are clean too. Any
+/// divergence means cached splicing or reused storage changed observable
+/// behavior, which the design forbids. The warm session's cache budget is
+/// small enough that checks also run after evictions.
 pub struct EditOracle {
     warm: Session,
     vm: VmOptions,
@@ -424,8 +426,8 @@ impl EditOracle {
         }
     }
 
-    /// Compiles `src` on the warm incremental session and on a fresh cold
-    /// session, and demands byte-identical artifacts and dynamic counts.
+    /// Compiles `src` on the warm session and on a cold one on a fresh
+    /// thread, and demands byte-identical artifacts and dynamic counts.
     pub fn check(&mut self, src: &str) -> Verdict {
         let fail = |kind, detail: String| {
             Verdict::Fail(Failure {
@@ -434,7 +436,6 @@ impl EditOracle {
                 detail,
             })
         };
-        let cold = Session::builder().threads(Some(1)).trace(true).build();
         let warm = match self.warm.compile(src) {
             Ok(c) => c,
             Err(e) => {
@@ -448,7 +449,18 @@ impl EditOracle {
             self.cache_hits += incr.cache_hits as u64;
             self.evictions += incr.evictions as u64;
         }
-        let cold = match cold.compile(src) {
+        let vm = &self.vm;
+        let cold = std::thread::scope(|s| {
+            s.spawn(|| {
+                let session = Session::builder().threads(Some(1)).trace(true).build();
+                let c = session.compile(src)?;
+                let ran = c.run(vm.clone());
+                Ok::<_, Error>((c, ran))
+            })
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        });
+        let (cold, cold_run) = match cold {
             Ok(c) => c,
             Err(e) => {
                 return fail(
@@ -479,7 +491,7 @@ impl EditOracle {
             Ok(o) => o,
             Err(e) => return Verdict::Skip(format!("warm arm fault: {e}")),
         };
-        let cout = match cold.run(self.vm.clone()) {
+        let cout = match cold_run {
             Ok(o) => o,
             Err(e) => {
                 return fail(

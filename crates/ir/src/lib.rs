@@ -54,6 +54,6 @@ pub use instr::{
 };
 pub use parse::{parse_module, ParseIlError};
 pub use print::{instr_to_string, module_to_string, tagset_to_string, write_instr, write_tagset};
-pub use scratch::{DenseMap, DenseSet, RewriteBuf};
+pub use scratch::{free_parked, park, take, DenseMap, DenseSet, RewriteBuf, Slot};
 pub use tag::{DenseTagSet, TagId, TagInfo, TagKind, TagSet, TagTable, INLINE_CAP};
 pub use validate::{validate, ValidateError};

@@ -16,11 +16,46 @@
 //!   callback that pushes the replacement sequence back, so arbitrary
 //!   deletes/expansions cost one pass instead of one shift per edit.
 //!
-//! All containers keep their capacity across uses; a per-worker scratch
-//! that has seen the largest function in a module never allocates again.
+//! All containers keep their capacity across uses; a scratch that has
+//! seen the largest function in a module never allocates again.
+//!
+//! Between uses, warm storage is parked on its thread ([`take`] and
+//! [`park`]): the front end, the pass chain's scratch and analysis
+//! shells, and the VM's tables. It is freed by [`free_parked`] or when
+//! the thread exits; a value dropped by a panic is simply gone, and the
+//! next user on the thread takes a default one.
 
 use crate::instr::Instr;
 use crate::Block;
+use std::cell::Cell;
+use std::thread::LocalKey;
+
+/// One parked value per thread, declared with `thread_local!` as
+/// `Cell<Option<T>>` starting at `None`.
+pub type Slot<T> = LocalKey<Cell<Option<T>>>;
+
+/// Takes the value parked in `slot`, or a default one when there is none
+/// (or the thread is exiting).
+pub fn take<T: Default>(slot: &'static Slot<T>) -> T {
+    slot.try_with(Cell::take).ok().flatten().unwrap_or_default()
+}
+
+/// Parks `value` in `slot`, unless the value parked there is larger by
+/// `size`; the smaller one is freed. On an exiting thread `value` is freed.
+pub fn park<T>(slot: &'static Slot<T>, value: T, size: fn(&T) -> usize) {
+    let _ = slot.try_with(|parked| {
+        let kept = match parked.take() {
+            Some(held) if size(&held) > size(&value) => held,
+            _ => value,
+        };
+        parked.set(Some(kept));
+    });
+}
+
+/// Frees the value parked in `slot`, if any.
+pub fn free_parked<T>(slot: &'static Slot<T>) {
+    let _ = slot.try_with(Cell::take);
+}
 
 /// A map from a small dense index to `V`, cleared by epoch bump.
 ///

@@ -6,7 +6,7 @@
 //! of per-node `Vec`s. A parse therefore performs a handful of amortized
 //! `Vec` pushes rather than one heap allocation per node, and the pools
 //! are recycled across compiles by [`crate::Frontend`] the same way the
-//! driver recycles its `PassScratch` arenas. Names are interned
+//! pass chain recycles its scratch tables. Names are interned
 //! [`Symbol`]s; resolve them through the interner that lexed the program.
 
 use crate::intern::Symbol;

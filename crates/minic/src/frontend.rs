@@ -3,10 +3,10 @@
 //! A [`Frontend`] owns every allocation the front end makes — the string
 //! interner, the token buffer, the AST pools, and the parser/lowering
 //! scratch tables — and recycles them across compiles the same way the
-//! driver's `PassScratch` recycles analysis storage. The first compile
-//! pays to grow the arenas; subsequent compiles of similar programs
-//! reuse that capacity and allocate close to nothing in the lex/parse
-//! path.
+//! pass chain recycles its scratch. The first compile pays to grow the
+//! arenas; subsequent compiles of similar programs reuse that capacity
+//! and allocate close to nothing in the lex/parse path. [`compile`] keeps
+//! one warm front end per thread.
 
 use crate::ast::Program;
 use crate::error::FrontError;
@@ -15,7 +15,17 @@ use crate::lexer::lex_into;
 use crate::lower::{lower_program, LowerScratch};
 use crate::parser::{parse_tokens, ParseScratch};
 use crate::token::Token;
-use ir::Module;
+use ir::{free_parked, park, take, Module};
+use std::cell::Cell;
+
+/// The most names a parked front end's interner may hold (it keeps every
+/// name it has seen); the benchmark suite, 1,000 generated programs and
+/// 300 mutants of them intern fewer than 300.
+const MAX_PARKED_NAMES: usize = 1 << 16;
+
+thread_local! {
+    static FRONTEND: Cell<Option<Frontend>> = const { Cell::new(None) };
+}
 
 /// A reusable MiniC front end: interner + token buffer + AST pools +
 /// scratch tables, recycled across [`Frontend::compile`] calls.
@@ -127,17 +137,31 @@ impl Default for Frontend {
     }
 }
 
-/// Compiles MiniC source to an IL module with a fresh [`Frontend`].
-///
-/// Callers that compile repeatedly should hold a [`Frontend`] (or a
-/// `Session` with front-end reuse enabled) instead, so arenas and tables
-/// are recycled.
+/// Compiles MiniC source to an IL module on the thread's warm
+/// [`Frontend`], so repeated calls on one thread recycle its arenas and
+/// tables.
 ///
 /// # Errors
 ///
 /// Returns the first front-end error.
 pub fn compile(src: &str) -> Result<Module, FrontError> {
-    Frontend::new().compile(src)
+    let mut fe = take(&FRONTEND);
+    let module = fe.compile(src);
+    park_frontend(fe);
+    module
+}
+
+/// Frees the front end [`compile`] keeps on this thread; the next call
+/// starts from a new one.
+pub fn free_parked_frontend() {
+    free_parked(&FRONTEND);
+}
+
+/// Parks `fe` for the next [`compile`] unless it is over the name cap.
+fn park_frontend(fe: Frontend) {
+    if fe.interner.len() <= MAX_PARKED_NAMES {
+        park(&FRONTEND, fe, |fe| fe.interner.len());
+    }
 }
 
 #[cfg(test)]
@@ -168,6 +192,30 @@ mod tests {
         let n = fe.interner().len();
         fe.parse("int alpha() { return 0; }").unwrap();
         assert_eq!(fe.interner().len(), n, "warm parse interned new names");
+    }
+
+    #[test]
+    fn compile_reuses_the_threads_front_end() {
+        compile("int alpha() { return 0; } int main() { return alpha(); }").unwrap();
+        compile("int main() { return 0; }").unwrap();
+        let parked = take(&FRONTEND);
+        assert!(parked.interner().lookup("alpha").is_some());
+        park_frontend(parked);
+        free_parked_frontend();
+        assert!(take(&FRONTEND).interner().lookup("alpha").is_none());
+    }
+
+    #[test]
+    fn a_front_end_over_the_name_cap_is_freed_instead_of_parked() {
+        for over in [false, true] {
+            let mut fe = Frontend::new(); // `malloc` is its first name
+            for i in 1..MAX_PARKED_NAMES + usize::from(over) {
+                fe.interner.intern(&format!("n{i}"));
+            }
+            park_frontend(fe);
+            let kept = take(&FRONTEND).interner().lookup("n1").is_some();
+            assert_eq!(kept, !over, "over the cap: {over}");
+        }
     }
 
     #[test]

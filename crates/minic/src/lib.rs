@@ -11,8 +11,8 @@
 //! The front end is built for throughput: identifiers are interned to
 //! `u32` [`Symbol`]s, tokens are `Copy`, and the AST lives in per-module
 //! id pools rather than `Box`es. A [`Frontend`] owns all of those buffers
-//! and recycles them across compiles; the free [`compile`] function is a
-//! one-shot convenience on top of it.
+//! and recycles them across compiles; the free [`compile`] function keeps
+//! one warm front end per thread.
 //!
 //! ```
 //! use vm::{Vm, VmOptions};
@@ -45,7 +45,7 @@ mod parser;
 mod token;
 
 pub use error::{FrontError, Phase};
-pub use frontend::{compile, Frontend};
+pub use frontend::{compile, free_parked_frontend, Frontend};
 pub use intern::{Interner, Symbol};
 pub use parser::MAX_NESTING;
 pub use token::{Pos, Tok, Token};

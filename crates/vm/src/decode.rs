@@ -21,7 +21,7 @@
 
 use crate::counts::ExecCounts;
 use crate::machine::VmError;
-use crate::pool;
+use ir::{park, take};
 use ir::{BinOp, BlockId, Callee, CmpOp, FuncId, Function, Instr, Module, TagId, TagKind, UnaryOp};
 use std::cell::Cell;
 use std::ops::Deref;
@@ -431,8 +431,12 @@ pub(crate) struct FuncCode {
     pub(crate) blocks: u32,
 }
 
-/// A decoded module's tables, and decoding's working vectors. Between
-/// runs they are parked on the thread (see [`crate::pool`]).
+thread_local! {
+    static TABLES: Cell<Option<Tables>> = const { Cell::new(None) };
+}
+
+/// A decoded module's tables and decoding's working vectors, parked on
+/// the thread between runs ([`ir::park`]); sized by the module, uncapped.
 #[derive(Debug, Default)]
 pub(crate) struct Tables {
     pub(crate) ops: Vec<Op>,
@@ -457,7 +461,7 @@ pub(crate) struct Tables {
 }
 
 /// A decoded module: its tables, read through `Deref`, taken from the
-/// thread's pool and parked there again on drop.
+/// thread and parked there again on drop.
 #[derive(Debug)]
 pub(crate) struct Program<'m> {
     pub(crate) module: &'m Module,
@@ -475,7 +479,7 @@ impl Deref for Program<'_> {
 impl Drop for Program<'_> {
     fn drop(&mut self) {
         let tables = std::mem::take(&mut self.tables);
-        pool::park(&pool::TABLES, tables, |t| t.ops.capacity());
+        park(&TABLES, tables, |t| t.ops.capacity());
     }
 }
 
@@ -555,7 +559,7 @@ impl<'m> Program<'m> {
     /// numbered as the VM allocates them: object `i` is the `i`-th entry
     /// of `module.globals`.
     pub(crate) fn decode(module: &'m Module) -> Program<'m> {
-        let mut tables = pool::take(&pool::TABLES);
+        let mut tables = take(&TABLES);
         tables.decode(module);
         Program { module, tables }
     }

@@ -37,7 +37,6 @@
 mod counts;
 mod decode;
 mod machine;
-mod pool;
 mod profile;
 mod value;
 

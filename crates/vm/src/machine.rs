@@ -17,10 +17,10 @@
 
 use crate::counts::ExecCounts;
 use crate::decode::{Op, Program, NONE};
-use crate::pool;
 use crate::profile::{BlockProfile, FuncProfile, Profile};
 use crate::value::{ObjId, Ptr, Value};
-use ir::{BinOp, Callee, CmpOp, FuncId, GlobalInit, Intrinsic, Module, UnaryOp};
+use ir::{park, take, BinOp, Callee, CmpOp, FuncId, GlobalInit, Intrinsic, Module, UnaryOp};
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::error::Error;
 use std::fmt;
@@ -33,12 +33,12 @@ use std::fmt;
 /// a runaway program's heap under 25 MiB.
 pub const MAX_HEAP_CELLS: u64 = 1 << 20;
 
-/// The most cells a thread keeps parked between runs (see
-/// [`crate::pool`]), summed over the register files and cell buffers it
-/// keeps, smallest buffers first: a buffer that would take the sum past
-/// it is freed instead. 2^16 cells is 1.5 MiB at 24 bytes a cell, 16
-/// times under a full heap, and the benchmark suite's programs, run one
-/// after another, find every buffer they need parked.
+/// The most cells a thread keeps parked between runs (see [`Storage`]),
+/// summed over the register files and cell buffers it keeps, smallest
+/// buffers first: a buffer that would take the sum past it is freed
+/// instead. 2^16 cells is 1.5 MiB at 24 bytes a cell, 16 times under a
+/// full heap, and the benchmark suite's programs, run one after another,
+/// find every buffer they need parked.
 const POOLED_CELLS: usize = 1 << 16;
 
 /// The most objects whose cell buffers a thread keeps parked between
@@ -236,8 +236,12 @@ struct Obj {
     data: Vec<Value>,
 }
 
+thread_local! {
+    static STORAGE: Cell<Option<Storage>> = const { Cell::new(None) };
+}
+
 /// What a VM's run allocates and leaves for the next run on its thread
-/// (see [`crate::pool`]): the [`Vm`] fields of the same names, and the
+/// ([`ir::park`]): the [`Vm`] fields of the same names, and the
 /// objects' cell buffers.
 #[derive(Default)]
 pub(crate) struct Storage {
@@ -405,7 +409,7 @@ impl Vm {
             spare_regs,
             mut phi_values,
             mut invocations,
-        } = pool::take(&pool::STORAGE);
+        } = take(&STORAGE);
         objects.clear();
         objects.reserve(module.globals.len());
         free_slots.clear();
@@ -983,7 +987,7 @@ impl Drop for Vm {
             phi_values: std::mem::take(&mut self.phi_values),
             invocations: std::mem::take(&mut self.invocations),
         };
-        pool::park(&pool::STORAGE, storage, Storage::cells_held);
+        park(&STORAGE, storage, Storage::cells_held);
     }
 }
 
@@ -1251,7 +1255,7 @@ B2:
         )
         .expect("parse");
         Vm::run_main(&module, VmOptions::default()).expect("the heap bound fits");
-        let parked = pool::take(&pool::STORAGE);
+        let parked = take(&STORAGE);
         assert!(
             parked.cells_held() <= POOLED_CELLS,
             "{}",
