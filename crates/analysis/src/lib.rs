@@ -58,28 +58,20 @@ pub enum AnalysisLevel {
     ModRef,
     /// MOD/REF sharpened by the inclusion-based points-to analysis, with
     /// MOD/REF re-run afterwards — the paper's "pointer" configuration.
+    /// It propagates over registers where the paper uses SSA names
+    /// (`DESIGN.md` §8.7).
     PointsTo,
-    /// Like [`AnalysisLevel::PointsTo`] but run at **SSA-name
-    /// granularity**, exactly as the paper describes ("each function is
-    /// converted into SSA form ... for each SSA name, the analyzer
-    /// determines the set of tags"): functions are converted to pruned
-    /// SSA, analyzed, and converted back. The register-granularity level
-    /// is the default because it avoids perturbing the measured code with
-    /// φ-elimination copies; the test suite checks the two levels promote
-    /// identically on the benchmark suite.
-    PointsToSsa,
     /// MOD/REF sharpened by Steensgaard-style unification (ablation).
     Steensgaard,
 }
 
 impl AnalysisLevel {
     /// All levels, weakest first.
-    pub const ALL: [AnalysisLevel; 5] = [
+    pub const ALL: [AnalysisLevel; 4] = [
         AnalysisLevel::AddressTaken,
         AnalysisLevel::ModRef,
         AnalysisLevel::Steensgaard,
         AnalysisLevel::PointsTo,
-        AnalysisLevel::PointsToSsa,
     ];
 
     /// The name used in reports (the paper prints `modref` / `pointer`).
@@ -88,7 +80,6 @@ impl AnalysisLevel {
             AnalysisLevel::AddressTaken => "addrtaken",
             AnalysisLevel::ModRef => "modref",
             AnalysisLevel::PointsTo => "pointer",
-            AnalysisLevel::PointsToSsa => "pointer-ssa",
             AnalysisLevel::Steensgaard => "steens",
         }
     }
@@ -117,18 +108,6 @@ pub struct AnalysisOutcome {
 /// Runs interprocedural analysis at `level`, rewriting the module's tag
 /// sets and call-site MOD/REF lists in place.
 pub fn analyze(module: &mut Module, level: AnalysisLevel) -> AnalysisOutcome {
-    analyze_traced(module, level, None)
-}
-
-/// [`analyze`] with optional per-function trace buffers (one per function,
-/// module index order). Only the `PointsToSsa` level currently emits
-/// events: its per-name analysis round trip runs SSA construction and
-/// destruction as `ssa-construct` and `ssa-destruct` trace stages.
-pub fn analyze_traced(
-    module: &mut Module,
-    level: AnalysisLevel,
-    mut traces: Option<&mut [trace::FuncTrace]>,
-) -> AnalysisOutcome {
     let mut dataflow = cfg::DataflowStats::default();
     let graph = CallGraph::build(module, None);
     limit_pointer_ops(module, &graph);
@@ -169,31 +148,6 @@ pub fn analyze_traced(
         // The paper's "MOD/REF analysis is then repeated" with the
         // sharper tag sets and per-site indirect-call targets.
         AnalysisLevel::PointsTo => points_to_analyze_with(module, &mut dataflow).install(module),
-        AnalysisLevel::PointsToSsa => {
-            // The paper's formulation: per-SSA-name points-to. Convert,
-            // analyze at what is now SSA-name granularity, install the
-            // results, convert back (φs become coalescable copies).
-            // One analysis cache per function, shared between the two
-            // conversions: destruction's critical-edge scan reuses the CFG
-            // construction built (tag-set application in between is
-            // instruction-metadata only).
-            let mut caches: Vec<cfg::FunctionAnalyses> = module
-                .funcs
-                .iter()
-                .map(|_| cfg::FunctionAnalyses::new())
-                .collect();
-            let mut off = trace::FuncTrace::off();
-            for (fi, (f, fa)) in module.funcs.iter_mut().zip(&mut caches).enumerate() {
-                let tr = traces.as_deref_mut().map_or(&mut off, |ts| &mut ts[fi]);
-                tr.stage("ssa-construct", f, |f, _| (ssa::construct_in(f, fa), true));
-            }
-            let installed = points_to_analyze_with(module, &mut dataflow).install(module);
-            for (fi, (f, fa)) in module.funcs.iter_mut().zip(&mut caches).enumerate() {
-                let tr = traces.as_deref_mut().map_or(&mut off, |ts| &mut ts[fi]);
-                tr.stage("ssa-destruct", f, |f, _| (ssa::destruct_in(f, fa), true));
-            }
-            installed
-        }
         AnalysisLevel::Steensgaard => steensgaard_analyze(module).install(module),
     };
     AnalysisOutcome {
@@ -304,14 +258,9 @@ int main() {
             ir::validate(&m).expect("valid after analysis");
             let out = vm::Vm::run_main(&m, vm::VmOptions::default()).unwrap();
             assert_eq!(out.output, baseline.output, "level {level}");
-            // Analysis alone never changes memory traffic; the SSA-based
-            // level may add (coalescable) φ-elimination copies, every
-            // other level changes no executed instruction at all.
-            assert_eq!(out.counts.loads, baseline.counts.loads, "level {level}");
-            assert_eq!(out.counts.stores, baseline.counts.stores, "level {level}");
-            if level != AnalysisLevel::PointsToSsa {
-                assert_eq!(out.counts, baseline.counts, "level {level}");
-            }
+            // Analysis rewrites only tag sets: no level changes an
+            // executed instruction.
+            assert_eq!(out.counts, baseline.counts, "level {level}");
         }
     }
 }

@@ -8,7 +8,7 @@
 //! promoc suite                     list the benchmark suite
 //!
 //! flags:
-//!   --analysis addrtaken|steens|modref|pointer|pointer-ssa   (default modref)
+//!   --analysis addrtaken|modref|steens|pointer   (default modref)
 //!   --no-promote          disable register promotion
 //!   --ptr-promote         enable §3.3 pointer-based promotion
 //!   --no-opt              disable the scalar optimizer
@@ -41,7 +41,7 @@ usage:
   promoc suite                  list the benchmark suite
 
 flags:
-  --analysis addrtaken|steens|modref|pointer|pointer-ssa   (default modref)
+  --analysis addrtaken|modref|steens|pointer   (default modref)
   --no-promote      disable register promotion
   --ptr-promote     enable §3.3 pointer-based promotion
   --no-opt          disable the scalar optimizer
@@ -70,15 +70,17 @@ fn parse_flags(args: &[String]) -> Result<Options, String> {
         match args[i].as_str() {
             "--analysis" => {
                 i += 1;
-                let level = args.get(i).ok_or("--analysis needs a value")?;
-                builder = builder.analysis(match level.as_str() {
-                    "addrtaken" => AnalysisLevel::AddressTaken,
-                    "steens" => AnalysisLevel::Steensgaard,
-                    "modref" => AnalysisLevel::ModRef,
-                    "pointer" => AnalysisLevel::PointsTo,
-                    "pointer-ssa" => AnalysisLevel::PointsToSsa,
-                    other => return Err(format!("unknown analysis level `{other}`")),
-                });
+                let name = args.get(i).ok_or("--analysis needs a value")?;
+                let level = AnalysisLevel::ALL
+                    .into_iter()
+                    .find(|l| l.label() == name)
+                    .ok_or_else(|| {
+                        format!(
+                            "unknown analysis level `{name}` (expected one of: {})",
+                            AnalysisLevel::ALL.map(AnalysisLevel::label).join(", ")
+                        )
+                    })?;
+                builder = builder.analysis(level);
             }
             "--no-promote" => builder = builder.promote(false),
             "--ptr-promote" => builder = builder.pointer_promote(true),

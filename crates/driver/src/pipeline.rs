@@ -450,24 +450,15 @@ pub(crate) fn run_pipeline_core(
     });
     validate_at_barrier(module, "normalize");
     let outcome = timed(&mut rows, "analysis", || {
-        analysis::analyze_traced(
-            module,
-            config.analysis,
-            config.trace.then_some(traces.as_mut_slice()),
-        )
+        analysis::analyze(module, config.analysis)
     });
     let barrier_rows = rows.len();
     report.dataflow_stats.add(&outcome.dataflow);
     validate_at_barrier(module, "analysis");
     // The interprocedural barrier mutates instruction tag sets (no
-    // registers, no edges) — except the SSA-roundtrip level, which
-    // restructures bodies wholesale.
+    // registers, no edges).
     for fa in &mut analyses {
-        if matches!(config.analysis, AnalysisLevel::PointsToSsa) {
-            fa.note_shape_changed();
-        } else {
-            fa.note_body_changed();
-        }
+        fa.note_body_changed();
     }
     // Whole-module facts the fused chain reads: which functions sit on
     // call-graph cycles, straight off the analysis barrier's call graph.

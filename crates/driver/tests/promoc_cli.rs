@@ -3,6 +3,7 @@
 //! it printed. Every run must finish within [`DEADLINE`]; a hang fails the
 //! test instead of stalling the suite.
 
+use driver::prelude::AnalysisLevel;
 use driver::Session;
 use std::io::Read;
 use std::path::PathBuf;
@@ -212,6 +213,39 @@ int main() { print_int(f(1, 2, 3)); return 0; }
 ";
     let run = promoc("arity", source, "run", &["--regs", "2"]);
     assert_rejected(&run, "3 registers for @f");
+}
+
+#[test]
+fn an_oversized_register_file_sizes_nothing_by_it() {
+    // Neither the allocator's select mask nor the program's frames may
+    // be sized by the requested count: at `usize::MAX` either aborts.
+    let source = "int fib(int n) { if (n < 2) return n; return fib(n - 1) + fib(n - 2); }
+int main() { print_int(fib(15)); return 0; }
+";
+    let run = promoc(
+        "huge-regs",
+        source,
+        "run",
+        &["--regs", "18446744073709551615"],
+    );
+    assert_eq!(run.code, Some(0), "stderr: {}", run.stderr);
+    assert_eq!(run.stdout, "610\n");
+}
+
+#[test]
+fn analysis_levels_are_named_by_their_labels() {
+    for level in AnalysisLevel::ALL {
+        let run = promoc(level.label(), LOOP, "run", &["--analysis", level.label()]);
+        assert_eq!(run.code, Some(0), "{level}: {}", run.stderr);
+        assert_eq!(run.stdout, "4950\n", "{level}");
+    }
+    let run = promoc("pointer-ssa", LOOP, "run", &["--analysis", "pointer-ssa"]);
+    assert_rejected(
+        &run,
+        "unknown analysis level `pointer-ssa` (expected one of: addrtaken, modref, steens, pointer)",
+    );
+    assert_eq!(run.stderr.lines().count(), 1, "{}", run.stderr);
+    assert_eq!(run.stdout, "");
 }
 
 /// Reduced from generated program 49220: at 4 registers each spill round

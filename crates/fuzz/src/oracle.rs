@@ -7,9 +7,8 @@
 //! * **reference** — the `-O0` arm: no optimizer, no promotion, no
 //!   allocator. Its output/exit code is ground truth.
 //! * **behavioral arms** — default pipeline, points-to + pointer
-//!   promotion, a register-starved allocator, Steensgaard analysis, and
-//!   SSA-name points-to + pointer promotion: each must reproduce the
-//!   reference output and exit code exactly.
+//!   promotion, a register-starved allocator, and Steensgaard analysis:
+//!   each must reproduce the reference output and exit code exactly.
 //! * **determinism arms** — worker counts 2 and 8 must produce
 //!   bit-identical IL (compared as rendered text) and identical dynamic
 //!   counts to the single-threaded default arm.
@@ -57,9 +56,6 @@ pub enum Arm {
     TightRegs,
     /// Steensgaard analysis (output equality only).
     Steens,
-    /// SSA-name points-to analysis plus pointer promotion (output
-    /// equality only).
-    PointerSsa,
     /// Persistent `incremental(true)` session (edit mode): IL, remarks,
     /// and dynamic counts must be byte-identical to a fresh cold session
     /// on every version of an edited program.
@@ -77,7 +73,6 @@ impl Arm {
             Arm::Workers8 => "workers8",
             Arm::TightRegs => "tight-regs",
             Arm::Steens => "steens",
-            Arm::PointerSsa => "pointer-ssa",
             Arm::Incremental => "incremental",
         }
     }
@@ -234,14 +229,6 @@ impl Oracle {
             ConfiguredArm {
                 arm: Arm::Steens,
                 session: single(Session::builder().analysis(AnalysisLevel::Steensgaard)),
-            },
-            ConfiguredArm {
-                arm: Arm::PointerSsa,
-                session: single(
-                    Session::builder()
-                        .analysis(AnalysisLevel::PointsToSsa)
-                        .pointer_promote(true),
-                ),
             },
         ];
         let workers = vec![

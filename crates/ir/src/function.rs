@@ -58,14 +58,6 @@ impl Block {
         };
         self.instrs.splice(at..at, instrs);
     }
-
-    /// Index of the first non-φ instruction.
-    pub fn first_non_phi(&self) -> usize {
-        self.instrs
-            .iter()
-            .position(|i| !matches!(i, Instr::Phi { .. }))
-            .unwrap_or(self.instrs.len())
-    }
 }
 
 /// A function: parameters arrive in registers `r0..r(arity-1)`.

@@ -970,6 +970,11 @@ pub fn allocate_function_in(
         func.name,
         func.arity
     );
+    // No function needs more colors than its registers plus the
+    // parameters' shadows: every degree stays below both bounds, so no
+    // decision changes, and an oversized register file sizes neither the
+    // select mask nor the function's frame.
+    let k = k.min(func.next_reg as usize + func.arity);
     // The parameter copies go at the top of the entry block, so they must
     // run once per call: no edge may lead back into it. Loop normalization
     // guarantees that, and nothing before allocation adds an edge.
@@ -1047,7 +1052,7 @@ pub fn allocate_function_in(
         if report.rounds > opts.max_rounds {
             return Err(NotConverged {
                 func: func.name.clone(),
-                num_regs: k,
+                num_regs: opts.num_regs,
                 max_rounds: opts.max_rounds,
             });
         }
@@ -1471,6 +1476,52 @@ mod tests {
                 linear_scan(&g, &list, k, &costs, &no_spill),
                 "case {case}: n={n} k={k} precolored={precolored}"
             );
+        }
+    }
+
+    #[test]
+    fn an_oversized_register_file_colors_as_the_function_needs() {
+        // A module allocated at `usize::MAX` registers must print as at
+        // 1,000, and keep each frame to the function's registers plus its
+        // arity. `many` has 1,202 registers, so at 1,000 the allocator runs
+        // on the count it was given and at `usize::MAX` on the bound.
+        let mut src = String::from("int many(int a) { int s = a;\n");
+        for i in 1..=300 {
+            src += &format!("s = s * 3 + {i};\n");
+        }
+        src += "return s; }\n\
+                int fib(int n) { if (n < 2) return n; return fib(n - 1) + fib(n - 2); }\n\
+                int main() { print_int(many(2) + fib(15)); return 0; }";
+        let module = minic::compile(&src).expect("compiles");
+        let need = |f: &Function| f.next_reg as usize + f.arity;
+        assert!(need(&module.funcs[0]) > 1_000, "@many fits in 1,000");
+        let allocated = |num_regs: usize| {
+            let mut m = module.clone();
+            for (fi, func) in m.funcs.iter_mut().enumerate() {
+                let opts = AllocOptions {
+                    num_regs,
+                    ..Default::default()
+                };
+                let mut pending = Vec::new();
+                allocate_function_in(
+                    &module.tags,
+                    func,
+                    FuncId(fi as u32),
+                    &opts,
+                    &mut pending,
+                    &mut FunctionAnalyses::new(),
+                    &mut AllocScratch::default(),
+                    &mut trace::FuncTrace::off(),
+                )
+                .expect("converges");
+                assert!(pending.is_empty(), "@{} spilled", func.name);
+            }
+            m
+        };
+        let (huge, large) = (allocated(usize::MAX), allocated(1_000));
+        assert_eq!(ir::module_to_string(&huge), ir::module_to_string(&large));
+        for (after, before) in huge.funcs.iter().zip(&module.funcs) {
+            assert!(after.next_reg as usize <= need(before), "@{}", after.name);
         }
     }
 

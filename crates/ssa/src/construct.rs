@@ -33,14 +33,6 @@ impl SsaMap {
 ///
 /// Panics if the function already contains φ-nodes.
 pub fn construct(func: &mut Function) -> SsaMap {
-    construct_in(func, &mut FunctionAnalyses::new())
-}
-
-/// [`construct`] against a shared analysis cache: the CFG, dominator tree,
-/// and liveness are taken from (and on a warm cache, reused out of)
-/// `analyses`; the φ-insertion and renaming are reported as a body-tier
-/// change.
-pub fn construct_in(func: &mut Function, analyses: &mut FunctionAnalyses) -> SsaMap {
     assert!(
         !func
             .blocks
@@ -48,6 +40,7 @@ pub fn construct_in(func: &mut Function, analyses: &mut FunctionAnalyses) -> Ssa
             .any(|b| b.instrs.iter().any(|i| matches!(i, Instr::Phi { .. }))),
         "function is already in SSA form"
     );
+    let mut analyses = FunctionAnalyses::new();
     let (cfg, dom, live) = analyses.cfg_dom_liveness(func);
     let df = dom.dominance_frontiers(cfg);
     let nregs = func.next_reg as usize;
@@ -220,11 +213,9 @@ pub fn construct_in(func: &mut Function, analyses: &mut FunctionAnalyses) -> Ssa
         phi_orig,
     };
     renamer.rename_block(cfg.entry);
-    let origin = renamer.origin;
-    // φ insertion and renaming rewrite instructions and mint registers but
-    // leave every edge alone.
-    analyses.note_body_changed();
-    SsaMap { origin }
+    SsaMap {
+        origin: renamer.origin,
+    }
 }
 
 #[cfg(test)]

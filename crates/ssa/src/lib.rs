@@ -2,15 +2,15 @@
 //!
 //! The paper's points-to analysis "converts each function into SSA form"
 //! and propagates pointer values over SSA names (after Ruf). This crate
-//! provides that machinery: pruned SSA construction (Cytron et al.
-//! dominance-frontier placement + liveness pruning), SSA verification, and
-//! destruction back to executable form via edge-split parallel copies.
+//! provides pruned SSA construction (Cytron et al. dominance-frontier
+//! placement + liveness pruning) and SSA verification.
 //!
-//! The default pipeline's analyses run at register granularity (a
-//! documented substitution in `DESIGN.md`); the analysis crate's
-//! `PointsToSsa` configuration uses this crate to run the paper's
-//! SSA-name-granularity analysis, and the test suite checks both levels
-//! agree on the benchmark suite.
+//! The pipeline's points-to analysis runs over registers instead (a
+//! substitution recorded in `DESIGN.md` §8.7). This crate is the
+//! reference that checks it: `tests/ssa_analysis_agreement.rs` builds SSA
+//! on a copy of each suite module and checks that every SSA name points
+//! within the set of the register it versions. The VM executes φ-nodes
+//! directly, so SSA form also runs as it is.
 //!
 //! ```
 //! let module = ir::parse_module(r#"
@@ -30,22 +30,16 @@
 //! "#)?;
 //! let mut func = module.func(module.main().unwrap()).clone();
 //! let map = ssa::construct(&mut func);
-//! ssa::verify_ssa(&func)?;                 // r0 now has φ-managed versions
-//! let removed = ssa::destruct(&mut func);  // back to executable copies
-//! assert!(removed >= 1);
-//! # let _ = map;
+//! ssa::verify_ssa(&func)?;                // r0 now has φ-managed versions
+//! assert!(func.next_reg > 4);             // new names for r0's versions
+//! assert_eq!(map.origin_of(ir::Reg(4)), ir::Reg(0));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![warn(missing_docs)]
 
 mod construct;
-mod destruct;
 mod verify;
 
-pub use construct::{construct, construct_in, SsaMap};
-pub use destruct::{
-    destruct, destruct_in, sequentialize_parallel_copy, split_critical_edges,
-    split_critical_edges_in,
-};
+pub use construct::{construct, SsaMap};
 pub use verify::{verify_ssa, SsaError};

@@ -1,5 +1,6 @@
-//! SSA round-trip: construct → verify → destruct must preserve behaviour
-//! on real compiled programs, including loops, calls, and recursion.
+//! SSA construction must preserve behaviour on real compiled programs,
+//! including loops, calls, and recursion: construct → verify → run (the
+//! VM executes φ directly).
 //!
 //! The randomized cases use an in-tree xorshift64* generator so the test
 //! is deterministic and builds offline.
@@ -9,35 +10,16 @@ use vm::{Vm, VmOptions};
 fn roundtrip(src: &str) {
     let module = minic::compile(src).expect("compile");
     let before = Vm::run_main(&module, VmOptions::default()).expect("baseline");
-    // SSA on every function, verify, run (the VM executes φ directly).
     let mut in_ssa = module.clone();
     for f in &mut in_ssa.funcs {
         ssa::construct(f);
         ssa::verify_ssa(f).unwrap_or_else(|e| panic!("{}: {e}", f.name));
     }
     ir::validate(&in_ssa).expect("valid IL in SSA form");
-    let mid = Vm::run_main(&in_ssa, VmOptions::default()).expect("ssa form runs");
-    assert_eq!(
-        before.output, mid.output,
-        "construction preserves behaviour"
-    );
-    // Destruct, run again.
-    let mut back = in_ssa.clone();
-    for f in &mut back.funcs {
-        ssa::destruct(f);
-        assert!(
-            !f.blocks
-                .iter()
-                .any(|b| b.instrs.iter().any(|i| matches!(i, ir::Instr::Phi { .. }))),
-            "{}: no φ remains",
-            f.name
-        );
-    }
-    ir::validate(&back).expect("valid IL after destruction");
-    let after = Vm::run_main(&back, VmOptions::default()).expect("destructed runs");
+    let after = Vm::run_main(&in_ssa, VmOptions::default()).expect("ssa form runs");
     assert_eq!(
         before.output, after.output,
-        "destruction preserves behaviour"
+        "construction preserves behaviour"
     );
 }
 
@@ -100,7 +82,8 @@ int main() {
 
 #[test]
 fn swap_pattern_exercises_parallel_copies() {
-    // Classic φ-swap: two values exchanged every iteration.
+    // Classic φ-swap: two values exchanged every iteration, so the VM's
+    // edge moves for the loop header's φs must act as one parallel copy.
     roundtrip(
         r#"
 int main() {

@@ -283,8 +283,6 @@ fn intern_pass(name: &str) -> Result<&'static str, JsonlError> {
     const KNOWN: &[&str] = &[
         "normalize",
         "analysis",
-        "ssa-construct",
-        "ssa-destruct",
         "strengthen",
         "promote",
         "pointer-promote",

@@ -46,9 +46,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             AnalysisLevel::PointsTo => {
                 "p = {hot} exactly: strengthened to sload/sstore and promoted"
             }
-            AnalysisLevel::PointsToSsa => {
-                "the paper's SSA-name formulation: same answer as pointer"
-            }
         };
         println!(
             "{:<12} {:>9} {:>9} {:>9}   {note}",

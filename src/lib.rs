@@ -19,7 +19,7 @@
 //! | [`promote`] | `promo-promote` | **the paper's transformation** |
 //! | [`opt`] | `promo-opt` | LVN, PRE-style load elim, SCCP, LICM, DCE |
 //! | [`regalloc`] | `promo-regalloc` | Chaitin–Briggs with coalescing/spilling |
-//! | [`ssa`] | `promo-ssa` | pruned SSA construct/verify/destruct |
+//! | [`ssa`] | `promo-ssa` | pruned SSA construct/verify |
 //! | [`minic`] | `promo-minic` | the MiniC front end |
 //! | [`vm`] | `promo-vm` | instrumented interpreter |
 //! | [`driver`] | `promo-driver` | pipeline configs + figure reporting |

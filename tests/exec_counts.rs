@@ -1,4 +1,4 @@
-//! Exact dynamic counts, pinned: every suite program under six pipeline
+//! Exact dynamic counts, pinned: every suite program under five pipeline
 //! arms must execute exactly the operations, loads, stores and per-class
 //! counts recorded in `tests/golden/exec_counts.txt`, with the recorded
 //! exit code and output. The counts are the paper's Figures 5–7 metric;
@@ -42,12 +42,6 @@ fn arms() -> Vec<(&'static str, Session)> {
         (
             "steens",
             one(Session::builder().analysis(AnalysisLevel::Steensgaard)),
-        ),
-        (
-            "pointer-ssa",
-            one(Session::builder()
-                .analysis(AnalysisLevel::PointsToSsa)
-                .pointer_promote(true)),
         ),
     ]
 }

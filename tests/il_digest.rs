@@ -1,4 +1,4 @@
-//! Byte-identical output, pinned: every suite program under the six
+//! Byte-identical output, pinned: every suite program under the five
 //! pipeline arms of `tests/exec_counts.rs`, built with tracing on, must
 //! print exactly the optimized IL and the JSONL remark stream whose
 //! FNV-1a digests are recorded in `tests/golden/il_digest.txt`. A change
@@ -43,12 +43,6 @@ fn arms() -> Vec<(&'static str, Session)> {
         (
             "steens",
             one(Session::builder().analysis(AnalysisLevel::Steensgaard)),
-        ),
-        (
-            "pointer-ssa",
-            one(Session::builder()
-                .analysis(AnalysisLevel::PointsToSsa)
-                .pointer_promote(true)),
         ),
     ]
 }

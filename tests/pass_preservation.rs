@@ -19,9 +19,6 @@ fn passes() -> Vec<Pass> {
         ("analyze-pointer", |m| {
             analysis::analyze(m, analysis::AnalysisLevel::PointsTo);
         }),
-        ("analyze-pointer-ssa", |m| {
-            analysis::analyze(m, analysis::AnalysisLevel::PointsToSsa);
-        }),
         ("strengthen", |m| {
             analysis::analyze(m, analysis::AnalysisLevel::PointsTo);
             opt::strengthen(m);
@@ -78,11 +75,10 @@ fn passes() -> Vec<Pass> {
             )
             .expect("allocation converges");
         }),
-        ("ssa-roundtrip", |m| {
+        ("ssa-construct", |m| {
             for f in &mut m.funcs {
                 ssa::construct(f);
                 ssa::verify_ssa(f).expect("valid SSA");
-                ssa::destruct(f);
             }
         }),
     ]

@@ -13,18 +13,13 @@ use driver::prelude::*;
 fn all_variants() -> Vec<(&'static str, SessionBuilder)> {
     let mut v = SessionBuilder::figure_variants().to_vec();
     // Extra arms beyond the paper: weakest analysis, Steensgaard, pointer
-    // promotion (after register and after SSA-name points-to), no
-    // optimization at all, tiny register file.
+    // promotion, no optimization at all, tiny register file.
     let promoting = |level| Session::builder().analysis(level).promote(true);
     v.push(("addrtaken/with", promoting(AnalysisLevel::AddressTaken)));
     v.push(("steens/with", promoting(AnalysisLevel::Steensgaard)));
     v.push((
         "pointer/with+ptrpromo",
         promoting(AnalysisLevel::PointsTo).pointer_promote(true),
-    ));
-    v.push((
-        "pointer-ssa/with+ptrpromo",
-        promoting(AnalysisLevel::PointsToSsa).pointer_promote(true),
     ));
     v.push((
         "no-opt",

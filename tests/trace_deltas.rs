@@ -54,8 +54,8 @@ fn assert_deltas_telescope(what: &str, src: &str, c: &Compilation) -> usize {
     before.funcs.len()
 }
 
-/// The cold arms: the default, points-to with pointer promotion, the
-/// SSA-name points-to round trip, and a tight register file that spills.
+/// The cold arms: the default, points-to with pointer promotion, and a
+/// tight register file that spills.
 fn cold_arms() -> Vec<(&'static str, Session)> {
     let traced = |b: SessionBuilder| b.threads(Some(1)).trace(true).build();
     vec![
@@ -67,10 +67,6 @@ fn cold_arms() -> Vec<(&'static str, Session)> {
                     .analysis(AnalysisLevel::PointsTo)
                     .pointer_promote(true),
             ),
-        ),
-        (
-            "pointer-ssa",
-            traced(Session::builder().analysis(AnalysisLevel::PointsToSsa)),
         ),
         (
             "tight",
